@@ -2,10 +2,9 @@
 # wall-clock speed of the engine itself, not simulated time.
 """Simulator performance harness: wall-clock, not simulated time.
 
-Measures how fast the simulator itself runs — engine events/sec on both
-scheduler cores, scheduler-internal statistics (front-slot absorption,
-overflow spills, timer-pool hit rate), the batched-delivery A/B
-(``REPRO_SIM_BATCH``), the checkpointed warm-suffix replay, the
+Measures how fast the simulator itself runs — engine events/sec,
+scheduler-internal statistics (front-slot absorption, overflow spills,
+timer-pool hit rate), the checkpointed warm-suffix replay, the
 wall-clock of regenerating every paper figure, and the cold/warm cost
 of a cached sweep — and records the numbers in ``BENCH_perf.json`` at
 the repository root so the perf trajectory is tracked from PR to PR.
@@ -50,7 +49,7 @@ ALL_FIGURES = DEFAULT_FIGURES + [
     "bench_fig8_tcp_bandwidth",
 ]
 
-#: The sweep whose cold/warm/heap-core A/B is measured in detail.
+#: The sweep whose cold/warm cache A/B is measured in detail.
 CACHE_FIGURE = "bench_fig4_bandwidth"
 
 
@@ -102,82 +101,29 @@ def _process_rate(n_events: int) -> float:
 
 
 def engine_events_per_sec(n_events: int = 1_000_000, repeats: int = 5) -> dict:
-    """Raw engine throughput A/B: both scheduler cores, best-of-N.
+    """Raw engine throughput, best-of-N.
 
     ``callback`` runs the hot chain against :data:`PARKED_TIMERS`
     pending far-future timers (a busy node's steady state);
     ``callback_bare`` is the same chain with an otherwise-empty
     schedule, the degenerate case where no queue structure can help.
-
-    ``callback_events_per_sec``/``process_events_per_sec`` report the
-    active (default) core so the time series in BENCH_perf.json stays
-    comparable across PRs; the ``cores`` sub-dict and speedup ratios
-    compare the calendar core against the seed-shaped heap core measured
-    in the same run.  Rounds alternate between the cores rather than
-    running blocked per core, so slow machine-state drift (thermal,
-    noisy neighbours) lands on both sides of the ratio — and each
-    speedup is the *median of the per-round paired ratios*, not the
-    ratio of best-of-N rates: on a host whose clock speed shifts
-    between rounds, best-of-N hands whichever core happened to catch
-    the fastest round an unearned win, while the paired median only
-    credits differences both cores saw under the same conditions.
     """
-    from repro.sim import batch, engine
-
-    active = engine.current_core()
     kinds = {
         "callback": lambda: _callback_rate(n_events),
         "callback_bare": lambda: _callback_rate(n_events, parked=0),
         "process": lambda: _process_rate(n_events),
     }
-    rounds = {core: {kind: [] for kind in kinds} for core in engine.CORES}
-    # Batching off: these chains hit no registered kernel, so the only
-    # effect would be the batched loop's per-entry kernel lookup — and
-    # the point of this section is the scalar dispatch time series,
-    # which must stay comparable across PRs.  The batched delivery path
-    # has its own section (``batched``).
-    with batch.use_batching(False):
-        for _ in range(repeats):
-            for core in engine.CORES:
-                with engine.use_core(core):
-                    for kind, measure in kinds.items():
-                        rounds[core][kind].append(measure())
-    cores = {
-        core: {
-            "callback_events_per_sec": round(max(rates["callback"])),
-            "callback_bare_events_per_sec":
-                round(max(rates["callback_bare"])),
-            "process_events_per_sec": round(max(rates["process"])),
-        }
-        for core, rates in rounds.items()
-    }
-
-    def speedup(kind: str) -> float:
-        ratios = sorted(
-            cal / hp
-            for cal, hp in zip(rounds["calendar"][kind], rounds["heap"][kind])
-        )
-        mid = len(ratios) // 2
-        median = (
-            ratios[mid]
-            if len(ratios) % 2
-            else (ratios[mid - 1] + ratios[mid]) / 2.0
-        )
-        return round(median, 3)
-
+    rates = {kind: [] for kind in kinds}
+    for _ in range(repeats):
+        for kind, measure in kinds.items():
+            rates[kind].append(measure())
     return {
-        "callback_events_per_sec": cores[active]["callback_events_per_sec"],
-        "callback_bare_events_per_sec":
-            cores[active]["callback_bare_events_per_sec"],
-        "process_events_per_sec": cores[active]["process_events_per_sec"],
+        "callback_events_per_sec": round(max(rates["callback"])),
+        "callback_bare_events_per_sec": round(max(rates["callback_bare"])),
+        "process_events_per_sec": round(max(rates["process"])),
         "n_events": n_events,
         "parked_timers": PARKED_TIMERS,
         "best_of": repeats,
-        "active_core": active,
-        "cores": cores,
-        "callback_speedup_calendar_vs_heap": speedup("callback"),
-        "callback_bare_speedup_calendar_vs_heap": speedup("callback_bare"),
-        "process_speedup_calendar_vs_heap": speedup("process"),
     }
 
 
@@ -189,33 +135,32 @@ def scheduler_stats(n_events: int = 50_000) -> dict:
     far-future entries beyond the horizon (overflow spills and
     promotions).
     """
-    from repro.sim import engine, Simulator
+    from repro.sim import Simulator
 
-    with engine.use_core("calendar"):
-        sim = Simulator()
-        remaining = [n_events]
-        handle = [None]
+    sim = Simulator()
+    remaining = [n_events]
+    handle = [None]
 
-        def tick():
-            remaining[0] -= 1
-            if handle[0] is not None:
-                handle[0].cancel()
-                handle[0] = None
-            if remaining[0]:
-                sim.schedule_callback(1.0, tick)
-                sim.schedule_callback(1.3, noop)
-                # re-armed every tick, cancelled before it can fire:
-                # the retransmit-timer pattern
-                handle[0] = sim.schedule_timer(50.0, noop)
-                if remaining[0] % 500 == 0:
-                    sim.schedule_callback(90_000.0, noop)  # beyond horizon
+    def tick():
+        remaining[0] -= 1
+        if handle[0] is not None:
+            handle[0].cancel()
+            handle[0] = None
+        if remaining[0]:
+            sim.schedule_callback(1.0, tick)
+            sim.schedule_callback(1.3, noop)
+            # re-armed every tick, cancelled before it can fire:
+            # the retransmit-timer pattern
+            handle[0] = sim.schedule_timer(50.0, noop)
+            if remaining[0] % 500 == 0:
+                sim.schedule_callback(90_000.0, noop)  # beyond horizon
 
-        def noop():
-            pass
+    def noop():
+        pass
 
-        sim.schedule_callback(1.0, tick)
-        sim.run()
-        stats = sim.stats()
+    sim.schedule_callback(1.0, tick)
+    sim.run()
+    stats = sim.stats()
     total = max(1, stats["schedules"])
     stats["front_absorption"] = round(stats["front_inserts"] / total, 3)
     pool_ops = stats["timer_pool_hits"] + stats["timer_pool_misses"]
@@ -233,9 +178,9 @@ def obs_profile(n: int = 30, repeats: int = 5) -> dict:
     function), and the *on* path's overhead factor tells users what a
     traced run costs.
 
-    The factor is measured the same way as the engine core A/B: a
-    warm-up run first, then ``repeats`` interleaved off/on rounds, and
-    the reported factor is the *median of the per-round paired ratios*.
+    The factor is measured with paired rounds: a warm-up run first,
+    then ``repeats`` interleaved off/on rounds, and the reported factor
+    is the *median of the per-round paired ratios*.
     A single off-then-on pair is dominated by warm-up and machine drift
     — early revisions of this harness reported spans-on as 0.82x, i.e.
     *faster* than off, purely because the off run also paid the import
@@ -309,70 +254,6 @@ def rtt_percentiles(n: int = 200) -> dict:
             "p99": round(summary["p99"], 3),
             "p999": round(summary["p999"], 3),
         },
-    }
-
-
-def batched_throughput(
-    n_trains: int = 1500, cells_per_train: int = 86, repeats: int = 5
-) -> dict:
-    """Effective events/s of the delivery pipeline, batched vs scalar.
-
-    A fig4-class workload — 86-cell trains, one 4 KB AAL5 PDU each —
-    through the switch into a receive FIFO (see
-    :func:`repro.bench.micro.build_train_pipeline`).  Both modes are
-    checked for bit-identical outcomes right here, then timed in
-    paired rounds; the reported speedup is the median of the per-round
-    scalar/batched ratios (same rationale as the engine core A/B).
-    ``effective`` events/s counts the scalar-equivalent events the
-    batched run replayed (``events_processed`` is identical by
-    contract), so the two rates are directly comparable.
-    """
-    from repro.bench import micro
-    from repro.sim import batch
-
-    def run(on: bool):
-        with batch.use_batching(on):
-            sim, col = micro.build_train_pipeline(
-                n_trains=n_trains, cells_per_train=cells_per_train
-            )
-            t0 = time.perf_counter()
-            sim.run()
-            wall = time.perf_counter() - t0
-        return sim, col, wall
-
-    # Warm-up round doubles as the identity check.
-    s0, c0, _ = run(False)
-    s1, c1, _ = run(True)
-    identical = (
-        s0.events_processed == s1.events_processed
-        and s0.now == s1.now
-        and len(c0.input_fifo.items) == len(c1.input_fifo.items)
-        and c0.input_fifo_drops == c1.input_fifo_drops
-    )
-    scalar_walls, batched_walls, ratios = [], [], []
-    for _ in range(repeats):
-        _, _, w0 = run(False)
-        _, _, w1 = run(True)
-        scalar_walls.append(w0)
-        batched_walls.append(w1)
-        ratios.append(w0 / w1)
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (
-        ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
-    )
-    events = s1.events_processed
-    stats = s1.stats()
-    return {
-        "scenario": f"train_pipeline({n_trains}x{cells_per_train})",
-        "events": events,
-        "identical": identical,
-        "best_of": repeats,
-        "scalar_events_per_sec": round(events / min(scalar_walls)),
-        "batched_events_per_sec": round(events / min(batched_walls)),
-        "batch_batches": stats["batch_batches"],
-        "batch_fused": stats["batch_fused"],
-        "speedup": round(median, 3),
     }
 
 
@@ -508,9 +389,8 @@ def time_figure(module_name: str) -> dict:
 
 
 def cache_ab(module_name: str = CACHE_FIGURE) -> dict:
-    """Cold vs. warm sweep, plus the heap-core cold A/B, for one figure."""
+    """Cold vs. warm sweep for one figure."""
     from repro.bench import cache
-    from repro.sim import engine
 
     module = importlib.import_module(module_name)
     cache.clear()
@@ -526,19 +406,11 @@ def cache_ab(module_name: str = CACHE_FIGURE) -> dict:
     warm = time.perf_counter() - t0
     warm_hits = cache.hits
 
-    with engine.use_core("heap"):
-        cache.clear()
-        t0 = time.perf_counter()
-        module.sweep()
-        cold_heap = time.perf_counter() - t0
-
     return {
         "figure": module_name,
         "cold_wall_s": round(cold, 3),
         "warm_wall_s": round(warm, 4),
         "warm_over_cold": round(warm / cold, 4) if cold else None,
-        "cold_wall_s_heap_core": round(cold_heap, 3),
-        "cold_speedup_calendar_vs_heap": round(cold_heap / cold, 3) if cold else None,
         "points": cold_misses,
         "warm_hits": warm_hits,
     }
@@ -568,9 +440,6 @@ def main(argv=None) -> int:
         "scheduler": scheduler_stats(),
         "obs": obs_profile(repeats=repeats),
         "percentiles": rtt_percentiles(),
-        "batched": batched_throughput(
-            n_trains=500 if args.quick else 1500, repeats=repeats
-        ),
         "warm_suffix_replay": warm_suffix_replay(
             repeats=2 if args.quick else 3
         ),
@@ -578,15 +447,10 @@ def main(argv=None) -> int:
         "figures": {},
     }
     eng = report["engine"]
-    print(f"engine [{eng['active_core']}]: "
-          f"{eng['process_events_per_sec']:,} events/s (processes), "
+    print(f"engine: {eng['process_events_per_sec']:,} events/s (processes), "
           f"{eng['callback_events_per_sec']:,} events/s (callbacks, "
           f"{eng['parked_timers']} parked timers), "
           f"{eng['callback_bare_events_per_sec']:,} events/s (bare)")
-    print(f"engine A/B: callbacks {eng['callback_speedup_calendar_vs_heap']}x "
-          f"(bare {eng['callback_bare_speedup_calendar_vs_heap']}x), "
-          f"processes {eng['process_speedup_calendar_vs_heap']}x "
-          f"(calendar vs heap core)")
     sched = report["scheduler"]
     print(f"scheduler: front absorption {sched['front_absorption']}, "
           f"{sched['far_spills']} spills / {sched['promotions']} promotions, "
@@ -596,12 +460,6 @@ def main(argv=None) -> int:
     pct = report["percentiles"]["fig3_rtt_us"]
     print(f"rtt tails [fig3 mixed, n={pct['count']}]: p50 {pct['p50']}us, "
           f"p99 {pct['p99']}us, p999 {pct['p999']}us")
-    bat = report["batched"]
-    print(f"batched [{bat['scenario']}]: "
-          f"{bat['batched_events_per_sec']:,} events/s vs "
-          f"{bat['scalar_events_per_sec']:,} scalar, "
-          f"{bat['speedup']}x (identical={bat['identical']}, "
-          f"{bat['batch_fused']} fused)")
     warm = report["warm_suffix_replay"]
     if warm["fork_available"]:
         print(f"warm replay [{warm['scenario']}]: cold {warm['cold_wall_s']}s"
@@ -624,8 +482,7 @@ def main(argv=None) -> int:
     ab = report["cache"]
     print(f"cache [{ab['figure']}]: cold {ab['cold_wall_s']:.2f}s, "
           f"warm {ab['warm_wall_s']*1000:.0f}ms "
-          f"({ab['warm_over_cold']:.2%} of cold), "
-          f"heap-core cold {ab['cold_wall_s_heap_core']:.2f}s")
+          f"({ab['warm_over_cold']:.2%} of cold)")
     cache.clear()
 
     out = Path(args.output)

@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "instead of simlint, run simcost: hot-path reachability from "
             "the event-callback roots, a weighted static cost model, "
-            "profile-guided ranking against BENCH_perf.json's event mix, "
-            "and the vectorization-candidate report"
+            "and profile-guided ranking against BENCH_perf.json's event mix"
         ),
     )
     parser.add_argument(
@@ -283,19 +282,6 @@ def _run_cost(args) -> int:
     from repro.analysis.cost.rank import render_ranking
 
     print(render_ranking(report.functions, args.cost_top))
-    print(
-        f"simcost: {len(report.candidates)} vectorization candidate(s) "
-        f"(batchable callback bodies):"
-    )
-    for candidate in report.candidates:
-        print(candidate.format())
-    if report.batched:
-        print(
-            f"simcost: {len(report.batched)} candidate(s) already wired "
-            f"to a batch kernel (repro.sim.batch):"
-        )
-        for candidate in report.batched:
-            print(candidate.format())
     if suppressed:
         print(f"simcost: {suppressed} baselined finding(s) suppressed", file=sys.stderr)
     if findings:

@@ -8,9 +8,7 @@ Pipeline (one :func:`analyze_program` call):
    weighted cost classes (cold guards and raise paths excluded);
 3. :mod:`.profile` + :mod:`.rank` -- static scores joined against the
    measured event mix in ``BENCH_perf.json`` (static-only fallback
-   when no profile exists) and ordered by estimated events/s impact;
-4. :mod:`.vectorize` -- the batchable-callback work-list for the
-   vectorized event-batch engine (ROADMAP).
+   when no profile exists) and ordered by estimated events/s impact.
 
 Findings (for the CI gate) are emitted only for the *actionable* cost
 classes by default -- per-iteration allocation, string formatting,
@@ -34,11 +32,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from repro.analysis.cost import hotpath as _hotpath
 from repro.analysis.cost import profile as _profile
 from repro.analysis.cost import rank as _rank
-from repro.analysis.cost import vectorize as _vectorize
 from repro.analysis.cost.model import CostItem, classify_function
 from repro.analysis.cost.profile import EngineProfile
 from repro.analysis.cost.rank import FunctionCost
-from repro.analysis.cost.vectorize import Candidate
 from repro.analysis.flow.callgraph import Program
 from repro.analysis.flow.report import Finding
 
@@ -72,8 +68,6 @@ class CostReport:
 
     findings: List[Finding] = field(default_factory=list)
     functions: List[FunctionCost] = field(default_factory=list)  # ranked
-    candidates: List[Candidate] = field(default_factory=list)  # remaining
-    batched: List[Candidate] = field(default_factory=list)  # already wired
     profile: Optional[EngineProfile] = None
 
     @property
@@ -90,8 +84,6 @@ class CostReport:
                 k: round(v, 3)
                 for k, v in _rank.module_rollup(self.functions).items()
             },
-            "vectorization_candidates": [c.to_dict() for c in self.candidates],
-            "batched_candidates": [c.to_dict() for c in self.batched],
         }
 
 
@@ -173,13 +165,11 @@ def analyze_program(
         )
     hot = _hotpath.compute(program)
     costs: List[FunctionCost] = []
-    items_of: Dict[str, List[CostItem]] = {}
     for qual in sorted(hot.depth):
         fn = program.functions.get(qual)
         if fn is None:
             continue
         items = classify_function(fn, program)
-        items_of[qual] = items
         costs.append(
             FunctionCost(
                 fn=fn,
@@ -209,19 +199,7 @@ def analyze_program(
                 continue
             findings.append(_finding(cost, item))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    def factor_of(kinds: Iterable[str]) -> float:
-        return profile.factor(kinds) if profile is not None else 1.0
-
-    candidates = _vectorize.find_candidates(program, hot, items_of, factor_of)
-    registered = _vectorize.registered_batch_qualnames(program)
-    return CostReport(
-        findings=findings,
-        functions=costs,
-        candidates=[c for c in candidates if c.qualname not in registered],
-        batched=[c for c in candidates if c.qualname in registered],
-        profile=profile,
-    )
+    return CostReport(findings=findings, functions=costs, profile=profile)
 
 
 def analyze_paths(

@@ -1,7 +1,7 @@
 """The static cost model: AST nodes -> weighted cost classes.
 
-Each cost class approximates one interpreter overhead the vectorized
-batch engine could amortize (or that a targeted fix removes outright):
+Each cost class approximates one interpreter overhead per executed
+event (a targeted fix removes the actionable ones outright):
 
 ========== ======  =================================================
 class      weight  what it charges

@@ -72,7 +72,6 @@ from repro.analysis.rules import (  # noqa: E402,F401
     schedule_shared_state,
     silent_except,
     slots_hot_path,
-    unbatched_candidate,
     unguarded_obs_call,
     unordered_iter,
     unseeded_random,

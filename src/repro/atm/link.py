@@ -28,7 +28,6 @@ from repro import obs
 from repro.atm.cell import Cell
 from repro.obs import metrics as _metrics
 from repro.sim import Event, Simulator, Tracer
-from repro.sim import batch as _batch
 from repro.sim import engine as _engine
 from repro.sim.shard.errors import ShardError
 
@@ -388,13 +387,3 @@ class Link:
         if train_sink is None:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
         train_sink(train)
-
-
-# Batch kernels (REPRO_SIM_BATCH): a run of back-to-back deliveries
-# collapses into one bulk FIFO append, and a whole train expands through
-# the switch analytically.  Lossy links, cut edges and fast_path=False
-# never reach these entry kinds or fail the kernels' preconditions, so
-# they keep the per-cell path.  Bit-identity with scalar dispatch is
-# enforced by tests/sim/test_batch.py.
-_batch.register(Link._deliver_cell, _batch.deliver_cell_kernel)
-_batch.register(Link._deliver_train, _batch.deliver_train_kernel)

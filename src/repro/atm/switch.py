@@ -18,7 +18,6 @@ from repro.atm.cell import Cell
 from repro.atm.link import TAXI_140_BPS, CellTrain, Link
 from repro.obs import metrics as _metrics
 from repro.sim import Simulator, Tracer
-from repro.sim import batch as _batch
 from repro.sim import engine as _engine
 
 
@@ -153,10 +152,6 @@ class Switch:
         def sink(train: CellTrain, _port: int = port) -> None:
             self._receive_train(_port, train)
 
-        # Marker for the train-expansion batch kernel: identifies this
-        # closure as a switch input so the kernel can replay the
-        # receive/forward cascade analytically (repro.sim.batch).
-        sink.__batch_switch__ = (self, port)
         return sink
 
     def _receive(self, port: int, cell: Cell) -> None:
@@ -203,9 +198,3 @@ class Switch:
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.n_ports:
             raise ValueError(f"port {port} out of range (0..{self.n_ports - 1})")
-
-
-# Directly scheduled per-cell receives (deferred train cells) fuse under
-# the generic incremental kernel, which re-checks the global minimum
-# after every call and is therefore bit-identical by construction.
-_batch.register(Switch._receive, _batch.run_fused)

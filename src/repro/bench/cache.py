@@ -7,7 +7,7 @@ module gives :func:`repro.bench.parallel.parallel_map` a persistent
 memo keyed by *content*, not by time:
 
 ``key = sha256(fn identity || canonical(params) || source digest ||
-core || shards || batch tag || checkpoint schema)``
+shards)``
 
 * **fn identity** -- module + qualname of the sweep-point function.
 * **canonical(params)** -- a stable rendering of the point's arguments
@@ -17,8 +17,8 @@ core || shards || batch tag || checkpoint schema)``
   ``repro/`` *and* the benchmark module that defines ``fn``.  Editing
   any model source invalidates every cached point; nothing is ever
   served stale.
-* **core** -- the active scheduler core (``calendar``/``heap``), so A/B
-  comparisons never read each other's entries.
+* **shards** -- the shard count new simulators are built with, so
+  sharded A/B comparisons never read each other's entries.
 
 Entries are pickle files under ``.bench_cache/`` at the repository
 root (override with ``REPRO_BENCH_CACHE_DIR``; disable entirely with
@@ -153,8 +153,7 @@ def _fn_source_digest(fn: Callable) -> str:
 
 
 def cache_key(fn: Callable, item: Any) -> str:
-    from repro.bench import checkpoint
-    from repro.sim import batch, engine
+    from repro.sim import engine
 
     h = hashlib.sha256()
     h.update(f"{fn.__module__}.{fn.__qualname__}".encode())
@@ -163,20 +162,11 @@ def cache_key(fn: Callable, item: Any) -> str:
     h.update(b"\0")
     h.update(source_digest().encode())
     h.update(_fn_source_digest(fn).encode())
-    h.update(engine.current_core().encode())
-    # Shard count is part of the execution configuration for the same
-    # reason the scheduler core is: results are bit-identical across
-    # shard counts *by design*, and a cache hit that crossed the
+    # Shard count is execution configuration: results are bit-identical
+    # across shard counts *by design*, and a cache hit that crossed the
     # boundary would quietly hide the very divergence the A/B runs
     # exist to catch.
     h.update(b"\0shards=%d" % engine.shard_count())
-    # Batch mode and the numpy version it kernels against are execution
-    # configuration for the same reason, and the checkpoint schema
-    # version retires every entry written under an older snapshot
-    # layout in one stroke.
-    h.update(b"\0")
-    h.update(batch.cache_tag().encode())
-    h.update(b"\0ckpt=%d" % checkpoint.CHECKPOINT_SCHEMA)
     return h.hexdigest()
 
 

@@ -8,53 +8,26 @@ splits a point into two phases so the expensive half is computed once:
   world is in steady state;
 * a per-point **suffix** — the short measurement that actually differs.
 
-Two mechanisms, picked by what the warmed world contains:
-
-* :func:`sweep` — **fork-based cloning** for arbitrary worlds.  The
-  warm world is built once in-process and each point runs in a forked
-  child against a copy-on-write clone; results come back over a pipe.
-  This handles process/generator worlds (whose pending
-  :class:`~repro.sim.Event` entries cannot be snapshotted) and costs no
-  serialization.  Falls back to rebuilding the warmup per point — with
-  bit-identical results, the A/B tests rely on it — when ``os.fork`` is
-  unavailable or ``REPRO_SIM_CHECKPOINT=0``.
-* :func:`store_snapshot` / :func:`load_snapshot` — **persistent
-  snapshots** for callback/timer-only worlds.  The whole warmed
-  :class:`~repro.sim.Simulator` (pickling it drags the reachable model
-  world along through the bound methods in its calendar) is stored
-  content-addressed under the bench-cache directory, keyed like a cache
-  entry: parameters, source digest, engine configuration and
-  :data:`CHECKPOINT_SCHEMA`.  Editing any model source orphans every
-  stored snapshot; bumping the schema retires old layouts in one
-  stroke.
-
-Known unsoundness (documented, not defended): a snapshot taken while a
-timer is outstanding restores the *same* :class:`TimerHandle` objects,
-so restoring twice into the same process aliases their cancellation
-state; micro-statistics (near/far push counters) are not part of the
-snapshot and restart from zero; and the restored world re-reads engine
-configuration (core, batching) from the restoring process, which is a
-feature for A/B work and a foot-gun otherwise.  See DESIGN.md §12.
+:func:`sweep` clones by **forking**: the warm world is built once
+in-process and each point runs in a forked child against a
+copy-on-write clone; results come back over a pipe.  This handles any
+world, process/generator worlds included, and costs no serialization.
+It falls back to rebuilding the warmup per point — with bit-identical
+results, the A/B tests rely on it — when ``os.fork`` is unavailable or
+``REPRO_SIM_CHECKPOINT=0``.  See DESIGN.md §12.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
-from pathlib import Path
-from typing import Any, Callable, Iterable, List, Optional, TypeVar
+from typing import Callable, Iterable, List, Optional, TypeVar
 
-from repro.bench import cache, parallel
+from repro.bench import parallel
 
 W = TypeVar("W")
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Version of the snapshot/checkpoint layout.  Part of every snapshot
-#: key *and* of the whole-run cache key (:func:`repro.bench.cache
-#: .cache_key`), so a layout change invalidates both kinds of entry.
-CHECKPOINT_SCHEMA = 1
 
 #: process-wide counters, reported by benchmarks/bench_perf.py
 forked_points = 0
@@ -126,108 +99,6 @@ def sweep(
     results = [run_point(build_warm(), point) for point in points]
     rebuilt_points += len(points)
     return results
-
-
-# ------------------------------------------------------- persistent snapshots
-def snapshot_dir() -> Path:
-    return cache.cache_dir() / "checkpoints"
-
-
-def snapshot_key(tag: str, params: Any) -> str:
-    """Content address of a warm snapshot.
-
-    Keyed exactly like a whole-run cache entry — warmup parameters,
-    model sources, engine configuration — plus :data:`CHECKPOINT_SCHEMA`
-    so old snapshot layouts are never deserialized by new code.
-    """
-    from repro.sim import batch, engine
-
-    h = hashlib.sha256()
-    h.update(tag.encode())
-    h.update(b"\0")
-    h.update(cache._canonical(params).encode())
-    h.update(b"\0")
-    h.update(cache.source_digest().encode())
-    h.update(b"\0")
-    h.update(engine.current_core().encode())
-    h.update(b"\0shards=%d" % engine.shard_count())
-    h.update(b"\0")
-    h.update(batch.cache_tag().encode())
-    h.update(b"\0ckpt=%d" % CHECKPOINT_SCHEMA)
-    return h.hexdigest()
-
-
-def store_snapshot(key: str, sim: Any) -> bool:
-    """Pickle a warmed simulator (world included) under ``key``.
-
-    Atomic rename, best-effort like the result cache: a snapshot store
-    that cannot *write* is just a slow snapshot store.  A world with
-    pending :class:`~repro.sim.Event` entries is a caller bug, not a
-    storage hiccup — the engine's typed ``SimulationError`` propagates
-    (use :func:`sweep`'s fork path for process worlds).
-    """
-    directory = snapshot_dir()
-    tmp = None
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f".{key}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(sim, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, directory / f"{key}.pkl")
-        return True
-    except (OSError, pickle.PickleError):
-        return False
-    finally:
-        if tmp is not None and tmp.exists():
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
-def load_snapshot(key: str) -> Any:
-    """Return the warmed simulator stored under ``key``, or ``None``.
-
-    Corrupt entries are unlinked and treated as a miss, mirroring
-    :func:`repro.bench.cache.lookup`.
-    """
-    path = snapshot_dir() / f"{key}.pkl"
-    try:
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return None
-
-
-def warm_world(
-    tag: str,
-    params: Any,
-    build: Callable[[], Any],
-    use_store: Optional[bool] = None,
-) -> Any:
-    """Build-or-load a warmed callback-only world.
-
-    ``build`` constructs and warms the world, returning its simulator;
-    the result is persisted so later *processes* (not just later points)
-    skip the warmup.  Falls back to plain ``build()`` when the snapshot
-    cannot be stored or checkpointing is disabled.
-    """
-    if use_store is None:
-        use_store = enabled() and cache.enabled()
-    if not use_store:
-        return build()
-    key = snapshot_key(tag, params)
-    sim = load_snapshot(key)
-    if sim is None:
-        sim = build()
-        store_snapshot(key, sim)
-    return sim
 
 
 def reset_counters() -> None:

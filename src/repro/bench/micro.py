@@ -17,7 +17,6 @@ from repro.obs import metrics as _metrics
 from repro.core import SINGLE_CELL_MAX, SendDescriptor, UNetCluster, UNetSession
 from repro.core.upcall import UpcallCondition, register_upcall
 from repro.sim import Simulator, StatSeries
-from repro.sim import batch as _batch
 
 
 @dataclass
@@ -463,77 +462,3 @@ def _one_way_wire_us(cluster: UNetCluster) -> float:
         + cell_us  # switch -> host serialization
         + out_link.propagation_us
     )
-
-
-# ------------------------------------------------- batched delivery pipeline
-class _RxCollector:
-    """Minimal NI-shaped receive sink: a cell FIFO and a drop counter.
-
-    Shaped exactly like :class:`~repro.core.ni.base.NetworkInterface`'s
-    receive side so the bulk-extend batch kernel applies; used by the
-    fig4-class pipeline benchmark where real firmware processes would
-    only obscure the delivery-path cost being measured.
-    """
-
-    __slots__ = ("input_fifo", "input_fifo_drops", "tracer", "_k_rxfifo_drop")
-
-    def __init__(self, sim, capacity: float):
-        from repro.sim import Store, Tracer
-
-        self.input_fifo = Store(sim, capacity=capacity, name="collector.rxfifo")
-        self.input_fifo_drops = 0
-        self.tracer = Tracer()
-        self._k_rxfifo_drop = "collector.rxfifo_drop"
-
-    def _rx_sink(self, cell) -> None:
-        accepted = self.input_fifo.try_put(cell)
-        if not accepted:
-            self.input_fifo_drops += 1
-            self.tracer.count(self._k_rxfifo_drop)
-
-
-def build_train_pipeline(
-    n_trains: int = 300,
-    cells_per_train: int = 12,
-    gap_us: Optional[float] = None,
-):
-    """A fig4-class delivery pipeline: tx link -> switch -> rx FIFO.
-
-    A driver callback pumps ``cells_per_train``-cell trains through a
-    2-port switch into an unbounded receive FIFO, with enough idle
-    between trains that each train's receive/forward/deliver cascade is
-    the only work in its window — the shape on which the homogeneous
-    batch kernels (train expansion, fused receives, bulk delivery) all
-    engage.  Returns ``(sim, collector)`` unrun, so callers wall-clock
-    ``sim.run()`` themselves under batching on/off.
-    """
-    from repro.atm.cell import Cell
-    from repro.atm.link import Link
-    from repro.atm.switch import Switch
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    tx = Link(sim, name="pipeline.tx")
-    switch = Switch(sim, 2)
-    tx.connect(switch.input_sink(0), train_sink=switch.input_train_sink(0))
-    switch.add_route(0, 32, 1, 32)
-    collector = _RxCollector(sim, capacity=float("inf"))
-    switch.output_links[1].connect(collector._rx_sink)
-    cells = [Cell(32, bytes(48), seq=i) for i in range(cells_per_train)]
-    if gap_us is None:
-        # Past the train's full serialization span, so one train's
-        # cascade is always alone in its window.
-        gap_us = cells_per_train * tx.cell_time_us(cells[0].wire_bytes) + 60.0
-
-    def pump(i: int) -> None:
-        tx.put_train(cells)
-        if i + 1 < n_trains:
-            sim.schedule_callback(gap_us, pump, i + 1)
-
-    sim.schedule_callback(0.0, pump, 0)
-    return sim, collector
-
-
-# The collector's receive path is deliberately straight-line (see the
-# ``unbatched-candidate`` lint rule), so bulk delivery may replace it.
-_batch.register_rx_extend(_RxCollector._rx_sink)

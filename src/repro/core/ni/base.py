@@ -11,7 +11,6 @@ from repro.core.endpoint import Endpoint
 from repro.core.mux import Mux
 from repro.host import Workstation
 from repro.sim import Event, Simulator, Store, Tracer
-from repro.sim import batch as _batch
 
 
 class NetworkInterface:
@@ -163,12 +162,3 @@ class NetworkInterface:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} endpoints={len(self.endpoints)}>"
-
-
-# _rx_sink is a pure drop-on-overflow FIFO append whenever no observer
-# is active (the obs block is the only other effect), so the delivery
-# batch kernels may replace N calls with one bulk extend.  The
-# ``unbatched-candidate`` lint rule guards this registration: growing
-# _rx_sink a non-straight-line body requires a ``# simcost: disable``
-# justification or dropping the registration.
-_batch.register_rx_extend(NetworkInterface._rx_sink)

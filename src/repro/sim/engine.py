@@ -5,8 +5,7 @@ deterministic: events scheduled for the same instant fire in the order
 they were scheduled (a monotonically increasing sequence number breaks
 ties).
 
-Scheduler v2 (the "calendar" core).  The flat binary heap of the seed
-engine is replaced by a three-tier calendar queue:
+The scheduler is a three-tier calendar queue:
 
 * **front slot** — the imminent entry is held in plain closure cells
   (when/seq/kind/fn/args) outside any container.  Model code dominated
@@ -40,18 +39,12 @@ handle whose ``cancel()`` is O(1) (a flag write — no tombstone event,
 no heap surgery); the entry is discarded and the handle recycled when
 its timestamp is reached.
 
-The observable contract of the seed engine is preserved exactly: same
-``(time, seq)`` total order (A/B-tested against the seed heap, kept
-available as the ``heap`` core), same error behaviour, same
-``events_processed`` accounting, and an unchanged
-``_MonitoredSimulator`` so REPRO_RACE / REPRO_OBS instrumentation keep
-working.  Select the reference core with ``REPRO_SIM_CORE=heap`` or
-:func:`set_core`.
-
-The callback/timer/event dispatch logic — drifted-by-copy between the
-base and monitored run loops in earlier revisions — is rendered from
-the single ``_DISPATCH_TEMPLATE`` below into every loop body at import
-time, so the cores cannot diverge again.
+Instrumentation (REPRO_RACE / REPRO_OBS monitors) is the one place a
+plain binary heap remains: :class:`_MonitoredSimulator` keeps every
+entry in a single totally ordered heap so a monitor can see each push
+and pop and replace the tie-break key.  It fires entries with the same
+dispatch rules and the same ``(time, seq)`` order as the calendar core,
+which ``tests/sim/test_core_equivalence.py`` checks entry by entry.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ import heapq
 import os
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.sim import batch as _batch
+_INF = float("inf")
 
 #: Schedule-order instrumentation (installed by :mod:`repro.analysis.race`).
 #: ``_monitor_factory`` builds one ShadowScheduler monitor per Simulator
@@ -95,55 +88,13 @@ def set_instrumentation(
     _monitor_shard_aware = shard_aware if monitor_factory is not None else False
 
 
-def _batch_active() -> bool:
-    """Should a run starting now use the batched calendar loops?
-
-    Armed instrumentation (REPRO_RACE / REPRO_OBS monitors or the state
-    access hook) observes individual schedule entries, so it vetoes
-    batching before the :mod:`repro.sim.batch` policy is even asked."""
-    if _monitor_factory is not None or access_hook is not None:
-        return False
-    return _batch.runtime_active()
-
-
-#: Version tag of the ``snapshot()``/``restore()`` blob layout.  Bumped
-#: whenever the entry encoding or the dict shape changes; checkpoint
-#: cache keys incorporate it so stale blobs can never be replayed.
-SNAPSHOT_SCHEMA = 1
-
-
-def _check_snapshot_schema(state: Any) -> None:
-    got = state.get("schema") if isinstance(state, dict) else None
-    if got != SNAPSHOT_SCHEMA:
-        raise SimulationError(
-            f"snapshot schema mismatch: blob says {got!r}, this engine "
-            f"speaks {SNAPSHOT_SCHEMA} (regenerate the checkpoint)"
-        )
-
-
-_SNAPSHOT_EVENT_MSG = (
-    "snapshot(): the schedule holds pending Event entries (processes, "
-    "timeouts, store handshakes); in-process checkpointing covers "
-    "callback/timer worlds only — process worlds checkpoint via "
-    "repro.bench.checkpoint's fork-based sweeps"
-)
-
-
-#: Available scheduler cores.  ``calendar`` is the v2 default; ``heap``
-#: is the seed binary-heap engine, kept selectable as the A/B reference.
-CORES = ("calendar", "heap")
-
-_core = os.environ.get("REPRO_SIM_CORE", "calendar")
-if _core not in CORES:  # pragma: no cover - env misuse
-    raise ValueError(f"REPRO_SIM_CORE must be one of {CORES}, got {_core!r}")
-
 #: Number of shard timelines new simulators partition their schedule
-#: across.  1 (the default) constructs the plain single-timeline engine
-#: — byte-identical code path to previous releases.  N > 1 routes
-#: construction to :class:`repro.sim.shard.ShardedSimulator`, the
-#: multi-timeline core with deterministic cross-shard merging (see
-#: DESIGN.md §8).  Instrumentation (REPRO_RACE / REPRO_OBS) wins over
-#: sharding: monitored runs always use the single heap timeline.
+#: across.  1 (the default) constructs the plain single-timeline engine.
+#: N > 1 routes construction to
+#: :class:`repro.sim.shard.ShardedSimulator`, the multi-timeline core
+#: with deterministic cross-shard merging (see DESIGN.md §8).
+#: Instrumentation (REPRO_RACE / REPRO_OBS) wins over sharding:
+#: monitored runs always use the single heap timeline.
 _shards = int(os.environ.get("REPRO_SIM_SHARDS", "1"))
 if _shards < 1:  # pragma: no cover - env misuse
     raise ValueError(f"REPRO_SIM_SHARDS must be >= 1, got {_shards}")
@@ -185,43 +136,6 @@ class use_shards:
 
     def __exit__(self, *exc: Any) -> None:
         set_shards(self._saved or 1)
-
-
-def set_core(name: str) -> None:
-    """Select the scheduler core used by subsequently constructed
-    simulators (``calendar`` or ``heap``).  Existing simulators are
-    unaffected; monitored simulators always use the heap discipline."""
-    global _core
-    if name not in CORES:
-        raise ValueError(f"unknown scheduler core {name!r}; choose from {CORES}")
-    _core = name
-
-
-def current_core() -> str:
-    """Name of the core new simulators will use."""
-    return _core
-
-
-class use_core:
-    """Context manager: run a block under a specific scheduler core.
-
-    >>> with use_core("heap"):
-    ...     sim = Simulator()   # seed binary-heap engine
-    """
-
-    def __init__(self, name: str):
-        if name not in CORES:
-            raise ValueError(f"unknown scheduler core {name!r}; choose from {CORES}")
-        self._name = name
-        self._saved: Optional[str] = None
-
-    def __enter__(self) -> "use_core":
-        self._saved = _core
-        set_core(self._name)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        set_core(self._saved or "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -537,190 +451,80 @@ class TimerHandle:
         self._alive = False
 
 
-# ---------------------------------------------------------------------------
-# Run-loop codegen.
-#
-# The callback / timer / event dispatch below is THE single source of
-# truth for what happens when a schedule entry fires.  It is rendered
-# (with per-site accessor expressions) into the calendar core's run
-# loops, the heap core's run loop and step(), and the monitored step(),
-# so the bodies cannot drift apart by copy-editing again.
-# ---------------------------------------------------------------------------
+def _fire(kind: Any, a: Any, b: Any, pool: List[TimerHandle]) -> None:
+    """Fire one popped schedule entry ``(when, seq, kind, a, b)``.
 
-_DISPATCH_TEMPLATE = """\
-x = $X$
-if x is None:
-$CB_PRE$
-    a = $ARGS$
-$CLEAR_CB$
-$BATCH$
-    if a:
-        $CB$(*a)
-    else:
-        $CB$()
-elif x is False:
-    h = $FN$
-$CLEAR_TM$
-    if h._alive:
-        h._alive = False
-        hf = h._fn
-        ha = h._args
-        h._fn = None
-        h._args = ()
-        $POOL$.append(h)
-        if ha:
-            hf(*ha)
+    Used by the ``step()`` paths; the calendar run loop inlines the same
+    three branches, so an edit here must be mirrored there (the
+    core-equivalence tests compare the two entry by entry)."""
+    if kind is None:
+        if b:
+            a(*b)
         else:
-            hf()
+            a()
+    elif kind is False:
+        if a._alive:
+            a._alive = False
+            fn = a._fn
+            args = a._args
+            a._fn = None
+            a._args = ()
+            pool.append(a)
+            if args:
+                fn(*args)
+            else:
+                fn()
+        else:
+            pool.append(a)
     else:
-        $POOL$.append(h)
-else:
-$CLEAR_EV$
-    callbacks, x.callbacks = x.callbacks, None
-    for callback in callbacks:
-        callback(x)
-    if x._ok is False and not x._defused:
-        raise x._value
-"""
+        callbacks, kind.callbacks = kind.callbacks, None
+        for callback in callbacks:
+            callback(kind)
+        if kind._ok is False and not kind._defused:
+            raise kind._value
 
 
-def _render(template: str, **subs: str) -> str:
-    for key, value in subs.items():
-        template = template.replace(f"${key}$", value)
-    return template
+def _build_calendar_core(sim: Any, width: float) -> tuple:
+    """Build one calendar-queue scheduler for ``sim``.
 
+    Returns the closures :class:`Simulator` installs as instance
+    attributes: ``(schedule_callback, schedule_callback_at, _schedule,
+    _schedule_event_at, schedule_timer, run, step, peek, stats)``.  Only
+    ``sim._now`` and ``sim.events_processed`` are touched on ``sim``.
 
-def _indent(src: str, pad: str) -> str:
-    return "".join(pad + ln if ln.strip() else ln for ln in src.splitlines(True))
+    The scheduler state lives in closure cells rather than instance
+    attributes: cell access is measurably cheaper than slot access in
+    the two hottest functions (``schedule_callback`` and the run loop).
+    ``sim._now`` stays a real slot because model code reads ``sim.now``
+    mid-callback.
 
+    Front-slot cells: ``fw`` (when; -1.0 = empty), ``fs`` (seq), ``fx``
+    (kind: None/False/Event), ``f3``/``f4`` (payload).  Invariants:
 
-#: Batch hook rendered into the callback branch of the *batched* loop
-#: variants only (``{fn}`` is the site's bound-callback expression).  By
-#: this point the entry is fully popped — front cells cleared, ``a``
-#: bound — so a kernel sees a consistent scheduler and may schedule
-#: freely.  A kernel returning False has changed nothing and the scalar
-#: call below runs as usual.  The scalar loops render ``$BATCH$`` empty
-#: and stay byte-identical to the pre-batching engine.
-_BATCH_HOOK = """\
-bk = bkget(getattr({fn}, "__func__", None))
-if bk is not None and bk(bapi, {fn}, a):
-    continue
-"""
-
-
-def _dispatch(x: str, fn: str, args: str, pool: str, pad: str,
-              batch: bool = False) -> str:
-    """Render the dispatch for heap-item sites: the popped tuple owns its
-    payload, so no cells need clearing and the markers expand to nothing."""
-    return _indent(
-        _render(
-            _DISPATCH_TEMPLATE,
-            X=x, FN=fn, CB=fn, ARGS=args, POOL=pool,
-            CB_PRE="", CLEAR_CB="", CLEAR_TM="", CLEAR_EV="",
-            BATCH=_indent(_BATCH_HOOK.format(fn=fn), "    ") if batch else "",
-        ),
-        pad,
-    )
-
-
-def _dispatch_front(pad: str, batch: bool = False) -> str:
-    """Render the dispatch for the decomposed front slot.
-
-    Each kind clears exactly the cells its fill path stored (see the
-    empty-front invariant below), and every payload is bound to a local
-    *before* its cell is cleared — the payload may schedule new entries,
-    which refill the front slot mid-dispatch."""
-    return _indent(
-        _render(
-            _DISPATCH_TEMPLATE,
-            X="fx", FN="f3", CB="fn", ARGS="f4", POOL="pool",
-            CB_PRE="    fn = f3",
-            CLEAR_CB="    f3 = None\n    f4 = None",
-            CLEAR_TM="    fx = None\n    f3 = None",
-            CLEAR_EV="    fx = None",
-            BATCH=_indent(_BATCH_HOOK.format(fn="fn"), "    ") if batch else "",
-        ),
-        pad,
-    )
-
-
-# The calendar core lives in closures over plain cells (seq, the front
-# slot, the horizon) rather than instance attributes: cell access is
-# measurably cheaper than slot access in the two hottest functions
-# (schedule_callback and the run loop).  ``sim._now`` stays a real slot
-# because model code reads ``sim.now`` mid-callback.
-#
-# Front-slot cells: ``fw`` (when; -1.0 = empty), ``fs`` (seq), ``fx``
-# (kind: None/False/Event), ``f3``/``f4`` (payload).  Invariants:
-#   * every near-heap entry has when < horizon; horizon only grows
-#   * far entries are >= the horizon they were inserted under, so
-#     far_min >= horizon > every near-heap entry — heap pops never
-#     need a far check
-#   * the front slot bypasses the horizon, so the front-pop path alone
-#     must check ``far_min <= front`` (a stale front can postdate a
-#     far entry scheduled later)
-#   * while the front is empty (``fw < 0``) the cells ``fx``/``f3``/
-#     ``f4`` are all None: each fill path stores only the cells its
-#     entry kind uses, and the front dispatch clears exactly those —
-#     callbacks never touch ``fx``, events never touch ``f3``/``f4``
-# ``far_min`` is +inf whenever the far list is empty.
-
-_CAL_LOOP_TEMPLATE = """\
-def $NAME$($ARGS$):
-    nonlocal fw, fx, f3, f4, far_min, seq
-    seq0 = seq
-    pend0 = (fw >= 0.0) + len(heap) + len(far)
-    try:
-        while True:
-            w = fw
-            if w >= 0.0:
-                if heap:
-                    h0 = heap[0]
-                    hw = h0[0]
-                    if hw < w or (hw == w and h0[1] < fs):
-$GUARD_HEAP0$
-                        item = pop(heap)
-                        sim._now = hw
-$DISPATCH_ITEM$
-                        continue
-                if far_min <= w:
-                    _promote()
-                    continue
-$GUARD_FRONT$
-                fw = -1.0
-                sim._now = w
-$DISPATCH_FRONT$
-                continue
-            if heap:
-$GUARD_HEAP1$
-                item = pop(heap)
-                sim._now = item[0]
-$DISPATCH_ITEM$
-                continue
-            if far_min != INF:
-$GUARD_FAR$
-                _promote()
-                continue
-            break
-$TAIL$
-    finally:
-        pend1 = (fw >= 0.0) + len(heap) + len(far)
-        sim.events_processed += (seq - seq0) + pend0 - pend1
-"""
-
-_CAL_FACTORY_TEMPLATE = '''\
-def _build_calendar_core(sim, width):
-    INF = float("inf")
-    heap = []
-    far = []
-    pool = []
-    sim._heap = heap
+    * every near-heap entry has when < horizon; horizon only grows;
+    * far entries are >= the horizon they were inserted under, so
+      far_min >= horizon > every near-heap entry — heap pops never need
+      a far check;
+    * the front slot bypasses the horizon, so the front-pop path alone
+      must check ``far_min <= front`` (a stale front can postdate a far
+      entry scheduled later);
+    * while the front is empty (``fw < 0``) the cells ``fx``/``f3``/
+      ``f4`` are all None, so each fill path stores only the cells its
+      entry kind uses;
+    * ``far_min`` is +inf whenever the far list is empty.
+    """
+    INF = _INF
+    push = heapq.heappush
+    pop = heapq.heappop
+    heap: List[tuple] = []
+    far: List[tuple] = []
+    pool: List[TimerHandle] = []
     seq = 0
     fw = -1.0
     fs = 0
-    fx = None
-    f3 = None
-    f4 = None
+    fx: Any = None
+    f3: Any = None
+    f4: Any = None
     far_min = INF
     horizon = width
     pushes = 0
@@ -728,9 +532,6 @@ def _build_calendar_core(sim, width):
     promotions = 0
     pool_hits = 0
     pool_misses = 0
-    blim = INF
-    b_batches = 0
-    b_fused = 0
 
     def schedule_callback(delay, fn, *args):
         nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
@@ -928,99 +729,78 @@ def _build_calendar_core(sim, width):
                 # narrower than the observed event horizon, so widen it.
                 width *= 2.0
 
-$RUN_ALL$
-
-$RUN_UNTIL$
-
-$RUN_ALL_B$
-
-$RUN_UNTIL_B$
-
-    def _bpop_if(fn, bound=None):
-        # Batch-kernel service: pop and return the next schedule entry
-        # iff it is the global minimum, a callback targeting exactly
-        # ``fn``, and fires no later than ``bound``/the run limit.
-        # Mirrors the main loop's pop precedence (heap beats front on
-        # ties by seq; far promotes first) so consuming kernels replay
-        # the exact scalar order.  Never touches sim._now.
+    def run(until=None):
         nonlocal fw, fx, f3, f4
-        limit = blim
-        if bound is not None and bound < limit:
-            limit = bound
-        while True:
-            w = fw
-            if w >= 0.0:
-                if heap:
-                    h0 = heap[0]
-                    hw = h0[0]
-                    if hw < w or (hw == w and h0[1] < fs):
-                        if hw > limit or h0[2] is not None or h0[3] != fn:
-                            return None
-                        return pop(heap)
-                if far_min <= w:
+        if until is None:
+            limit = INF
+        elif until < sim._now:
+            raise ValueError(f"until ({until}) lies in the past (now={sim._now})")
+        else:
+            limit = until
+        # events_processed is settled once per run from the schedule
+        # counts: entries scheduled during the run plus those pending at
+        # its start, minus those still pending at its end.
+        seq0 = seq
+        pend0 = (fw >= 0.0) + len(heap) + len(far)
+        try:
+            while True:
+                # Select the next entry into (w, x, p, a); a stop at the
+                # run limit leaves it scheduled.
+                w = fw
+                if w >= 0.0 and not (
+                    heap and (heap[0][0] < w or (heap[0][0] == w and heap[0][1] < fs))
+                ):
+                    if far_min <= w:
+                        _promote()
+                        continue
+                    if w > limit:
+                        break
+                    fw = -1.0
+                    x = fx
+                    p = f3
+                    a = f4
+                    fx = f3 = f4 = None
+                elif heap:
+                    if heap[0][0] > limit:
+                        break
+                    w, _, x, p, a = pop(heap)
+                elif far_min <= limit and far_min != INF:
                     _promote()
                     continue
-                if w > limit or fx is not None or f3 != fn:
-                    return None
-                e = (w, fs, None, f3, f4)
-                fw = -1.0
-                f3 = None
-                f4 = None
-                return e
-            if heap:
-                h0 = heap[0]
-                if h0[0] > limit or h0[2] is not None or h0[3] != fn:
-                    return None
-                return pop(heap)
-            if far_min != INF:
-                if far_min > limit:
-                    return None
-                _promote()
-                continue
-            return None
-
-    def _bconsume(n):
-        # Burned seqs stand in for schedule+pop pairs a kernel replayed
-        # analytically; the accounting identity in the loop footers
-        # counts them as processed events, matching scalar runs.
-        nonlocal seq
-        seq += n
-
-    def _bset_now(t):
-        sim._now = t
-
-    def _blimit():
-        return blim
-
-    def _bfused(n):
-        nonlocal b_batches, b_fused
-        b_batches += 1
-        b_fused += n
-
-    bapi = BatchApi()
-    bapi.sim = sim
-    bapi.pop_if = _bpop_if
-    bapi.consume_seq = _bconsume
-    bapi.set_now = _bset_now
-    bapi.limit = _blimit
-    bapi.fused = _bfused
-
-    def run(until=None):
-        nonlocal blim
-        if until is None:
-            if bactive():
-                blim = INF
-                _run_all_b()
-            else:
-                _run_all()
-            return
-        if until < sim._now:
-            raise ValueError(f"until ({until}) lies in the past (now={sim._now})")
-        if bactive():
-            blim = until
-            _run_until_b(until)
-        else:
-            _run_until(until)
+                else:
+                    break
+                sim._now = w
+                # Dispatch; the same branches as _fire().
+                if x is None:
+                    if a:
+                        p(*a)
+                    else:
+                        p()
+                elif x is False:
+                    if p._alive:
+                        p._alive = False
+                        fn = p._fn
+                        args = p._args
+                        p._fn = None
+                        p._args = ()
+                        pool.append(p)
+                        if args:
+                            fn(*args)
+                        else:
+                            fn()
+                    else:
+                        pool.append(p)
+                else:
+                    callbacks, x.callbacks = x.callbacks, None
+                    for callback in callbacks:
+                        callback(x)
+                    if x._ok is False and not x._defused:
+                        raise x._value
+            if until is not None:
+                sim._now = until
+        finally:
+            pend1 = (fw >= 0.0) + len(heap) + len(far)
+            sim.events_processed += (seq - seq0) + pend0 - pend1
 
     def step():
         nonlocal fw, fx, f3, f4
@@ -1037,9 +817,7 @@ $RUN_UNTIL_B$
                     continue
                 item = (w, fs, fx, f3, f4)
                 fw = -1.0
-                fx = None
-                f3 = None
-                f4 = None
+                fx = f3 = f4 = None
                 break
             if heap:
                 item = pop(heap)
@@ -1050,7 +828,7 @@ $RUN_UNTIL_B$
             raise SimulationError("step() on an empty schedule: nothing left to run")
         sim._now = item[0]
         sim.events_processed += 1
-$DISPATCH_STEP$
+        _fire(item[2], item[3], item[4], pool)
 
     def peek():
         m = INF
@@ -1076,208 +854,10 @@ $DISPATCH_STEP$
             "timer_pool_hits": pool_hits,
             "timer_pool_misses": pool_misses,
             "timer_pool_size": len(pool),
-            "batch_batches": b_batches,
-            "batch_fused": b_fused,
         }
-
-    def snapshot():
-        # Entries in (when, seq) order; callbacks and timers only.  A
-        # pending Event means a process/store handshake is in flight --
-        # generator frames are not snapshot-able in-process.
-        entries = []
-        if fw >= 0.0:
-            entries.append((fw, fs, fx, f3, f4))
-        entries.extend(heap)
-        entries.extend(far)
-        entries.sort(key=lambda e: (e[0], e[1]))
-        recs = []
-        for e in entries:
-            k = e[2]
-            if k is None:
-                recs.append((e[0], e[1], 0, e[3], e[4]))
-            elif k is False:
-                recs.append((e[0], e[1], 1, e[3], None))
-            else:
-                raise SimulationError(_SNAPSHOT_EVENT_MSG)
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "core": "calendar",
-            "now": sim._now,
-            "seq": seq,
-            "events_processed": sim.events_processed,
-            "width": width,
-            "entries": recs,
-        }
-
-    def restore(state):
-        # Replaces the whole schedule; seq continues from the snapshot
-        # so the replayed suffix allocates identical (when, seq) pairs.
-        # Scheduler micro-stats (pushes/spills/promotions/pool) are NOT
-        # restored -- they are diagnostics of this core instance, not
-        # simulation state.
-        nonlocal seq, fw, fs, fx, f3, f4, far_min, horizon, width
-        _check_snapshot_schema(state)
-        heap.clear()
-        far.clear()
-        fw = -1.0
-        fs = 0
-        fx = None
-        f3 = None
-        f4 = None
-        sim._now = state["now"]
-        seq = state["seq"]
-        sim.events_processed = state["events_processed"]
-        width = state["width"]
-        horizon = sim._now + width
-        far_min = INF
-        for when, sq, kind, a, b in state["entries"]:
-            if kind == 0:
-                e = (when, sq, None, a, b)
-            else:
-                e = (when, sq, False, a, None)
-            if when < horizon:
-                push(heap, e)
-            else:
-                far.append(e)
-                if when < far_min:
-                    far_min = when
-
-    bapi.peek = peek
-    bapi.schedule_callback_at = schedule_callback_at
 
     return (schedule_callback, schedule_callback_at, _schedule,
-            _schedule_event_at, schedule_timer, run, step, peek, stats,
-            snapshot, restore)
-'''
-
-
-def _calendar_loop(name: str, bounded: bool, batched: bool = False) -> str:
-    if bounded:
-        guard = "if {when} > until:\n    sim._now = until\n    return\n"
-        subs = dict(
-            NAME=name,
-            ARGS="until",
-            GUARD_HEAP0=_indent(guard.format(when="hw"), " " * 24),
-            GUARD_FRONT=_indent(guard.format(when="w"), " " * 16),
-            GUARD_HEAP1=_indent(guard.format(when="heap[0][0]"), " " * 16),
-            GUARD_FAR=_indent(guard.format(when="far_min"), " " * 16),
-            TAIL=_indent("sim._now = until\n", " " * 8),
-        )
-    else:
-        subs = dict(
-            NAME=name, ARGS="", GUARD_HEAP0="", GUARD_FRONT="",
-            GUARD_HEAP1="", GUARD_FAR="", TAIL="",
-        )
-    src = _render(_CAL_LOOP_TEMPLATE, **subs)
-    # The two DISPATCH_ITEM sites sit at different depths; render each.
-    parts = src.split("$DISPATCH_ITEM$\n")
-    assert len(parts) == 3, "loop template must contain two item dispatch sites"
-    src = (
-        parts[0]
-        + _dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 24, batched)
-        + parts[1]
-        + _dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 16, batched)
-        + parts[2]
-    )
-    src = src.replace("$DISPATCH_FRONT$\n", _dispatch_front(" " * 16, batched))
-    return src
-
-
-def _build_calendar_factory() -> Callable:
-    # The run loops are rendered twice: the scalar pair is byte-identical
-    # to the pre-batching engine (zero overhead with batching off), the
-    # ``_b`` pair adds the kernel hook at every callback dispatch.  run()
-    # picks a pair per call via the batch policy.
-    src = _render(
-        _CAL_FACTORY_TEMPLATE,
-        RUN_ALL=_indent(_calendar_loop("_run_all", bounded=False), " " * 4),
-        RUN_UNTIL=_indent(_calendar_loop("_run_until", bounded=True), " " * 4),
-        RUN_ALL_B=_indent(
-            _calendar_loop("_run_all_b", bounded=False, batched=True), " " * 4
-        ),
-        RUN_UNTIL_B=_indent(
-            _calendar_loop("_run_until_b", bounded=True, batched=True), " " * 4
-        ),
-        DISPATCH_STEP=_dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 8),
-    )
-    namespace: dict = {
-        "TimerHandle": TimerHandle,
-        "SimulationError": SimulationError,
-        "push": heapq.heappush,
-        "pop": heapq.heappop,
-        "bkget": _batch._KERNELS.get,
-        "bactive": _batch_active,
-        "BatchApi": _batch.BatchApi,
-        "SNAPSHOT_SCHEMA": SNAPSHOT_SCHEMA,
-        "_check_snapshot_schema": _check_snapshot_schema,
-        "_SNAPSHOT_EVENT_MSG": _SNAPSHOT_EVENT_MSG,
-    }
-    exec(compile(src, "<repro.sim.engine:calendar-core>", "exec"), namespace)
-    return namespace["_build_calendar_core"]
-
-
-# Heap-core run/step: the seed engine's loop skeleton with the shared
-# dispatch rendered in.  ``$ON_EXECUTE$`` is empty for the plain heap
-# core and the monitor hook for _MonitoredSimulator.
-
-_HEAP_RUN_TEMPLATE = '''\
-def _heap_run(self, until=None):
-    """Run until the heap drains or simulated time reaches ``until``."""
-    if until is not None and until < self._now:
-        raise ValueError(f"until ({until}) lies in the past (now={self._now})")
-    # Inlined step() body: one tuple pop and a branch per entry, with
-    # the heap and heappop bound to locals.
-    heap = self._heap
-    pool = self._timer_pool
-    processed = 0
-    try:
-        while heap:
-            if until is not None and heap[0][0] > until:
-                self._now = until
-                return
-            item = pop(heap)
-            self._now = item[0]
-            processed += 1
-$ON_EXECUTE$
-$DISPATCH$
-    finally:
-        self.events_processed += processed
-    if until is not None:
-        self._now = until
-'''
-
-_HEAP_STEP_TEMPLATE = '''\
-def _heap_step(self):
-    """Process the next scheduled heap entry (event, callback, timer)."""
-    if not self._heap:
-        raise SimulationError("step() on an empty schedule: nothing left to run")
-    pool = self._timer_pool
-    item = pop(self._heap)
-    self._now = item[0]
-    self.events_processed += 1
-$ON_EXECUTE$
-$DISPATCH$
-'''
-
-
-def _build_heap_loop(template: str, name: str, monitored: bool) -> Callable:
-    hook = "self._mon.on_execute(item)\n" if monitored else ""
-    src = _render(
-        template,
-        ON_EXECUTE=_indent(hook, " " * (12 if "while heap" in template else 4)),
-        DISPATCH=_dispatch(
-            "item[2]", "item[3]", "item[4]", "pool",
-            " " * (12 if "while heap" in template else 4),
-        ),
-    )
-    namespace: dict = {
-        "SimulationError": SimulationError,
-        "pop": heapq.heappop,
-    }
-    exec(compile(src, f"<repro.sim.engine:{name}>", "exec"), namespace)
-    fn = namespace[template.split("(")[0].split()[-1]]
-    fn.__name__ = name
-    return fn
+            _schedule_event_at, schedule_timer, run, step, peek, stats)
 
 
 class Simulator:
@@ -1295,14 +875,11 @@ class Simulator:
 
     __slots__ = (
         "_now",
-        "_heap",
-        "_seq",
         "events_processed",
         "_mon",
-        "_timer_pool",
         # Calendar-core entry points (per-instance closures over the
-        # scheduler cells; the heap/monitored subclasses use ordinary
-        # methods instead and never assign these slots).
+        # scheduler cells; _MonitoredSimulator uses ordinary methods
+        # instead and never assigns these slots).
         "schedule_callback",
         "schedule_callback_at",
         "schedule_timer",
@@ -1312,8 +889,6 @@ class Simulator:
         "step",
         "peek",
         "stats",
-        "snapshot",
-        "restore",
     )
 
     #: Default near-window width (µs) separating the near heap from the
@@ -1323,8 +898,7 @@ class Simulator:
     def __new__(cls) -> "Simulator":
         # When instrumentation is armed, construction routes to the
         # monitored subclass so the base class never pays a per-schedule
-        # ``_mon`` check: REPRO_RACE off keeps the exact hot path.  The
-        # seed heap core stays selectable for A/B reference runs, and
+        # ``_mon`` check: REPRO_RACE off keeps the exact hot path.
         # REPRO_SIM_SHARDS > 1 routes to the sharded multi-timeline
         # engine.  A shard-aware monitor (obs spans) rides along into
         # the sharded engine; a shard-blind one (the race detector's
@@ -1339,8 +913,6 @@ class Simulator:
                 from repro.sim.shard.sharded import ShardedSimulator
 
                 return object.__new__(ShardedSimulator)
-            if _core == "heap":
-                return object.__new__(_HeapSimulator)
         return object.__new__(cls)
 
     def __init__(self):
@@ -1361,30 +933,12 @@ class Simulator:
             self.step,
             self.peek,
             self.stats,
-            self.snapshot,
-            self.restore,
         ) = _build_calendar_core(self, self.NEAR_WINDOW_US)
 
     @property
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
-
-    # -- checkpointing ---------------------------------------------------
-    # ``snapshot()`` / ``restore()`` are per-core (calendar: closures
-    # assigned in __init__; heap/monitored: methods below).  Both speak
-    # the same SNAPSHOT_SCHEMA dict, so a blob restores across cores —
-    # the (when, seq) order is core-agnostic.  Pickling a simulator
-    # pickles its snapshot; the schedule's bound callbacks drag the
-    # reachable world along, so ``pickle.dumps(sim)`` checkpoints a
-    # callback/timer world in one blob.  Unpickling rebuilds the core
-    # under the *current* engine configuration (core/shards selection).
-    def __getstate__(self) -> dict:
-        return self.snapshot()
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        self.restore(state)
 
     # -- conservative-synchronization accounting ------------------------
     def earliest_output_time(self, lookahead_us: float = 0.0) -> float:
@@ -1396,7 +950,7 @@ class Simulator:
         sharded coordinator exchanges this EOT as its null message;
         ``inf`` means the timeline is drained and promises nothing."""
         nxt = self.peek()
-        return nxt if nxt == float("inf") else nxt + lookahead_us
+        return nxt if nxt == _INF else nxt + lookahead_us
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
@@ -1415,124 +969,7 @@ class Simulator:
         return AllOf(self, events)
 
 
-class _HeapSimulator(Simulator):
-    """The seed binary-heap engine, kept as the A/B reference core.
-
-    Selected with ``REPRO_SIM_CORE=heap`` / ``set_core("heap")``.  Same
-    observable contract as the calendar core: identical ``(time, seq)``
-    total order, identical ``events_processed``, identical errors.  Its
-    dispatch body is rendered from the same template as the calendar
-    core's, so the two cannot drift.
-    """
-
-    __slots__ = ()
-
-    def __init__(self):
-        self._now = 0.0
-        self._heap: List[tuple] = []
-        self._seq = 0
-        self.events_processed = 0
-        self._timer_pool: List[TimerHandle] = []
-        self._mon = None
-
-    # -- scheduling -----------------------------------------------------
-    # Negative delays cannot reach ``_schedule``: Timeout.__init__ and
-    # Event.succeed/fail validate before calling, keeping this free of
-    # per-event checks.
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event, None, None))
-
-    def schedule_callback(self, delay: float, fn: Callable, *args: Any) -> None:
-        if delay < 0:
-            raise ValueError(f"negative callback delay: {delay}")
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, None, fn, args))
-
-    def schedule_callback_at(self, when: float, fn: Callable, *args: Any) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"callback time {when} lies in the past (now={self._now}): "
-                f"causality violation"
-            )
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, None, fn, args))
-
-    def _schedule_event_at(self, event: Event, when: float) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"event time {when} lies in the past (now={self._now}): "
-                f"causality violation"
-            )
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, event, None, None))
-
-    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
-        if delay < 0:
-            raise ValueError(f"negative timer delay: {delay}")
-        pool = self._timer_pool
-        h = pool.pop() if pool else TimerHandle()
-        self._seq += 1
-        when = self._now + delay
-        h._when = when
-        h._fn = fn
-        h._args = args
-        h._alive = True
-        heapq.heappush(self._heap, (when, self._seq, False, h, None))
-        return h
-
-    run = _build_heap_loop(_HEAP_RUN_TEMPLATE, "run", monitored=False)
-    step = _build_heap_loop(_HEAP_STEP_TEMPLATE, "step", monitored=False)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def stats(self) -> dict:
-        return {
-            "core": "heap",
-            "schedules": self._seq,
-            "near_depth": len(self._heap),
-            "timer_pool_size": len(self._timer_pool),
-        }
-
-    def snapshot(self) -> dict:
-        """Same blob layout as the calendar core's ``snapshot()``."""
-        recs = []
-        for e in sorted(self._heap):
-            k = e[2]
-            if k is None:
-                recs.append((e[0], e[1], 0, e[3], e[4]))
-            elif k is False:
-                recs.append((e[0], e[1], 1, e[3], None))
-            else:
-                raise SimulationError(_SNAPSHOT_EVENT_MSG)
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "core": "heap",
-            "now": self._now,
-            "seq": self._seq,
-            "events_processed": self.events_processed,
-            "width": Simulator.NEAR_WINDOW_US,
-            "entries": recs,
-        }
-
-    def restore(self, state: dict) -> None:
-        _check_snapshot_schema(state)
-        heap = []
-        for when, sq, kind, a, b in state["entries"]:
-            if kind == 0:
-                heap.append((when, sq, None, a, b))
-            else:
-                heap.append((when, sq, False, a, None))
-        heapq.heapify(heap)
-        self._heap[:] = heap
-        self._now = state["now"]
-        self._seq = state["seq"]
-        self.events_processed = state["events_processed"]
-
-
-class _MonitoredSimulator(_HeapSimulator):
+class _MonitoredSimulator(Simulator):
     """Simulator variant built while instrumentation is armed.
 
     ``Simulator()`` constructs this subclass (via ``__new__``) whenever
@@ -1540,16 +977,24 @@ class _MonitoredSimulator(_HeapSimulator):
     push and pop without the base class carrying any per-event checks.
     The monitor may replace the tie-break key (``on_schedule``) to
     perturb same-timestamp ordering; pops are reported via
-    ``on_execute`` before the entry runs.  Always uses the plain heap
-    discipline: perturbed keys need a single totally-ordered container.
+    ``on_execute`` before the entry runs.  All entries live in one
+    binary heap: perturbed keys need a single totally-ordered container.
+    A monitor that returns the sequence number unchanged reproduces the
+    calendar core's order exactly.
     """
 
-    __slots__ = ()
+    __slots__ = ("_heap", "_seq", "_timer_pool")
 
     def __init__(self):
-        super().__init__()
+        self._now = 0.0
+        self._heap: List[tuple] = []
+        self._seq = 0
+        self.events_processed = 0
+        self._timer_pool: List[TimerHandle] = []
         self._mon = _monitor_factory()
 
+    # Negative delays cannot reach ``_schedule``: Timeout.__init__ and
+    # Event.succeed/fail validate before calling.
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
         seq = self._mon.on_schedule(self._seq, self._now + delay, event)
@@ -1597,7 +1042,15 @@ class _MonitoredSimulator(_HeapSimulator):
         heapq.heappush(self._heap, (when, seq, False, h, None))
         return h
 
-    step = _build_heap_loop(_HEAP_STEP_TEMPLATE, "step", monitored=True)
+    def step(self) -> None:
+        """Process the next scheduled heap entry (event, callback, timer)."""
+        if not self._heap:
+            raise SimulationError("step() on an empty schedule: nothing left to run")
+        item = heapq.heappop(self._heap)
+        self._now = item[0]
+        self.events_processed += 1
+        self._mon.on_execute(item)
+        _fire(item[2], item[3], item[4], self._timer_pool)
 
     def run(self, until: Optional[float] = None) -> None:
         """Monitored runs go through step() so every popped entry is
@@ -1612,5 +1065,14 @@ class _MonitoredSimulator(_HeapSimulator):
         if until is not None:
             self._now = until
 
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` when idle."""
+        return self._heap[0][0] if self._heap else _INF
 
-_build_calendar_core = _build_calendar_factory()
+    def stats(self) -> dict:
+        return {
+            "core": "heap",
+            "schedules": self._seq,
+            "near_depth": len(self._heap),
+            "timer_pool_size": len(self._timer_pool),
+        }

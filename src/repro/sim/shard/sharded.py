@@ -47,15 +47,14 @@ _INF = float("inf")
 class _Timeline:
     """One shard's calendar queue: the minimal host the core factory needs.
 
-    ``_build_calendar_core`` only ever touches ``sim._now``,
-    ``sim.events_processed`` and ``sim._heap`` on the object it is
-    handed, so a 14-slot shell is enough to own a full calendar core.
+    ``_build_calendar_core`` only ever touches ``sim._now`` and
+    ``sim.events_processed`` on the object it is handed, so an 11-slot
+    shell is enough to own a full calendar core.
     """
 
     __slots__ = (
         "_now",
         "events_processed",
-        "_heap",
         "schedule_callback",
         "schedule_callback_at",
         "_schedule",
@@ -65,8 +64,6 @@ class _Timeline:
         "step",
         "peek",
         "stats",
-        "snapshot",
-        "restore",
     )
 
     def __init__(self, width: float):
@@ -82,8 +79,6 @@ class _Timeline:
             self.step,
             self.peek,
             self.stats,
-            self.snapshot,
-            self.restore,
         ) = _engine._build_calendar_core(self, width)
 
 
@@ -91,8 +86,8 @@ class _MonitoredTimeline:
     """One shard's *monitored* timeline: a heap core reporting to a
     shared obs monitor through its per-shard view.
 
-    Borrows ``_MonitoredSimulator``'s schedule methods and generated
-    step loop verbatim (they only touch ``_now`` / ``_seq`` / ``_heap``
+    Borrows ``_MonitoredSimulator``'s schedule, step, peek and stats
+    methods verbatim (they only touch ``_now`` / ``_seq`` / ``_heap``
     / ``_timer_pool`` / ``_mon``), so span context propagates along
     schedule→execute edges across *all* timelines of one
     :class:`ShardedSimulator` — the shared monitor's entry ids are
@@ -118,8 +113,8 @@ class _MonitoredTimeline:
     _schedule_event_at = _engine._MonitoredSimulator._schedule_event_at
     schedule_timer = _engine._MonitoredSimulator.schedule_timer
     step = _engine._MonitoredSimulator.step
-    peek = _engine._HeapSimulator.peek
-    stats = _engine._HeapSimulator.stats
+    peek = _engine._MonitoredSimulator.peek
+    stats = _engine._MonitoredSimulator.stats
 
 
 class _ShardScope:

@@ -1,8 +1,8 @@
-"""A clean vectorization candidate -- simcost test fixture.
+"""A clean hot-path callback -- simcost test fixture.
 
 ``Ring.on_deliver`` is a scheduled callback whose body is straight-line
-code over slotted attributes with no allocation: exactly the shape the
-vectorized event-batch engine could run over a batch of cells.
+code over slotted attributes with no allocation: simcost ranks it but
+reports no finding.
 """
 
 

@@ -14,7 +14,7 @@ class TestCostCli:
     def test_src_tree_is_clean_post_fixes(self):
         result = run_cli("--cost", "src", "--baseline", "COST_baseline.json")
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "vectorization candidate" in result.stdout
+        assert "hot-path functions by weighted score" in result.stdout
 
     def test_fixture_fails_with_findings_and_ranking(self):
         result = run_cli("--cost", str(BAD))
@@ -35,17 +35,16 @@ class TestCostCli:
         payload = json.loads(result.stdout)
         assert payload["count"] == len(payload["findings"]) > 0
         assert "functions" in payload and "modules" in payload
-        assert "vectorization_candidates" in payload
         finding = payload["findings"][0]
         assert {"path", "line", "col", "rule", "message", "function", "witness"} \
             <= set(finding)
 
-    def test_json_candidates_on_clean_fixture(self):
+    def test_json_ranks_clean_fixture_without_findings(self):
         result = run_cli("--cost", "--format", "json", str(CLEAN))
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert payload["count"] == 0
-        names = [c["function"] for c in payload["vectorization_candidates"]]
+        names = [c["function"] for c in payload["functions"]]
         assert any(n.endswith(".on_deliver") for n in names)
 
     def test_check_selection(self):

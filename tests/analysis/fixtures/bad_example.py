@@ -9,7 +9,7 @@ import heapq  # one direct-heapq violation
 import random
 import time
 
-from repro.sim import Event, Simulator, batch
+from repro.sim import Event, Simulator
 
 
 class FastEvent(Event):  # one slots-hot-path violation
@@ -78,14 +78,3 @@ def bad_zero_delay(sim: Simulator):
 
 def bad_cross_shard(link):
     return link.remote_peer.cells_sent  # one cross-shard-state violation
-
-
-class LeakyCollector:
-    __slots__ = ("cells",)
-
-    def _drain(self, train):
-        for cell in train.cells:  # one unbatched-candidate violation
-            self.cells.append(cell)
-
-
-batch.register(LeakyCollector._drain, None)

@@ -31,7 +31,6 @@ ALL_RULES = {
     "direct-tracer-append",
     "direct-heapq",
     "unguarded-obs-call",
-    "unbatched-candidate",
 }
 
 

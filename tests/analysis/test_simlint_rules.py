@@ -33,7 +33,6 @@ def test_registry_has_all_rules():
         "direct-tracer-append",
         "direct-heapq",
         "unguarded-obs-call",
-        "unbatched-candidate",
     }
 
 
@@ -795,97 +794,4 @@ def test_cross_shard_alias_cleared_by_reassignment():
             peer = link.remote_peer
             peer = local
             return peer.cells_sent
-    """) == []
-
-
-# -- unbatched-candidate --------------------------------------------------
-
-def test_unbatched_candidate_flags_loop_in_registered_callback():
-    violations = run_rule("unbatched-candidate", """
-        from repro.sim import batch
-
-        class Sink:
-            __slots__ = ("cells",)
-
-            def _deliver(self, train):
-                for cell in train.cells:
-                    self.cells.append(cell)
-
-        batch.register(Sink._deliver, None)
-    """)
-    assert len(violations) == 1
-    assert violations[0].rule == "unbatched-candidate"
-    assert "Sink._deliver" in violations[0].message
-    assert "for loop" in violations[0].message
-
-
-def test_unbatched_candidate_flags_rx_extend_registration():
-    violations = run_rule("unbatched-candidate", """
-        from repro.sim import batch as _batch
-
-        class Collector:
-            def _rx_sink(self, cell):
-                try:
-                    self.fifo.try_put(cell)
-                except Exception:
-                    raise
-        _batch.register_rx_extend(Collector._rx_sink)
-    """)
-    assert len(violations) == 1
-    assert "try block" in violations[0].message
-
-
-def test_unbatched_candidate_allows_straight_line_body():
-    assert run_rule("unbatched-candidate", """
-        from repro.sim import batch
-
-        class Sink:
-            def _deliver(self, cell):
-                accepted = self.fifo.try_put(cell)
-                if not accepted:
-                    self.drops += 1
-
-        batch.register(Sink._deliver, None)
-    """) == []
-
-
-def test_unbatched_candidate_ignores_unregistered_loops():
-    assert run_rule("unbatched-candidate", """
-        from repro.sim import batch
-
-        class Sink:
-            def _deliver(self, cell):
-                self.fifo.try_put(cell)
-
-            def _flush(self):
-                for cell in self.fifo:
-                    self.emit(cell)
-
-        batch.register(Sink._deliver, None)
-    """) == []
-
-
-def test_unbatched_candidate_simcost_disable_justifies():
-    assert run_rule("unbatched-candidate", """
-        from repro.sim import batch
-
-        class Sink:
-            def _deliver(self, train):
-                for cell in train.cells:  # simcost: disable=cost-alloc
-                    self.cells.append(cell)
-
-        batch.register(Sink._deliver, None)
-    """) == []
-
-
-def test_unbatched_candidate_ignores_other_register_functions():
-    assert run_rule("unbatched-candidate", """
-        import atexit
-
-        class Sink:
-            def _close(self):
-                for handle in self.handles:
-                    handle.close()
-
-        atexit.register(Sink._close)
     """) == []

@@ -50,33 +50,11 @@ def test_partial_hits_preserve_order(tmp_cache):
     assert CALLS == [1, 3]  # only the misses ran, results still in order
 
 
-def test_key_varies_by_fn_params_and_core(tmp_cache):
+def test_key_varies_by_fn_and_params(tmp_cache):
     base = cache.cache_key(_square, 3)
     assert cache.cache_key(_square, 3) == base
     assert cache.cache_key(_square, 4) != base
     assert cache.cache_key(_cube, 3) != base
-    with engine.use_core("heap"):
-        assert cache.cache_key(_square, 3) != base
-
-
-def test_key_varies_by_batch_config(tmp_cache):
-    # Batched and scalar runs are bit-identical by contract, but their
-    # results must never alias in the cache (PR 6 shard-count bug class)
-    from repro.sim import batch
-
-    with batch.use_batching(True):
-        on = cache.cache_key(_square, 3)
-    with batch.use_batching(False):
-        off = cache.cache_key(_square, 3)
-    assert on != off
-
-
-def test_key_varies_by_checkpoint_schema(tmp_cache, monkeypatch):
-    from repro.bench import checkpoint
-
-    base = cache.cache_key(_square, 3)
-    monkeypatch.setattr(checkpoint, "CHECKPOINT_SCHEMA", 999)
-    assert cache.cache_key(_square, 3) != base
 
 
 def test_canonical_params_are_stable():

@@ -6,20 +6,27 @@ recycling through the pool, far-future spill and promotion, window
 adaptation, and the front-slot ordering edge cases.
 """
 
+import contextlib
+
 import pytest
 
-from repro.sim import Simulator, engine
+from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 
+from tests.sim.monitors import fifo_monitored
 
-@pytest.fixture(params=engine.CORES)
+
+@pytest.fixture(params=["calendar", "heap"])
 def core(request):
-    with engine.use_core(request.param):
+    """Both schedulers: the calendar core and the monitored heap (built
+    under a no-op FIFO monitor), which keeps its own timer pool."""
+    context = fifo_monitored if request.param == "heap" else contextlib.nullcontext
+    with context():
         yield request.param
 
 
 # --------------------------------------------------------------------------
-# Timer semantics (both cores)
+# Timer semantics (both schedulers)
 # --------------------------------------------------------------------------
 
 def test_timer_fires_with_args(core):
@@ -73,7 +80,7 @@ def test_timer_cancel_inside_callback(core):
 
 
 # --------------------------------------------------------------------------
-# Handle pooling (both cores pool; identity proves recycling)
+# Handle pooling (both schedulers pool; identity proves recycling)
 # --------------------------------------------------------------------------
 
 def test_pool_recycles_handle_after_fire(core):
@@ -111,8 +118,9 @@ def test_pool_does_not_recycle_in_flight_handles(core):
 # --------------------------------------------------------------------------
 
 def _calendar_sim():
-    with engine.use_core("calendar"):
-        return Simulator()
+    sim = Simulator()
+    assert sim.stats()["core"] == "calendar"
+    return sim
 
 
 def test_far_future_entries_spill_and_promote():
@@ -233,6 +241,5 @@ def test_stats_report_shape():
         "promotions", "near_depth", "far_depth", "near_window_us",
         "timer_pool_hits", "timer_pool_misses", "timer_pool_size",
     } <= keys
-    assert sim.stats()["core"] == "calendar"
-    with engine.use_core("heap"):
+    with fifo_monitored():
         assert Simulator().stats()["core"] == "heap"

@@ -1,19 +1,23 @@
-"""A/B: the calendar core reproduces the seed heap core bit for bit.
+"""A/B: the calendar core against the monitored heap scheduler.
 
+The unmonitored calendar core and ``_MonitoredSimulator`` (built while
+a monitor is installed with ``engine.set_instrumentation``) are two
+schedulers behind one contract.  Running the monitored one under a
+no-op FIFO monitor must reproduce the calendar core bit for bit.
 Three layers of evidence, strongest first:
 
 * engine-level **timeline identity** on randomized workloads — every
   executed entry logged as ``(now.hex(), kind, tag)`` must match
-  exactly between cores, including FIFO order inside same-timestamp
-  tie groups;
+  exactly, including FIFO order inside same-timestamp tie groups;
 * **figure-scenario identity** — every perturbation scenario (the
   shrunk fig3–fig9 + sample_sort code paths) must produce identical
-  metrics at full float precision under both cores;
-* **seed-loop identity** — the heap core's deduplicated run loop must
-  behave exactly like the seed engine's hand-written loop, verified
-  against a verbatim copy of the pre-refactor ``run()``/``step()``.
+  metrics at full float precision under both schedulers;
+* **seed-loop identity** — both must behave exactly like the seed
+  engine's hand-written loop, verified against a verbatim copy of the
+  original ``run()``/``step()``.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -21,7 +25,9 @@ import pytest
 from repro.analysis import perturb
 from repro.sim import Simulator, engine
 
-CORES = list(engine.CORES)
+from tests.sim.monitors import FifoMonitor, fifo_monitored
+
+SCHEDULERS = {"calendar": contextlib.nullcontext, "monitored": fifo_monitored}
 
 
 # --------------------------------------------------------------------------
@@ -95,18 +101,26 @@ def _exercise(sim, seed, log, use_timers=True):
     sim.run()
 
 
-def _timeline(core, seed, use_timers=True):
-    with engine.use_core(core):
+def _timeline(scheduler, seed, use_timers=True):
+    with SCHEDULERS[scheduler]():
         sim = Simulator()
-        log = []
-        _exercise(sim, seed, log, use_timers=use_timers)
-        return log, sim.events_processed, sim.now.hex()
+    log = []
+    _exercise(sim, seed, log, use_timers=use_timers)
+    return log, sim.events_processed, sim.now.hex()
+
+
+def test_schedulers_are_the_calendar_core_and_the_monitored_heap():
+    assert Simulator().stats()["core"] == "calendar"
+    with fifo_monitored():
+        sim = Simulator()
+    assert isinstance(sim, engine._MonitoredSimulator)
+    assert isinstance(sim._mon, FifoMonitor)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_timelines_identical_across_cores(seed):
-    results = {core: _timeline(core, seed) for core in CORES}
-    assert results["calendar"] == results["heap"]
+    results = {name: _timeline(name, seed) for name in SCHEDULERS}
+    assert results["calendar"] == results["monitored"]
     log, processed, _ = results["calendar"]
     assert len(log) > 50  # the workload actually exercised the engine
     assert processed >= len(log)
@@ -114,11 +128,9 @@ def test_randomized_timelines_identical_across_cores(seed):
 
 def test_timelines_cover_far_future_entries():
     """The randomized mix must actually reach the overflow tier."""
-    with engine.use_core("calendar"):
-        sim = Simulator()
-        log = []
-        _exercise(sim, seed=3, log=log)
-        stats = sim.stats()
+    sim = Simulator()
+    _exercise(sim, seed=3, log=[])
+    stats = sim.stats()
     assert stats["far_spills"] > 0
     assert stats["promotions"] > 0
 
@@ -130,26 +142,32 @@ def test_timelines_cover_far_future_entries():
 @pytest.mark.parametrize("name", perturb.scenario_names())
 def test_figure_scenario_bit_identical_across_cores(name):
     results = {}
-    for core in CORES:
-        with engine.use_core(core):
+    for scheduler, context in SCHEDULERS.items():
+        with context():
             metrics = perturb._SCENARIOS[name]()
-        results[core] = perturb._canonical_metrics(metrics)
-    assert results["calendar"] == results["heap"]
+        results[scheduler] = perturb._canonical_metrics(metrics)
+    assert results["calendar"] == results["monitored"]
 
 
 # --------------------------------------------------------------------------
-# Heap core vs. the seed engine's verbatim loop
+# Both schedulers vs. the seed engine's verbatim loop
 # --------------------------------------------------------------------------
 
-class _SeedLoopSimulator(engine._HeapSimulator):
-    """The seed engine's hand-written ``run``/``step``, verbatim.
+class _SeedLoopSimulator(engine._MonitoredSimulator):
+    """The seed engine's hand-written ``run``/``step``, verbatim, over
+    the monitored heap's schedule methods (under a FIFO monitor they
+    push exactly the seed's ``(when, seq)`` entries).
 
-    The deduplicated heap-core loop (rendered from the shared dispatch
-    template) must behave byte-for-byte like this original.  Timers
-    postdate the seed, so seed-comparison workloads exclude them.
+    Both schedulers must behave byte-for-byte like this original.
+    Timers postdate the seed, so seed-comparison workloads exclude
+    them.
     """
 
     __slots__ = ()
+
+    def __init__(self):
+        with fifo_monitored():
+            super().__init__()
 
     def step(self):
         if not self._heap:
@@ -206,5 +224,5 @@ def test_unmonitored_loops_match_seed_behaviour(seed):
     sim = _SeedLoopSimulator()
     _exercise(sim, seed, reference, use_timers=False)
     expected = (reference, sim.events_processed, sim.now.hex())
-    for core in CORES:
-        assert _timeline(core, seed, use_timers=False) == expected, core
+    for scheduler in SCHEDULERS:
+        assert _timeline(scheduler, seed, use_timers=False) == expected, scheduler

@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event engine."""
 
+import linecache
+import traceback
+from pathlib import Path
+
 import pytest
 
 from repro.sim import (
@@ -10,6 +14,7 @@ from repro.sim import (
     Simulator,
     SimulationError,
     Timeout,
+    engine,
 )
 
 
@@ -423,6 +428,31 @@ class TestStepErrors:
         except SimulationError:
             pass  # SimulationError subclasses RuntimeError, not IndexError
         assert isinstance(SimulationError("x"), RuntimeError)
+
+
+class TestRunLoopSource:
+    """The run loop is ordinary source in engine.py, so tracebacks,
+    profilers and sampling tools name real lines of a real file."""
+
+    @pytest.mark.parametrize("until", [None, 100.0])
+    def test_callback_exception_traceback_names_engine_source(self, until):
+        sim = Simulator()
+
+        def boom():
+            raise KeyError("boom")
+
+        sim.schedule_callback(1.0, boom)
+        with pytest.raises(KeyError) as info:
+            sim.run(until=until)
+        tb = list(traceback.walk_tb(info.value.__traceback__))
+        files = [frame.f_code.co_filename for frame, _ in tb]
+        assert not [f for f in files if f.startswith("<repro.sim.engine")]
+        (caller, lineno), (callee, _) = tb[-2], tb[-1]
+        assert callee.f_code is boom.__code__
+        assert Path(caller.f_code.co_filename) == Path(engine.__file__)
+        assert caller.f_code.co_name == "run"
+        line = linecache.getline(caller.f_code.co_filename, lineno)
+        assert line.strip() == "p()"
 
 
 class TestInterruptRaces:
