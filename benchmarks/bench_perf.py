@@ -314,68 +314,6 @@ def warm_suffix_replay(
     return report
 
 
-def sharded_throughput(repeats: int = 3) -> dict:
-    """The 64-host ring/incast scenario across execution modes.
-
-    Runs ``repro.bench.shard64`` single-core (the baseline every other
-    mode must match bit for bit), in-process sharded (the verification
-    mode: codec + merge on one thread, so its cost *is* the sharding
-    overhead), and multi-process at 2 and 4 shards.  Every sharded run
-    is checked for metric identity against the baseline right here —
-    a perf number from a wrong simulation would be meaningless.
-
-    Speedups are honest wall-clock ratios on *this* machine, recorded
-    next to ``cpu_count``: on a single-core container the conservative
-    windows cannot overlap and mp runs *slower* than the baseline (the
-    sync rounds are pure overhead); the ratio only crosses 1 when real
-    cores are available.  The gate therefore tracks each mode's
-    events/s against its own committed baseline rather than asserting
-    a fixed cross-mode ratio.
-    """
-    import os
-
-    from repro.bench import shard64
-
-    spec = shard64.Ring64Spec(ring_cells=512, incast_cells=128)
-
-    def measure(n_shards: int, mode: str):
-        best, result = None, None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = shard64.run(n_shards, mode=mode, spec=spec)
-            wall = time.perf_counter() - t0
-            if best is None or wall < best:
-                best = wall
-        return best, result
-
-    base_wall, base = measure(1, "local")
-    events = base["coordinator"]["events"]
-    report = {
-        "scenario": "ring64",
-        "hosts": spec.n_hosts,
-        "ring_cells": spec.ring_cells,
-        "incast_cells": spec.incast_cells,
-        "events": events,
-        "cpu_count": os.cpu_count(),
-        "best_of": repeats,
-        "identical": True,
-        "local_wall_s": round(base_wall, 3),
-        "local_events_per_sec": round(events / base_wall),
-        "modes": {},
-    }
-    for n_shards, mode in [(2, "inline"), (4, "inline"), (2, "mp"), (4, "mp")]:
-        wall, result = measure(n_shards, mode)
-        if result["islands"] != base["islands"]:
-            report["identical"] = False
-        report["modes"][f"{mode}{n_shards}"] = {
-            "wall_s": round(wall, 3),
-            "events_per_sec": round(result["coordinator"]["events"] / wall),
-            "rounds": result["coordinator"]["rounds"],
-            "speedup_vs_local": round(base_wall / wall, 3),
-        }
-    return report
-
-
 def time_figure(module_name: str) -> dict:
     """Cold wall time for one figure sweep (its cache entries cleared)."""
     from repro.bench import cache
@@ -443,7 +381,6 @@ def main(argv=None) -> int:
         "warm_suffix_replay": warm_suffix_replay(
             repeats=2 if args.quick else 3
         ),
-        "sharded": sharded_throughput(repeats=1 if args.quick else 3),
         "figures": {},
     }
     eng = report["engine"]
@@ -467,13 +404,6 @@ def main(argv=None) -> int:
               f"(identical={warm['identical']})")
     else:
         print(f"warm replay [{warm['scenario']}]: fork unavailable, skipped")
-    sh = report["sharded"]
-    mode_line = ", ".join(
-        f"{name} {m['speedup_vs_local']}x" for name, m in sh["modes"].items()
-    )
-    print(f"sharded [{sh['scenario']}, {sh['cpu_count']} cpus]: "
-          f"local {sh['local_events_per_sec']:,} events/s; {mode_line} "
-          f"(identical={sh['identical']})")
     for name in figures:
         result = time_figure(name)
         report["figures"][name] = result

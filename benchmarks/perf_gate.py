@@ -1,7 +1,7 @@
 # simlint: disable-file=wall-clock -- compares wall-clock benchmark runs.
 """Perf-regression gate: fresh bench_perf run vs. the committed baseline.
 
-Re-measures engine + sharded throughput (and, outside ``--engine-only``
+Re-measures engine throughput (and, outside ``--engine-only``
 mode, the quick figure sweeps) on the current tree and compares against the
 numbers committed in ``BENCH_perf.json``.  Throughput may drift with
 machine noise, so a tolerance band applies: the gate fails only when a
@@ -35,8 +35,6 @@ BASELINE = bench_perf.OUTPUT
 RATE_KEYS = [
     "engine.callback_events_per_sec",
     "engine.process_events_per_sec",
-    "sharded.local_events_per_sec",
-    "sharded.modes.mp4.events_per_sec",
 ]
 WALL_KEYS = [
     "cache.cold_wall_s",
@@ -73,29 +71,18 @@ def _dig(report: dict, dotted: str):
     return node
 
 
-def check_schema(report: dict, label: str, engine_only: bool):
-    """(missing gated keys, warnings) for one report.
+def check_schema(report: dict, engine_only: bool) -> list[str]:
+    """Gated keys missing from one report.
 
     The gate refuses to run against a report that predates a gated
     section -- silently skipping the key would wave regressions through.
-    Exception: under ``--engine-only`` a report with no ``sharded``
-    section at all (older bench_perf schema) only warns, and the sharded
-    gates are skipped.
     """
     gated = list(RATE_KEYS) + (
         []
         if engine_only
         else list(WALL_KEYS) + list(PCT_KEYS) + list(CONTRACT_KEYS)
     )
-    missing = [k for k in gated if _dig(report, k) is None]
-    warnings = []
-    if engine_only and missing and _dig(report, "sharded") is None:
-        warnings.append(
-            f"{label} has no 'sharded' section (older bench_perf "
-            f"schema); skipping the sharded gates"
-        )
-        missing = [k for k in missing if not k.startswith("sharded.")]
-    return missing, warnings
+    return [k for k in gated if _dig(report, k) is None]
 
 
 def compare(baseline: dict, fresh: dict, tolerance: float,
@@ -103,11 +90,6 @@ def compare(baseline: dict, fresh: dict, tolerance: float,
     """Return a list of regression messages (empty = gate passes)."""
     failures = []
     wall_keys = [] if engine_only else list(WALL_KEYS)
-    if _dig(fresh, "sharded.identical") is False:
-        failures.append(
-            "sharded.identical: sharded ring64 metrics diverged from the "
-            "single-core baseline (correctness, not a perf tolerance)"
-        )
     for dotted in RATE_KEYS:
         base, new = _dig(baseline, dotted), _dig(fresh, dotted)
         if base is None or new is None or not base:
@@ -193,7 +175,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.25)
     parser.add_argument(
         "--engine-only", action="store_true",
-        help="skip figure sweeps; gate engine + sharded throughput (fast)",
+        help="skip figure sweeps; gate engine throughput (fast)",
     )
     args = parser.parse_args(argv)
     if not 0.0 < args.tolerance < 1.0:
@@ -209,10 +191,7 @@ def main(argv=None) -> int:
         fresh = json.loads(Path(args.fresh).read_text())
     else:
         if args.engine_only:
-            fresh = {
-                "engine": bench_perf.engine_events_per_sec(repeats=3),
-                "sharded": bench_perf.sharded_throughput(repeats=1),
-            }
+            fresh = {"engine": bench_perf.engine_events_per_sec(repeats=3)}
         else:
             with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
                 bench_perf.main(["--quick", "--output", tmp.name])
@@ -224,9 +203,7 @@ def main(argv=None) -> int:
         # pre-computed one can be missing gated sections.
         reports.append((fresh, f"fresh report {args.fresh}"))
     for report, label in reports:
-        missing, warnings = check_schema(report, label, args.engine_only)
-        for warning in warnings:
-            print(f"perf gate warning: {warning}")
+        missing = check_schema(report, args.engine_only)
         if missing:
             print(
                 f"perf gate: {label} is missing gated section(s) "

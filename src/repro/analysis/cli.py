@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "instead of simlint, run simflow: interprocedural typestate "
             "(segment buffers, receive descriptors, endpoints, timer "
-            "handles), determinism inference, and cross-shard escape "
-            "analysis over the whole-repo call graph"
+            "handles) and determinism inference over the whole-repo "
+            "call graph"
         ),
     )
     parser.add_argument(
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECKS",
         help=(
             "comma-separated simflow checks to run "
-            "(typestate, determinism, cross-shard; default: all)"
+            "(typestate, determinism; default: all)"
         ),
     )
     parser.add_argument(

@@ -10,7 +10,7 @@ time with syntactic rules, simflow builds a whole-repo view:
   edges, so error paths are first-class;
 * a **worklist dataflow engine** (:mod:`.dataflow`);
 
-and three clients on top:
+and two clients on top:
 
 * **typestate checking** (:mod:`.typestate` / :mod:`.specs`): the
   alloc→write→post→free protocols of the U-Net API (communication
@@ -20,10 +20,7 @@ and three clients on top:
 * **determinism inference** (:mod:`.purity`): a purity lattice
   (sim-pure < seeded-stochastic < nondeterministic) propagated over
   the call graph, making the wall-clock / unseeded-random /
-  unordered-iter rules interprocedural;
-* **cross-shard escape analysis** (:mod:`.escape`): reach-through of
-  cut-edge proxies via helper functions and stored aliases, not just
-  direct attribute chains.
+  unordered-iter rules interprocedural.
 
 Entry point: ``python -m repro.analysis --flow`` (see
 :mod:`repro.analysis.cli`), or :func:`analyze_paths` from code.
@@ -43,14 +40,14 @@ from repro.analysis.flow.callgraph import Program
 from repro.analysis.flow.report import Finding
 
 #: the registered client checks, in report order.
-CHECKS = ("typestate", "determinism", "cross-shard")
+CHECKS = ("typestate", "determinism")
 
 
 def analyze_program(
     program: Program, checks: Optional[Sequence[str]] = None
 ) -> List[Finding]:
     """Run the selected client checks over an indexed :class:`Program`."""
-    from repro.analysis.flow import escape, purity, typestate
+    from repro.analysis.flow import purity, typestate
 
     selected = tuple(checks) if checks else CHECKS
     unknown = [c for c in selected if c not in CHECKS]
@@ -64,8 +61,6 @@ def analyze_program(
         findings.extend(typestate.check_program(program))
     if "determinism" in selected:
         findings.extend(purity.check_program(program))
-    if "cross-shard" in selected:
-        findings.extend(escape.check_program(program))
     findings = [f for f in findings if not program.is_disabled(f)]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

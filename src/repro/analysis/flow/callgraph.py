@@ -7,9 +7,9 @@ Two layers:
   chain, per-scope local names, class attribute types inferred from
   ``self.x = ClassName(...)`` / annotated parameters, and resolution
   of callback references (``self.method``, nested functions, module
-  functions, aliases).  The migrated simlint rules
-  (``schedule-shared-state``, ``cross-shard-state``) run on this layer
-  alone, keeping their per-file semantics.
+  functions, aliases).  The migrated simlint rule
+  (``schedule-shared-state``) runs on this layer alone, keeping its
+  per-file semantics.
 
 * :class:`Program` — the whole-repo graph: ModuleIndexes for every
   file, cross-module import resolution, call edges (plain calls and

@@ -64,7 +64,6 @@ def get_rules(names: Iterable[str]) -> List[Rule]:
 # Built-in rules: importing each module triggers its @register.
 from repro.analysis.rules import (  # noqa: E402,F401
     callback_arity,
-    cross_shard_state,
     direct_heapq,
     direct_tracer_append,
     mutable_default,

@@ -29,7 +29,6 @@ from repro.atm.cell import Cell
 from repro.obs import metrics as _metrics
 from repro.sim import Event, Simulator, Tracer
 from repro.sim import engine as _engine
-from repro.sim.shard.errors import ShardError
 
 #: 140 Mbit/s TAXI fiber used throughout the paper's testbed.
 TAXI_140_BPS = 140_000_000.0
@@ -86,8 +85,6 @@ class Link:
         "trains_sent",
         "_busy_until",
         "_starts",
-        "_cut",
-        "remote_peer",
         "_k_txq_drop",
         "_k_loss",
         "_mk_txq",
@@ -130,12 +127,6 @@ class Link:
         # service", not queued, exactly like the old pump's Store).
         self._busy_until = 0.0
         self._starts: deque = deque()
-        # Cut-edge state: when this link crosses a shard boundary, final
-        # deliveries are routed through ``_cut`` (a channel) instead of
-        # being scheduled locally, and ``remote_peer`` is a stub that
-        # refuses attribute access (the far end is not coherent here).
-        self._cut = None
-        self.remote_peer = None
         # Tracer keys are built once here: send()/_finish_cell() run per
         # cell on the event hot path and must not re-format strings.
         self._k_txq_drop = f"{name}.txq_drop"
@@ -145,39 +136,6 @@ class Link:
         self._mk_txq = f"link.{name}.txq_depth"
         self._mk_busy = f"link.{name}.busy_us"
         self._mk_drop = f"link.{name}.drops"
-
-    # -- shard cut ------------------------------------------------------
-    def cut_lookahead_us(self) -> float:
-        """Delivery-time bound this link guarantees across a cut.
-
-        On the analytic fast path the emitting event *is* the sender's
-        claim, and the delivery it schedules lands at least one cell
-        serialization plus the propagation delay later.  With a loss
-        function (or ``fast_path=False``) the serialization end is its
-        own event and only the propagation delay separates it from the
-        delivery — the lookahead a cut edge may promise shrinks to that.
-        """
-        if self.loss_fn is None and self.fast_path:
-            return self.cell_time_us(53) + self.propagation_us
-        return self.propagation_us
-
-    def bind_cut(self, channel) -> None:
-        """Route this link's deliveries through a cross-shard channel.
-
-        The channel's registered edge must not promise more lookahead
-        than the link's current configuration guarantees — a too-large
-        promise would let the coordinator grant unsafe windows.
-        """
-        if self._cut is not None:
-            raise ShardError(f"link {self.name!r} is already bound to a cut")
-        if channel.edge.lookahead_us > self.cut_lookahead_us() + 1e-12:
-            raise ShardError(
-                f"cut edge {channel.edge.name!r} promises "
-                f"{channel.edge.lookahead_us} us lookahead but link "
-                f"{self.name!r} only guarantees {self.cut_lookahead_us()} us"
-            )
-        self._cut = channel
-        self.remote_peer = channel.stub
 
     def connect(
         self,
@@ -245,12 +203,9 @@ class Link:
         else:
             self.cells_sent += 1
             self.bytes_sent += cell.wire_bytes
-            if self._cut is not None:
-                self._cut.send_cell(finish + self.propagation_us, cell)
-            else:
-                sim.schedule_callback_at(
-                    finish + self.propagation_us, self._deliver_cell, cell
-                )
+            sim.schedule_callback_at(
+                finish + self.propagation_us, self._deliver_cell, cell
+            )
 
     # -- producer API ---------------------------------------------------
     def send(self, cell: Cell) -> bool:
@@ -323,16 +278,7 @@ class Link:
             self.cells_sent += len(cells)
             self.bytes_sent += sum(cell.wire_bytes for cell in cells)
             propagation = self.propagation_us
-            if self._cut is not None:
-                if len(cells) > 1:
-                    # Whole burst in one channel record; the far side
-                    # re-expands at the same analytic arrival floats.
-                    self.trains_sent += 1
-                    arrivals = [finish + propagation for finish in finishes]
-                    self._cut.send_train(arrivals, list(cells))
-                else:
-                    self._cut.send_cell(finishes[0] + propagation, cells[0])
-            elif self._train_sink is not None and len(cells) > 1:
+            if self._train_sink is not None and len(cells) > 1:
                 # One heap entry for the whole burst, carrying the exact
                 # per-cell arrival floats the per-cell path would use.
                 self.trains_sent += 1
@@ -358,21 +304,6 @@ class Link:
             _m = _metrics.active
             if _m is not None:
                 _m.count(self._mk_drop)
-            return
-        if self._cut is not None:
-            # Per-cell path across a cut: the emitting event is this
-            # serialization end, so only the propagation delay separates
-            # it from delivery.  A loss function attached *after* the
-            # edge was bound would have let the edge promise the wider
-            # fast-path lookahead — refuse rather than corrupt windows.
-            if self._cut.edge.lookahead_us > self.propagation_us + 1e-12:
-                raise ShardError(
-                    f"link {self.name!r} entered the per-cell path but its "
-                    f"cut edge promises {self._cut.edge.lookahead_us} us "
-                    f"lookahead (> propagation {self.propagation_us} us); "
-                    f"loss functions must be attached before the cut is bound"
-                )
-            self._cut.send_cell(self.sim._now + self.propagation_us, cell)
             return
         self.sim.schedule_callback(self.propagation_us, self._deliver_cell, cell)
 

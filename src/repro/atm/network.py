@@ -16,15 +16,9 @@ from repro.atm.cell import Cell
 from repro.atm.link import TAXI_140_BPS, Link
 from repro.atm.switch import Switch
 from repro.sim import Simulator, Tracer
-from repro.sim.shard.plan import ShardPlan, block_owner
 
 #: VCIs 0-31 are reserved for signalling/management, as on real ATM gear.
 FIRST_USER_VCI = 32
-
-#: The switch (and everything reached only through it) lives on shard 0
-#: when a star is auto-partitioned; host ports are block-partitioned
-#: across all shards, so shard 0 carries the switch plus the first block.
-SWITCH_SHARD = 0
 
 
 @dataclass(frozen=True)
@@ -47,15 +41,11 @@ class NetworkPort:
         index: int,
         name: str,
         tx_link: Link,
-        shard: int = SWITCH_SHARD,
     ):
         self.network = network
         self.index = index
         self.name = name
         self.tx_link = tx_link
-        #: Owning shard of this host under the network's partition (0
-        #: when the network is not sharded).
-        self.shard = shard
 
     def send_cell(self, cell: Cell) -> bool:
         return self.tx_link.send(cell)
@@ -90,28 +80,6 @@ class AtmNetwork:
         self._ports: Dict[str, NetworkPort] = {}
         self._next_vci = FIRST_USER_VCI
         self._next_port = 0
-        # Auto-partition: on a sharded simulator the star is split along
-        # its natural cut — host ports block-partitioned across shards,
-        # the switch on shard 0 — and every fiber whose two ends land on
-        # different shards becomes a codec-backed channel (DESIGN.md §8).
-        self.shard_plan: Optional[ShardPlan] = None
-        n_shards = getattr(sim, "n_shards", 1)
-        if n_shards > 1:
-            plan = ShardPlan(n_shards)
-            plan.assign(self.switch.name, SWITCH_SHARD)
-            for p in range(n_ports):
-                owner = block_owner(p, n_ports, n_shards)
-                if owner != SWITCH_SHARD:
-                    out = self.switch.output_links[p]
-                    edge = plan.add_edge(
-                        out.name, SWITCH_SHARD, owner, out.cut_lookahead_us()
-                    )
-                    out.bind_cut(
-                        sim.open_channel(
-                            edge, out._deliver_cell, out._deliver_train
-                        )
-                    )
-            self.shard_plan = plan
 
     def attach(self, name: str) -> NetworkPort:
         """Attach a named host; returns its port."""
@@ -132,22 +100,7 @@ class AtmNetwork:
             self.switch.input_sink(index),
             train_sink=self.switch.input_train_sink(index),
         )
-        shard = SWITCH_SHARD
-        if self.shard_plan is not None:
-            plan = self.shard_plan
-            shard = block_owner(index, self.switch.n_ports, plan.n_shards)
-            plan.assign(name, shard)
-            if shard != SWITCH_SHARD:
-                edge = plan.add_edge(
-                    tx_link.name, shard, SWITCH_SHARD,
-                    tx_link.cut_lookahead_us(),
-                )
-                tx_link.bind_cut(
-                    self.sim.open_channel(
-                        edge, tx_link._deliver_cell, tx_link._deliver_train
-                    )
-                )
-        port = NetworkPort(self, index, name, tx_link, shard=shard)
+        port = NetworkPort(self, index, name, tx_link)
         self._ports[name] = port
         return port
 

@@ -40,7 +40,6 @@ class Switch:
         "output_links",
         "cells_switched",
         "cells_unrouted",
-        "remote_peers",
         "_k_unrouted",
         "_mk_unrouted",
         "_mk_buf",
@@ -78,40 +77,10 @@ class Switch:
         ]
         self.cells_switched = 0
         self.cells_unrouted = 0
-        #: Cut-edge stubs for trunk ports whose far-end switch lives on
-        #: another shard: ``remote_peers[port]`` refuses attribute
-        #: access (the ``cross-shard-state`` lint rule is the static
-        #: counterpart of that runtime guard).
-        self.remote_peers: Dict[int, object] = {}
         # Built once: _receive() runs per cell on the event hot path.
         self._k_unrouted = f"{name}.unrouted"
         self._mk_unrouted = f"switch.{name}.unrouted"
         self._mk_buf = f"switch.{name}.buffer_high_water"
-
-    # -- trunks (multi-switch fabrics) ----------------------------------
-    def trunk_inlet(self, port: int):
-        """``(cell_sink, train_sink)`` for wiring a trunk into ``port``.
-
-        Local fabrics pass these straight to the peer switch's output
-        link; partitioned fabrics register them as the cut-edge inlet.
-        """
-        return self.input_sink(port), self.input_train_sink(port)
-
-    def connect_trunk(self, out_port: int, peer: "Switch", peer_port: int) -> None:
-        """Wire ``out_port``'s fiber into ``peer``'s input ``peer_port``
-        (both switches on the same timeline)."""
-        sink, train_sink = peer.trunk_inlet(peer_port)
-        self.output_links[out_port].connect(sink, train_sink=train_sink)
-
-    def bind_trunk_cut(self, out_port: int, ctx, edge) -> None:
-        """Materialize ``out_port``'s trunk fiber as a cut channel.
-
-        ``ctx`` is a :class:`~repro.sim.shard.ShardContext`; the far-end
-        switch is represented only by a stub from here on.
-        """
-        self._check_port(out_port)
-        channel = ctx.bind_cut(self.output_links[out_port], edge)
-        self.remote_peers[out_port] = channel.stub
 
     def add_route(self, in_port: int, in_vci: int, out_port: int, out_vci: int) -> None:
         self._check_port(in_port)

@@ -6,8 +6,7 @@ deterministic, so re-running an unchanged point is pure waste.  This
 module gives :func:`repro.bench.parallel.parallel_map` a persistent
 memo keyed by *content*, not by time:
 
-``key = sha256(fn identity || canonical(params) || source digest ||
-shards)``
+``key = sha256(fn identity || canonical(params) || source digest)``
 
 * **fn identity** -- module + qualname of the sweep-point function.
 * **canonical(params)** -- a stable rendering of the point's arguments
@@ -17,8 +16,6 @@ shards)``
   ``repro/`` *and* the benchmark module that defines ``fn``.  Editing
   any model source invalidates every cached point; nothing is ever
   served stale.
-* **shards** -- the shard count new simulators are built with, so
-  sharded A/B comparisons never read each other's entries.
 
 Entries are pickle files under ``.bench_cache/`` at the repository
 root (override with ``REPRO_BENCH_CACHE_DIR``; disable entirely with
@@ -153,8 +150,6 @@ def _fn_source_digest(fn: Callable) -> str:
 
 
 def cache_key(fn: Callable, item: Any) -> str:
-    from repro.sim import engine
-
     h = hashlib.sha256()
     h.update(f"{fn.__module__}.{fn.__qualname__}".encode())
     h.update(b"\0")
@@ -162,11 +157,6 @@ def cache_key(fn: Callable, item: Any) -> str:
     h.update(b"\0")
     h.update(source_digest().encode())
     h.update(_fn_source_digest(fn).encode())
-    # Shard count is execution configuration: results are bit-identical
-    # across shard counts *by design*, and a cache hit that crossed the
-    # boundary would quietly hide the very divergence the A/B runs
-    # exist to catch.
-    h.update(b"\0shards=%d" % engine.shard_count())
     return h.hexdigest()
 
 

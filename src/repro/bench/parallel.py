@@ -25,9 +25,7 @@ Worker count resolution (first match wins):
 
 1. explicit ``workers=`` argument;
 2. the ``REPRO_BENCH_PROCS`` environment variable (``1`` forces serial);
-3. ``min(os.cpu_count(), 8)``, divided by the active shard count
-   (``REPRO_SIM_SHARDS``) so sweep processes and shard workers together
-   stay inside the CPU budget.
+3. ``min(os.cpu_count(), 8)``.
 
 Any failure to stand up or keep the pool (sandboxes without semaphores,
 a worker OOM-killed) falls back to computing serially in-process, so
@@ -55,11 +53,7 @@ CHUNKS_PER_WORKER = 4
 def sweep_workers() -> int:
     """Resolve the worker count from ``REPRO_BENCH_PROCS`` / CPU count.
 
-    When the sharded engine is selected (``REPRO_SIM_SHARDS > 1``) each
-    sweep point may itself fan out one process per shard, so the auto
-    budget is divided by the shard count to keep the *total* process
-    count near the CPU budget instead of multiplying against it.  An
-    explicit ``REPRO_BENCH_PROCS`` is taken literally — the user who
+    An explicit ``REPRO_BENCH_PROCS`` is taken literally — the user who
     sets it owns the oversubscription trade-off.
     """
     env = os.environ.get("REPRO_BENCH_PROCS")
@@ -68,10 +62,7 @@ def sweep_workers() -> int:
             return max(1, int(env))
         except ValueError:
             return 1
-    from repro.sim import engine
-
-    budget = min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
-    return max(1, budget // engine.shard_count())
+    return min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
 
 
 def fork_available() -> bool:

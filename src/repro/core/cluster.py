@@ -7,7 +7,6 @@ on a Fore ASX-200 switch with 140 Mbit/s TAXI fibers.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atm.link import TAXI_140_BPS
@@ -58,25 +57,13 @@ class UNetCluster:
         self.hosts: Dict[str, Workstation] = {}
         self.agents: Dict[str, KernelAgent] = {}
         self.directory = ClusterDirectory(self.network)
-        # On a sharded simulator each host's stack is built inside its
-        # shard scope, so any event the NI or agent schedules during
-        # construction starts on the host's own timeline (attribution
-        # only; correctness never depends on it — DESIGN.md §8).
-        shard_scope = getattr(sim, "shard_scope", None)
         for name, mhz in host_specs:
             port = self.network.attach(name)
-            scope = (
-                shard_scope(port.shard)
-                if shard_scope is not None
-                else nullcontext()
+            host = Workstation(sim, name, mhz=mhz, tracer=self.tracer)
+            ni = ni_cls(
+                host, port, costs=ni_costs or default_costs(), tracer=self.tracer
             )
-            with scope:
-                host = Workstation(sim, name, mhz=mhz, tracer=self.tracer)
-                ni = ni_cls(
-                    host, port, costs=ni_costs or default_costs(),
-                    tracer=self.tracer,
-                )
-                agent = KernelAgent(host, ni, limits=limits, tracer=self.tracer)
+            agent = KernelAgent(host, ni, limits=limits, tracer=self.tracer)
             self.directory.register_agent(agent)
             self.hosts[name] = host
             self.agents[name] = agent

@@ -35,20 +35,12 @@ from typing import Optional
 
 from repro.obs import metrics
 from repro.obs.flight import FlightRecorder, ring_limit_from_env
-from repro.obs.spans import (
-    ObsMonitor,
-    PartialTraceError,
-    Span,
-    SpanCollector,
-    SpanMerger,
-)
+from repro.obs.spans import ObsMonitor, Span, SpanCollector
 
 __all__ = [
     "Span",
     "SpanCollector",
-    "SpanMerger",
     "ObsMonitor",
-    "PartialTraceError",
     "FlightRecorder",
     "metrics",
     "active",
@@ -103,9 +95,7 @@ def enable(profile_wall: bool = False, flight=None) -> SpanCollector:
     collector = SpanCollector()
     _attach_flight(collector, flight)
     monitor = ObsMonitor(collector, profile_wall=profile_wall)
-    _engine.set_instrumentation(
-        lambda: monitor, _engine.access_hook, shard_aware=True
-    )
+    _engine.set_instrumentation(lambda: monitor, _engine.access_hook)
     metrics.enable()
     collector.metrics = metrics.active
     active = collector
@@ -143,13 +133,12 @@ def collecting(profile_wall: bool = False, flight=None):
 
     prev_factory = _engine._monitor_factory
     prev_access = _engine.access_hook
-    prev_shard_aware = _engine._monitor_shard_aware
     prev_active = active
     prev_metrics = metrics.active
     collector = SpanCollector()
     _attach_flight(collector, flight)
     monitor = ObsMonitor(collector, profile_wall=profile_wall)
-    _engine.set_instrumentation(lambda: monitor, prev_access, shard_aware=True)
+    _engine.set_instrumentation(lambda: monitor, prev_access)
     metrics.active = collector.metrics = metrics.MetricsRegistry()
     active = collector
     try:
@@ -157,9 +146,7 @@ def collecting(profile_wall: bool = False, flight=None):
     finally:
         active = prev_active
         metrics.active = prev_metrics
-        _engine.set_instrumentation(
-            prev_factory, prev_access, shard_aware=prev_shard_aware
-        )
+        _engine.set_instrumentation(prev_factory, prev_access)
 
 
 _env_flag = os.environ.get("REPRO_OBS", "")

@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    report fig3 [--size N] [--n N] [--ni KIND] [--shards N] [--json PATH]
+    report fig3 [--size N] [--n N] [--ni KIND] [--json PATH]
                 [--profile-wall] [--percentiles]
-    export fig3 [--size N] [--n N] [--ni KIND] [--shards N] [-o trace.json]
+    export fig3 [--size N] [--n N] [--ni KIND] [-o trace.json]
     diff OLD.json NEW.json
 
 ``report`` exits 1 when the attribution-sum invariant fails and 2 when
@@ -30,17 +30,10 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
         "--ni", default="sba200", choices=["sba200", "sba100", "fore"]
     )
     sub.add_argument("--mhz", type=float, default=60.0)
-    sub.add_argument(
-        "--shards", type=int, default=1,
-        help="run on the sharded engine (attribution must match 1-shard)",
-    )
 
 
 def _scenario_kwargs(args) -> dict:
-    return dict(
-        size=args.size, n=args.n, ni_kind=args.ni, mhz=args.mhz,
-        shards=args.shards,
-    )
+    return dict(size=args.size, n=args.n, ni_kind=args.ni, mhz=args.mhz)
 
 
 def cmd_report(args) -> int:

@@ -39,25 +39,17 @@ def _lane(layer: str) -> int:
 
 
 def to_trace_events(collector: SpanCollector) -> Dict[str, object]:
-    """Render a collector's spans and counter samples as trace_event JSON.
-
-    When any span carries a nonzero shard tag (a merged multi-shard
-    trace), processes are keyed per ``(shard, host)`` and named
-    ``shardK/host`` so each shard gets its own lane group; single-shard
-    traces render exactly as before.
-    """
-    sharded = any(span.shard for span in collector.spans)
-    pids: Dict[Tuple[int, str], int] = {}
+    """Render a collector's spans and counter samples as trace_event JSON."""
+    pids: Dict[str, int] = {}
     events: List[dict] = []
 
-    def pid_of(host: str, shard: int = 0) -> int:
-        key = (shard, host or "(global)")
+    def pid_of(host: str) -> int:
+        key = host or "(global)"
         if key not in pids:
             pids[key] = len(pids) + 1
-            name = f"shard{shard}/{key[1]}" if sharded else key[1]
             events.append({
                 "ph": "M", "name": "process_name", "pid": pids[key], "tid": 0,
-                "args": {"name": name},
+                "args": {"name": key},
             })
         return pids[key]
 
@@ -76,7 +68,7 @@ def to_trace_events(collector: SpanCollector) -> Dict[str, object]:
     for span in collector.spans:
         if span.t1 is None:
             continue
-        pid = pid_of(span.host, span.shard)
+        pid = pid_of(span.host)
         events.append({
             "ph": "X",
             "name": span.name,
@@ -106,8 +98,6 @@ def to_trace_events(collector: SpanCollector) -> Dict[str, object]:
 
 def _span_args(span: Span) -> dict:
     args = {"sid": span.sid, "depth": span.depth}
-    if span.shard:
-        args["shard"] = span.shard
     if span.parent is not None:
         args["parent_sid"] = span.parent.sid
     if span.attrs:

@@ -6,13 +6,11 @@ bounded ring (``collections.deque(maxlen=...)``).  It is fed by
 when armed is one deque append per span and the cost when not armed is
 one attribute load (the collector checks ``self.flight is None``).
 
-On a crash -- a shard worker dying with :class:`ShardCrashError`, or a
-runtime sanitizer trip -- the ring is rendered through the normal
-Perfetto exporter and written to disk, so the last ``limit`` spans
-leading up to the failure can be opened in a trace viewer even though
-the run never finished.  The dump path travels with the error
-(``ShardCrashError.dump_path``) for the mp engine, and is recorded on
-``FlightRecorder.last_dump_path`` for in-process trips.
+When a runtime sanitizer trips, the ring is rendered through the
+normal Perfetto exporter and written to disk, so the last ``limit``
+spans leading up to the failure can be opened in a trace viewer even
+though the run never finished.  The dump path is recorded on
+``FlightRecorder.last_dump_path``.
 """
 
 from __future__ import annotations
@@ -74,14 +72,12 @@ class FlightRecorder:
     def snapshot(self) -> List[Any]:
         return list(self._ring)
 
-    def default_dump_path(self, shard: int = 0) -> str:
+    def default_dump_path(self) -> str:
         return os.path.join(
-            tempfile.gettempdir(),
-            f"OBS_flight_shard{shard}_pid{os.getpid()}.json",
+            tempfile.gettempdir(), f"OBS_flight_pid{os.getpid()}.json"
         )
 
-    def dump(self, path: Optional[str] = None, shard: int = 0,
-             reason: str = "") -> str:
+    def dump(self, path: Optional[str] = None, reason: str = "") -> str:
         """Write the ring as a Perfetto trace; returns the path written.
 
         The dump is a full, valid trace-event JSON (loadable in
@@ -94,7 +90,7 @@ class FlightRecorder:
         from repro.obs import spans as _spans
 
         if path is None:
-            path = self.default_dump_path(shard)
+            path = self.default_dump_path()
         shim = _spans.SpanCollector()
         shim.spans = self.snapshot()
         shim.counters["flight.recorded"] = self.recorded
@@ -105,10 +101,10 @@ class FlightRecorder:
         self.last_dump_path = path
         return path
 
-    def dump_on_trip(self, reason: str, shard: int = 0) -> str:
+    def dump_on_trip(self, reason: str) -> str:
         """Crash-path dump: never raises (a failed dump must not mask
         the original error)."""
         try:
-            return self.dump(shard=shard, reason=reason)
+            return self.dump(reason=reason)
         except Exception:
             return ""

@@ -20,9 +20,8 @@ error of ``1 / (2 * SUBBUCKETS)`` -- and min/max/count/sum are tracked
 exactly on the side, so p0/p100 and means are exact.
 
 Unlike spans, metrics need no engine instrumentation slot: arming is a
-single module attribute, so metrics work identically under the
-single-core engine, the in-process sharded engine, and (merged at the
-coordinator) the multi-process engine.
+single module attribute, so metrics work identically on the calendar
+core and the monitored heap.
 """
 
 from __future__ import annotations
@@ -141,25 +140,6 @@ class Histogram:
             "p999": self.percentile(99.9),
         }
 
-    # -- cross-process transport (struct-free: cold path) ---------------
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "buckets": dict(self.buckets),
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    def merge_state(self, state: Dict[str, Any]) -> None:
-        for idx, n in state["buckets"].items():
-            idx = int(idx)
-            self.buckets[idx] = self.buckets.get(idx, 0) + n
-        self.count += state["count"]
-        self.total += state["total"]
-        self.min = min(self.min, state["min"])
-        self.max = max(self.max, state["max"])
-
 
 class MetricsRegistry:
     """Named counters, high-water gauges, and histograms for one run."""
@@ -207,27 +187,6 @@ class MetricsRegistry:
             },
         }
 
-    # -- cross-process transport ----------------------------------------
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                key: hist.to_state() for key, hist in self.histograms.items()
-            },
-        }
-
-    def merge_state(self, state: Dict[str, Any]) -> None:
-        """Fold a worker registry's state into this one (coordinator)."""
-        self.counters.update(state["counters"])
-        for key, value in state["gauges"].items():
-            self.gauge_max(key, value)
-        for key, hist_state in state["histograms"].items():
-            hist = self.histograms.get(key)
-            if hist is None:
-                hist = self.histograms[key] = Histogram()
-            hist.merge_state(hist_state)
-
 
 def enabled() -> bool:
     return active is not None
@@ -248,7 +207,7 @@ def disable() -> None:
 
 class collecting:
     """Scoped metrics collection (no engine slot needed, so this nests
-    freely with spans, the race detector, and the sharded engines)::
+    freely with spans and the race detector)::
 
         with metrics.collecting() as reg:
             ... run ...

@@ -29,24 +29,18 @@ def run_fig3(
     ni_kind: str = "sba200",
     mhz: float = 60.0,
     profile_wall: bool = False,
-    shards: int = 1,
 ):
     """Figure 3 raw round trip with spans.
-
-    ``shards`` > 1 runs the same scenario on the sharded engine (the
-    timestamps are bit-identical, so per-layer attribution must match
-    the single-core run exactly -- the CI parity gate).
 
     Returns ``(report_dict, collector)`` -- the collector so the export
     path can render the same run as a timeline.
     """
     from repro.bench import micro
     from repro.core import UNetCluster
-    from repro.sim import Simulator, engine
+    from repro.sim import Simulator
 
     with obs.collecting(profile_wall=profile_wall) as collector:
-        with engine.use_shards(shards):
-            result = micro.raw_rtt(size, n=n, ni_kind=ni_kind, mhz=mhz)
+        result = micro.raw_rtt(size, n=n, ni_kind=ni_kind, mhz=mhz)
 
     budget = None
     if ni_kind == "sba200":
@@ -68,7 +62,6 @@ def run_fig3(
             "n": n,
             "ni": ni_kind,
             "mhz": mhz,
-            "shards": shards,
         },
         measured={"rtt_mean_us": result.mean_us, "rtt_min_us": result.min_us},
         budget=budget,

@@ -23,29 +23,17 @@ from typing import Any, Dict, List, Optional, Tuple
 _MISSING = object()
 
 
-class PartialTraceError(RuntimeError):
-    """A trace that would be (or was) silently incomplete.
-
-    Raised when cross-shard span stitching cannot produce one coherent
-    timeline — e.g. a worker re-ships a span id it already shipped.
-    Historically the sharded engines *silently* recorded a shard-0-only
-    trace under ``obs.collecting()``; that silent drop is now a pinned
-    regression (tests/obs/test_sharded_obs.py)."""
-
-
 class Span:
     """One attributed interval of simulated time.
 
     ``t1`` is ``None`` while the span is open.  ``depth`` is the length
     of the parent chain; the attribution pass uses it to let the most
-    specific (deepest) span win where intervals overlap.  ``shard`` is
-    the simulation shard the span was recorded on (0 on the single-core
-    engine); the Perfetto exporter lays shards out as separate lanes.
+    specific (deepest) span win where intervals overlap.
     """
 
     __slots__ = (
         "sid", "name", "layer", "host", "t0", "t1", "parent", "depth",
-        "attrs", "shard",
+        "attrs",
     )
 
     def __init__(
@@ -66,7 +54,6 @@ class Span:
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
         self.attrs: Optional[Dict[str, Any]] = None
-        self.shard = 0
 
     @property
     def duration(self) -> float:
@@ -85,7 +72,6 @@ class Span:
             "parent": self.parent.sid if self.parent is not None else None,
             "depth": self.depth,
             "attrs": self.attrs,
-            "shard": self.shard,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -110,9 +96,6 @@ class SpanCollector:
         #: sample() points: (time, track, host, value) counter tracks.
         self.samples: List[Tuple[float, str, str, float]] = []
         self._sid = 0
-        #: Shard currently executing (stamped onto new spans); the
-        #: sharded engine's monitor flips this as timelines interleave.
-        self.shard = 0
         #: Optional FlightRecorder fed on every span end; None = off.
         self.flight: Optional[Any] = None
         #: The metrics registry armed alongside this collector (set by
@@ -145,7 +128,6 @@ class SpanCollector:
         if parent is _MISSING:
             parent = self.current
         span = Span(self._sid, name, layer, host, now, parent)
-        span.shard = self.shard
         self.current = span
         return span
 
@@ -190,7 +172,6 @@ class SpanCollector:
         form at claim time rather than pumping per-cell events)."""
         self._sid += 1
         span = Span(self._sid, name, layer, host, t0, parent)
-        span.shard = self.shard
         span.t1 = t1
         self.spans.append(span)
         fl = self.flight
@@ -297,105 +278,3 @@ class ObsMonitor:
             self._last_wall = now_w
             self._last_kind = kind
         c.current = self._ctx.pop(item[1], None)
-
-    def shard_view(self, shard: int) -> "_ShardView":
-        """A per-timeline facade for the in-process sharded engine.
-
-        All timelines share this one monitor (so entry ids stay globally
-        monotonic and span context flows across ``_schedule_cross``
-        edges), but each timeline's view stamps the collector with its
-        shard before executing an entry, so every span records which
-        timeline produced it.
-        """
-        return _ShardView(self, shard)
-
-
-class _ShardView:
-    """One shard's handle on a shared :class:`ObsMonitor`."""
-
-    __slots__ = ("_mon", "_shard")
-
-    def __init__(self, mon: ObsMonitor, shard: int):
-        self._mon = mon
-        self._shard = shard
-
-    def on_schedule(self, seq: int, when: float, target: Any) -> int:
-        return self._mon.on_schedule(seq, when, target)
-
-    def on_execute(self, item: tuple) -> None:
-        mon = self._mon
-        mon.collector.shard = self._shard
-        mon.on_execute(item)
-
-
-# Bit offset of the shard tag in a cross-shard global span id.  A gid is
-# ``(shard + 1) << GID_SHIFT | sid`` — nonzero even for shard 0 / sid 0,
-# so 0 stays the "no span context" sentinel on the wire.
-GID_SHIFT = 40
-
-
-def span_gid(shard: int, sid: int) -> int:
-    return ((shard + 1) << GID_SHIFT) | sid
-
-
-class SpanMerger:
-    """Stitch per-shard span dumps into one coordinator collector.
-
-    Workers ship completed spans as ``to_dict()`` payloads at round
-    boundaries (spans arrive in *end* order, so a parent may arrive
-    rounds after its children — parent links resolve in :meth:`link`).
-    Each shipped span gets a fresh sid in the destination collector;
-    the (shard, remote sid) pair is the stable identity.  Cross-shard
-    ``xshard`` placeholder spans carry the sender's global span id in
-    their attrs and are re-parented onto the real remote span when it
-    lands.
-    """
-
-    def __init__(self, collector: SpanCollector):
-        self.collector = collector
-        #: global id (span_gid) -> merged Span
-        self._by_gid: Dict[int, Span] = {}
-        #: merged Span -> parent gid still to resolve
-        self._parent_gid: Dict[int, Tuple[Span, int]] = {}
-        self._seen: set = set()
-        self.merged = 0
-
-    def merge(self, shard: int, span_dicts: List[Dict[str, Any]]) -> None:
-        col = self.collector
-        for d in span_dicts:
-            key = (shard, d["sid"])
-            if key in self._seen:
-                raise PartialTraceError(
-                    f"shard {shard} shipped span sid {d['sid']} twice; "
-                    "refusing to stitch a duplicated timeline"
-                )
-            self._seen.add(key)
-            col._sid += 1
-            span = Span(col._sid, d["name"], d["layer"], d["host"], d["t0"], None)
-            span.t1 = d["t1"]
-            span.depth = d["depth"]
-            span.attrs = d["attrs"]
-            span.shard = d.get("shard", shard)
-            col.spans.append(span)
-            self._by_gid[span_gid(shard, d["sid"])] = span
-            parent_sid = d["parent"]
-            if parent_sid is not None:
-                self._parent_gid[id(span)] = (span, span_gid(shard, parent_sid))
-            elif span.attrs and "xshard" in span.attrs:
-                # Placeholder minted at inject time: its true parent is
-                # the *sender's* span, identified by a full gid.
-                self._parent_gid[id(span)] = (span, span.attrs["xshard"])
-            self.merged += 1
-
-    def link(self) -> int:
-        """Resolve parent pointers now that every shard has shipped;
-        returns the number of unresolvable links (left as roots)."""
-        unresolved = 0
-        for span, gid in self._parent_gid.values():
-            target = self._by_gid.get(gid)
-            if target is not None:
-                span.parent = target
-            else:
-                unresolved += 1
-        self._parent_gid.clear()
-        return unresolved

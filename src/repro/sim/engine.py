@@ -50,7 +50,6 @@ which ``tests/sim/test_core_equivalence.py`` checks entry by entry.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 _INF = float("inf")
@@ -64,78 +63,18 @@ _INF = float("inf")
 #: = None`` and the hot run loop is entirely untouched.
 _monitor_factory: Optional[Callable[[], Any]] = None
 access_hook: Optional[Callable[[int, str, str], None]] = None
-#: True when the installed monitor can follow the in-process sharded
-#: engine's multiple timelines (it exposes ``shard_view(k)`` — the obs
-#: span monitor does; the race detector's shadow scheduler does not, so
-#: race-monitored runs keep collapsing to one single-heap timeline).
-_monitor_shard_aware: bool = False
 
 
 def set_instrumentation(
     monitor_factory: Optional[Callable[[], Any]],
     access: Optional[Callable[[int, str, str], None]] = None,
-    shard_aware: bool = False,
 ) -> None:
     """Install (or clear, with ``None``) the schedule-order monitor
     factory and the state-access hook.  Only simulators constructed
-    while a factory is installed are monitored.  ``shard_aware``
-    declares that the monitor supports per-shard views, letting
-    ``REPRO_SIM_SHARDS > 1`` keep the sharded engine instead of
-    collapsing to the single monitored timeline."""
-    global _monitor_factory, access_hook, _monitor_shard_aware
+    while a factory is installed are monitored."""
+    global _monitor_factory, access_hook
     _monitor_factory = monitor_factory
     access_hook = access
-    _monitor_shard_aware = shard_aware if monitor_factory is not None else False
-
-
-#: Number of shard timelines new simulators partition their schedule
-#: across.  1 (the default) constructs the plain single-timeline engine.
-#: N > 1 routes construction to
-#: :class:`repro.sim.shard.ShardedSimulator`, the multi-timeline core
-#: with deterministic cross-shard merging (see DESIGN.md §8).
-#: Instrumentation (REPRO_RACE / REPRO_OBS) wins over sharding:
-#: monitored runs always use the single heap timeline.
-_shards = int(os.environ.get("REPRO_SIM_SHARDS", "1"))
-if _shards < 1:  # pragma: no cover - env misuse
-    raise ValueError(f"REPRO_SIM_SHARDS must be >= 1, got {_shards}")
-
-
-def set_shards(n: int) -> None:
-    """Select the shard count for subsequently constructed simulators.
-
-    ``1`` restores the plain single-timeline engine.  Existing
-    simulators are unaffected."""
-    global _shards
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"shard count must be a positive integer, got {n!r}")
-    _shards = n
-
-
-def shard_count() -> int:
-    """Shard count new simulators will be built with."""
-    return _shards
-
-
-class use_shards:
-    """Context manager: construct simulators with ``n`` shard timelines.
-
-    >>> with use_shards(4):
-    ...     sim = Simulator()   # 4-timeline sharded engine
-    """
-
-    def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"shard count must be a positive integer, got {n!r}")
-        self._n = n
-        self._saved: Optional[int] = None
-
-    def __enter__(self) -> "use_shards":
-        self._saved = _shards
-        set_shards(self._n)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        set_shards(self._saved or 1)
 
 
 class SimulationError(RuntimeError):
@@ -899,20 +838,8 @@ class Simulator:
         # When instrumentation is armed, construction routes to the
         # monitored subclass so the base class never pays a per-schedule
         # ``_mon`` check: REPRO_RACE off keeps the exact hot path.
-        # REPRO_SIM_SHARDS > 1 routes to the sharded multi-timeline
-        # engine.  A shard-aware monitor (obs spans) rides along into
-        # the sharded engine; a shard-blind one (the race detector's
-        # shadow scheduler needs one totally-ordered container) wins
-        # over sharding and collapses to the single monitored timeline.
-        if cls is Simulator:
-            if _monitor_factory is not None and not (
-                _shards > 1 and _monitor_shard_aware
-            ):
-                return object.__new__(_MonitoredSimulator)
-            if _shards > 1:
-                from repro.sim.shard.sharded import ShardedSimulator
-
-                return object.__new__(ShardedSimulator)
+        if cls is Simulator and _monitor_factory is not None:
+            return object.__new__(_MonitoredSimulator)
         return object.__new__(cls)
 
     def __init__(self):
@@ -939,18 +866,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
-
-    # -- conservative-synchronization accounting ------------------------
-    def earliest_output_time(self, lookahead_us: float = 0.0) -> float:
-        """Lower bound on the timestamp of anything this timeline can
-        still emit: no pending entry fires before ``peek()``, and every
-        externally visible effect an entry produces is at least
-        ``lookahead_us`` after the entry itself (link serialization +
-        propagation + switch transit on cut edges — DESIGN.md §8).  The
-        sharded coordinator exchanges this EOT as its null message;
-        ``inf`` means the timeline is drained and promises nothing."""
-        nxt = self.peek()
-        return nxt if nxt == _INF else nxt + lookahead_us
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:

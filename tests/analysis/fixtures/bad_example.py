@@ -74,7 +74,3 @@ def mutate_shared(key):
 def bad_zero_delay(sim: Simulator):
     # one schedule-shared-state violation
     sim.schedule_callback(0.0, mutate_shared, "k")
-
-
-def bad_cross_shard(link):
-    return link.remote_peer.cells_sent  # one cross-shard-state violation

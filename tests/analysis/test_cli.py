@@ -22,7 +22,6 @@ ALL_RULES = {
     "or-default",
     "yield-event",
     "callback-arity",
-    "cross-shard-state",
     "unordered-iter",
     "slots-hot-path",
     "silent-except",

@@ -24,7 +24,6 @@ def test_registry_has_all_rules():
         "or-default",
         "yield-event",
         "callback-arity",
-        "cross-shard-state",
         "unordered-iter",
         "slots-hot-path",
         "silent-except",
@@ -746,52 +745,4 @@ def test_direct_heapq_flags_model_code():
 def test_direct_heapq_disable_comment():
     assert run_rule("direct-heapq", """
         import heapq  # simlint: disable=direct-heapq
-    """) == []
-
-
-# -- cross-shard-state ----------------------------------------------------
-
-def test_cross_shard_flags_access_through_remote_peer():
-    violations = run_rule("cross-shard-state", """
-        def probe(link):
-            return link.remote_peer.cells_sent
-    """)
-    assert len(violations) == 1
-    assert violations[0].rule == "cross-shard-state"
-    assert "cut-edge proxy" in violations[0].message
-
-
-def test_cross_shard_flags_trunk_map_and_method_call():
-    violations = run_rule("cross-shard-state", """
-        def poke(switch, port):
-            switch.remote_peers[port].reset()
-    """)
-    assert len(violations) == 1
-
-
-def test_cross_shard_flags_aliased_stub():
-    violations = run_rule("cross-shard-state", """
-        def peek(channel):
-            peer = channel.stub
-            return peer.queue_depth
-    """)
-    assert len(violations) == 1
-
-
-def test_cross_shard_allows_handle_reads_and_stores():
-    assert run_rule("cross-shard-state", """
-        def wire(self, channel, port):
-            if self.remote_peer is None:
-                self.remote_peer = channel.stub
-            self.remote_peers[port] = channel.stub
-            return repr(self.remote_peer)
-    """) == []
-
-
-def test_cross_shard_alias_cleared_by_reassignment():
-    assert run_rule("cross-shard-state", """
-        def swap(link, local):
-            peer = link.remote_peer
-            peer = local
-            return peer.cells_sent
     """) == []

@@ -163,30 +163,16 @@ def test_writable_probe_leaves_no_droppings(tmp_cache):
     assert not list(tmp_cache.glob(".probe*"))
 
 
-def test_key_varies_by_shard_count(tmp_cache):
-    base = cache.cache_key(_square, 3)
-    with engine.use_shards(2):
-        sharded = cache.cache_key(_square, 3)
-    assert sharded != base
-    with engine.use_shards(1):
-        assert cache.cache_key(_square, 3) == base
-
-
-def test_sweep_workers_budgets_around_shards(monkeypatch):
+def test_sweep_workers_caps_auto_budget(monkeypatch):
     from repro.bench import parallel
 
     monkeypatch.delenv("REPRO_BENCH_PROCS", raising=False)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
     assert parallel.sweep_workers() == 8
-    with engine.use_shards(4):
-        assert parallel.sweep_workers() == 2  # 8-CPU budget / 4 shards
-    with engine.use_shards(3):
-        assert parallel.sweep_workers() == 2  # floor division
-    with engine.use_shards(16):
-        assert parallel.sweep_workers() == 1  # never below one
-    # an explicit override is taken literally, shards or not
-    monkeypatch.setenv("REPRO_BENCH_PROCS", "6")
-    with engine.use_shards(4):
-        assert parallel.sweep_workers() == 6
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+    assert parallel.sweep_workers() == parallel.MAX_AUTO_WORKERS == 8
+    # an explicit override is taken literally, above the cap or not
+    monkeypatch.setenv("REPRO_BENCH_PROCS", "12")
+    assert parallel.sweep_workers() == 12
     monkeypatch.setenv("REPRO_BENCH_PROCS", "garbage")
     assert parallel.sweep_workers() == 1

@@ -61,3 +61,26 @@ def test_diff_self_is_zero(tmp_path):
 def test_unknown_scenario_is_usage_error():
     result = run_cli("report", "fig99")
     assert result.returncode == 2  # argparse choices rejection
+
+
+def test_fig3_report_has_percentiles_section():
+    from repro.obs import report
+
+    doc, _ = report.run_fig3(n=4)
+    pct = doc["percentiles"]
+    rtt = pct["rtt_us"]
+    assert rtt["p50"] <= rtt["p99"] <= rtt["p999"]
+    assert set(pct["layers_us"]) == set(doc["attribution"]["layers_us"])
+    assert doc["tracer_records_dropped"] == 0
+    # the metrics registry rode along: exact-percentile RTT histogram
+    assert "rtt_us" in doc["metrics"]["histograms"]
+
+
+def test_report_warns_on_tracer_records_dropped():
+    from repro.obs import report as report_mod
+
+    doc, _ = report_mod.run_fig3(n=4)
+    assert "WARNING" not in report_mod.format_report(doc)
+    doc["tracer_records_dropped"] = 7
+    out = report_mod.format_report(doc)
+    assert "WARNING" in out and "7" in out

@@ -74,10 +74,9 @@ def test_dump_writes_valid_perfetto(tmp_path):
     assert counters["flight.trip"] == 1
 
 
-def test_dump_default_path_embeds_shard_and_pid():
+def test_dump_default_path_embeds_pid():
     rec = FlightRecorder()
-    path = rec.default_dump_path(shard=3)
-    assert "shard3" in path
+    path = rec.default_dump_path()
     assert f"pid{os.getpid()}" in path
 
 

@@ -59,19 +59,6 @@ def test_histogram_summary_keys():
     assert set(s) == {"count", "sum", "min", "max", "mean", "p50", "p99", "p999"}
 
 
-def test_histogram_state_roundtrip_and_merge():
-    a, b = Histogram(), Histogram()
-    for v in (1.0, 2.0, 3.0):
-        a.observe(v)
-    for v in (10.0, 20.0):
-        b.observe(v)
-    a.merge_state(b.to_state())
-    assert a.count == 5
-    assert a.total == 36.0
-    assert a.max == 20.0
-    assert a.min == 1.0
-
-
 # -- registry -------------------------------------------------------------
 
 def test_registry_counters_gauges_histograms():
@@ -95,22 +82,6 @@ def test_registry_histogram_lookup_unknown_key_raises():
     reg.histogram("known")
     with pytest.raises(KeyError, match="known"):
         reg.histogram("missing")
-
-
-def test_registry_merge_state():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.count("c", 1)
-    b.count("c", 2)
-    b.count("only_b")
-    a.gauge_max("g", 5)
-    b.gauge_max("g", 9)
-    a.observe("h", 1.0)
-    b.observe("h", 3.0)
-    a.merge_state(b.to_state())
-    assert a.counters["c"] == 3
-    assert a.counters["only_b"] == 1
-    assert a.gauges["g"] == 9
-    assert a.histogram("h").count == 2
 
 
 # -- module arming --------------------------------------------------------

@@ -23,9 +23,8 @@ class FifoMonitor:
 def fifo_monitored():
     """Simulators built inside the block use the monitored heap."""
     previous = (engine._monitor_factory, engine.access_hook)
-    shard_aware = engine._monitor_shard_aware
     engine.set_instrumentation(FifoMonitor)
     try:
         yield
     finally:
-        engine.set_instrumentation(*previous, shard_aware=shard_aware)
+        engine.set_instrumentation(*previous)
