@@ -14,7 +14,7 @@ import struct
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.atm.cell import ATM_CELL_SIZE, ATM_PAYLOAD_SIZE, Cell
+from repro.atm.cell import ATM_CELL_SIZE, ATM_PAYLOAD_SIZE, MAX_VCI, Cell
 from repro.atm.crc import crc32_finish, crc32_update
 
 AAL5_TRAILER_SIZE = 8
@@ -51,18 +51,29 @@ def segment_pdu(payload: bytes, vci: int) -> List[Cell]:
     """Segment ``payload`` into AAL5 cells tagged with ``vci``."""
     if len(payload) > AAL5_MAX_PDU:
         raise AAL5Error(f"PDU too large for AAL5: {len(payload)} bytes")
+    if not 0 <= vci <= MAX_VCI:
+        raise ValueError(f"VCI out of range: {vci}")
     n_cells = cells_for_pdu(len(payload))
     pad_len = n_cells * ATM_PAYLOAD_SIZE - len(payload) - AAL5_TRAILER_SIZE
     body = payload + bytes(pad_len) + struct.pack(">BBH", 0, 0, len(payload))
     crc = crc32_finish(crc32_update(body))
     cpcs = body + struct.pack(">I", crc)
     assert len(cpcs) == n_cells * ATM_PAYLOAD_SIZE
+    # The VCI is checked once above and every slice is 48 bytes by
+    # construction, so the cells skip ``Cell.__init__`` validation, the
+    # same way ``Cell.with_vci`` does.
+    new = object.__new__
+    last = n_cells - 1
     cells = []
     for i in range(n_cells):
-        chunk = cpcs[i * ATM_PAYLOAD_SIZE : (i + 1) * ATM_PAYLOAD_SIZE]
         # The cells *are* the product of segmentation; one object per
         # wire cell is the modelled behaviour, not overhead.
-        cells.append(Cell(vci=vci, payload=chunk, last=(i == n_cells - 1), seq=i))  # simcost: disable=cost-alloc
+        cell = new(Cell)  # simcost: disable=cost-alloc
+        cell.vci = vci
+        cell.payload = cpcs[i * ATM_PAYLOAD_SIZE : (i + 1) * ATM_PAYLOAD_SIZE]
+        cell.last = i == last
+        cell.seq = i
+        cells.append(cell)
     return cells
 
 

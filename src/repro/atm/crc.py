@@ -37,13 +37,20 @@ def crc32_finish(crc: int) -> int:
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 16-bit one's-complement checksum."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    """RFC 1071 16-bit one's-complement checksum.
+
+    Since 2**16 is congruent to 1 mod 0xFFFF, the end-around-carry sum
+    of the big-endian 16-bit words is congruent to the whole buffer read
+    as one big-endian integer, so the folded sum is that integer mod
+    0xFFFF, computed in C.  One exception: a non-zero buffer whose
+    integer is a multiple of 0xFFFF folds to 0xFFFF, not 0 (only the
+    all-zero buffer sums to 0).  An odd length is padded with a zero
+    byte, as RFC 1071 requires.
+    """
+    total = int.from_bytes(data, "big")
+    if len(data) & 1:
+        total <<= 8
+    folded = total % 0xFFFF
+    if not folded and total:
+        folded = 0xFFFF
+    return 0xFFFF - folded

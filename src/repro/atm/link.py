@@ -25,7 +25,7 @@ from collections import deque
 from typing import Callable, List, Optional, Sequence
 
 from repro import obs
-from repro.atm.cell import Cell
+from repro.atm.cell import ATM_CELL_SIZE, Cell
 from repro.obs import metrics as _metrics
 from repro.sim import Event, Simulator, Tracer
 from repro.sim import engine as _engine
@@ -83,6 +83,7 @@ class Link:
         "cells_dropped",
         "bytes_sent",
         "trains_sent",
+        "_cell_us",
         "_busy_until",
         "_starts",
         "_k_txq_drop",
@@ -125,6 +126,9 @@ class Link:
         # serialization-start time of every claimed-but-unstarted cell
         # (pruned lazily; a cell whose serialization has started is "in
         # service", not queued, exactly like the old pump's Store).
+        # Every cell is 53 bytes on the wire, so its serialization time
+        # is a per-link constant.
+        self._cell_us = ATM_CELL_SIZE * 8 / bandwidth_bps * 1e6
         self._busy_until = 0.0
         self._starts: deque = deque()
         # Tracer keys are built once here: send()/_finish_cell() run per
@@ -156,27 +160,21 @@ class Link:
             raise ValueError("queue capacity must be positive")
         self.capacity = cells
 
-    def cell_time_us(self, wire_bytes: int = 53) -> float:
-        return wire_bytes * 8 / self.bandwidth_bps * 1e6
-
     # -- admission ------------------------------------------------------
-    def _prune(self) -> None:
-        now = self.sim._now
-        starts = self._starts
-        while starts and starts[0] <= now:
-            starts.popleft()
+    def _claim(self, cell: Cell, now: float) -> float:
+        """Claim the next serialization slot; returns the finish time.
 
-    def _claim(self, cell: Cell) -> float:
-        """Claim the next serialization slot; returns the finish time."""
+        The caller has already pruned ``_starts`` of every cell whose
+        serialization began at or before ``now``."""
         if _engine.access_hook is not None:
             _engine.access_hook(id(self), f"link:{self.name}", "w")
-        now = self.sim._now
         start = self._busy_until
         if start < now:
             start = now
-        finish = start + self.cell_time_us(cell.wire_bytes)
+        finish = start + self._cell_us
         self._busy_until = finish
-        self._starts.append(start)
+        starts = self._starts
+        starts.append(start)
         _o = obs.active
         if _o is not None:
             # The link is analytic, so wire occupancy is known in closed
@@ -190,31 +188,24 @@ class Link:
         if _m is not None:
             # busy_us accumulates serialization time; dividing by the
             # span of the run gives link utilization in the report.
-            _m.observe(self._mk_txq, len(self._starts))
+            _m.observe(self._mk_txq, len(starts))
             _m.count(self._mk_busy, finish - start)
         return finish
-
-    def _schedule_cell(self, cell: Cell, finish: float) -> None:
-        sim = self.sim
-        if self.loss_fn is not None or not self.fast_path:
-            # Per-cell path: the serialization end is observable (loss
-            # decision, counters) and must fire at the right sim time.
-            sim.schedule_callback_at(finish, self._finish_cell, cell)
-        else:
-            self.cells_sent += 1
-            self.bytes_sent += cell.wire_bytes
-            sim.schedule_callback_at(
-                finish + self.propagation_us, self._deliver_cell, cell
-            )
 
     # -- producer API ---------------------------------------------------
     def send(self, cell: Cell) -> bool:
         """Enqueue a cell for transmission.
 
         Returns False if the transmit queue overflowed (cell dropped).
+        This is the per-cell path of every switch output, so the prune
+        and the schedule are inlined around the shared claim.
         """
-        self._prune()
-        if len(self._starts) >= self.capacity:
+        sim = self.sim
+        now = sim._now
+        starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+        if len(starts) >= self.capacity:
             if _engine.access_hook is not None:
                 _engine.access_hook(id(self), f"link:{self.name}", "r")
             self.cells_dropped += 1
@@ -223,29 +214,24 @@ class Link:
             if _m is not None:
                 _m.count(self._mk_drop)
             return False
-        self._schedule_cell(cell, self._claim(cell))
+        finish = self._claim(cell, now)
+        if self.loss_fn is not None or not self.fast_path:
+            # Per-cell path: the serialization end is observable (loss
+            # decision, counters) and must fire at the right sim time.
+            sim.schedule_callback_at(finish, self._finish_cell, cell)
+        else:
+            self.cells_sent += 1
+            self.bytes_sent += ATM_CELL_SIZE
+            sim.schedule_callback_at(
+                finish + self.propagation_us, self._deliver_cell, cell
+            )
         return True
 
     def put(self, cell: Cell) -> Event:
         """Blocking enqueue: returns an event that triggers once the cell
         fits in the transmit queue.  Used by NI models that pace
         themselves to the wire instead of dropping."""
-        self._prune()
-        sim = self.sim
-        event = Event(sim)
-        queued = len(self._starts)
-        if queued < self.capacity:
-            self._schedule_cell(cell, self._claim(cell))
-            event.succeed()
-        else:
-            # The cell is admitted the instant the head-of-queue cell
-            # ahead of it starts serializing and frees a queue slot.
-            # Triggered at the exact analytic float, not now + delta.
-            admit = self._starts[queued - int(self.capacity)]
-            self._schedule_cell(cell, self._claim(cell))
-            event._ok = True
-            sim._schedule_event_at(event, admit)
-        return event
+        return self.put_train((cell,))
 
     def put_train(self, cells: Sequence[Cell]) -> Event:
         """Enqueue a back-to-back burst; triggers when the last cell has
@@ -259,24 +245,27 @@ class Link:
         event = Event(sim)
         if not cells:
             return event.succeed()
-        self._prune()
+        now = sim._now
         starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+        claim = self._claim
+        finishes = [claim(cell, now) for cell in cells]
+        # A cell is admitted the instant the head-of-queue cell ahead of
+        # it starts serializing and frees a queue slot.  Start times only
+        # grow, so the last cell's admission is the latest: triggered at
+        # that exact analytic float, not now + delta.
+        last_queued = len(starts) - 1
         capacity = self.capacity
-        last_admit = sim._now
-        finishes = []
-        for cell in cells:
-            queued = len(starts)
-            if queued >= capacity:
-                admit = starts[queued - int(capacity)]
-                if admit > last_admit:
-                    last_admit = admit
-            finishes.append(self._claim(cell))
+        last_admit = (
+            starts[last_queued - int(capacity)] if last_queued >= capacity else now
+        )
         if self.loss_fn is not None or not self.fast_path:
             for cell, finish in zip(cells, finishes):
                 sim.schedule_callback_at(finish, self._finish_cell, cell)
         else:
             self.cells_sent += len(cells)
-            self.bytes_sent += sum(cell.wire_bytes for cell in cells)
+            self.bytes_sent += ATM_CELL_SIZE * len(cells)
             propagation = self.propagation_us
             if self._train_sink is not None and len(cells) > 1:
                 # One heap entry for the whole burst, carrying the exact
@@ -297,7 +286,7 @@ class Link:
     # -- scheduled occurrences -----------------------------------------
     def _finish_cell(self, cell: Cell) -> None:
         self.cells_sent += 1
-        self.bytes_sent += cell.wire_bytes
+        self.bytes_sent += ATM_CELL_SIZE
         if self.loss_fn is not None and self.loss_fn(cell):
             self.cells_dropped += 1
             self.tracer.count(self._k_loss)

@@ -94,11 +94,9 @@ class UdpPacket:
         body = raw[UDP_HEADER_SIZE:length]
         if csum != 0:
             # One's-complement property: a valid packet sums to zero
-            # when the checksum field is included.
-            computed = internet_checksum(raw[:length])
-            if computed != 0 and not (
-                csum == 0xFFFF and internet_checksum(raw[:6] + b"\x00\x00" + body) == 0
-            ):
+            # when the checksum field is included.  A computed 0 sent
+            # as 0xFFFF verifies too: both are zero in one's complement.
+            if internet_checksum(raw[:length]) != 0:
                 raise ValueError("UDP checksum failure")
         return cls(
             src_port=src_port, dst_port=dst_port, payload=body,

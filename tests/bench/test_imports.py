@@ -1,9 +1,9 @@
 """Import footprint of the model and benchmark packages.
 
-Every benchmark child process pays for ``import repro.atm, repro.bench``
-before its first simulation, so the import chain is part of a figure's
-set-up time.  Neither package needs process pools or any engine module
-beyond the single scheduler at import time.
+Every benchmark child process pays for importing the model and bench
+packages before its first simulation, so the import chain is part of a
+figure's set-up time.  None of them needs process pools, numpy or any
+engine module beyond the single scheduler at import time.
 """
 
 import json
@@ -19,7 +19,7 @@ SIM_MODULES = {"repro.sim.engine", "repro.sim.resources", "repro.sim.trace"}
 
 PROBE = """
 import json, sys
-import repro.atm, repro.bench
+import repro.atm, repro.bench, repro.ip, repro.bench.ip
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -32,6 +32,7 @@ def test_model_and_bench_imports_stay_lean():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     loaded = set(json.loads(out))
-    assert not any(m.split(".")[0] == "multiprocessing" for m in loaded)
+    heavy = {m.split(".")[0] for m in loaded} & {"multiprocessing", "numpy"}
+    assert not heavy, sorted(heavy)
     sim = {m for m in loaded if m.startswith("repro.sim.")}
     assert sim <= SIM_MODULES, sorted(sim - SIM_MODULES)

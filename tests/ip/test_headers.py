@@ -1,14 +1,18 @@
 """IP/UDP/TCP header encode/decode and checksum tests."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.atm.crc import internet_checksum
 from repro.ip.headers import (
     FLAG_ACK,
     FLAG_SYN,
     IP_HEADER_SIZE,
     PROTO_TCP,
     PROTO_UDP,
+    UDP_HEADER_SIZE,
     IpDatagram,
     TcpSegment,
     UdpPacket,
@@ -81,6 +85,22 @@ class TestUdpPacket:
     def test_odd_length_payload(self):
         p = UdpPacket(src_port=1, dst_port=2, payload=b"odd")
         assert UdpPacket.decode(p.encode()).payload == b"odd"
+
+    def test_zero_checksum_goes_on_the_wire_as_ffff(self):
+        """A computed checksum of 0 is sent as 0xFFFF, because 0 on the
+        wire means "no checksum", and the receiver must accept it."""
+        rng = random.Random(0)
+        for _ in range(1_000_000):
+            payload = rng.randbytes(6)
+            unchecked = UdpPacket(7, 9, payload, with_checksum=False).encode()
+            if internet_checksum(unchecked) == 0:
+                break
+        else:
+            pytest.fail("no payload with a zero UDP checksum found")
+        raw = UdpPacket(src_port=7, dst_port=9, payload=payload).encode()
+        assert raw[6:UDP_HEADER_SIZE] == b"\xff\xff"
+        out = UdpPacket.decode(raw)
+        assert out.with_checksum and out.payload == payload
 
 
 class TestTcpSegment:
