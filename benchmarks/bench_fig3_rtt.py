@@ -27,40 +27,6 @@ def _xfer_point(size):
     return uam_xfer_rtt(size, n=4).mean_us
 
 
-#: warmup ping-pongs shared by every point of the checkpointed sweep
-WARM_PINGS = 400
-
-
-def _warm_world():
-    from repro.bench.micro import warm_rtt_world
-
-    return warm_rtt_world(warmup=WARM_PINGS)
-
-
-def _warm_point(world, size):
-    from repro.bench.micro import rtt_point_on
-
-    return rtt_point_on(world, size, n=4).mean_us
-
-
-def sweep_checkpointed(use_fork=None):
-    """The raw curve with one shared warmup prefix.
-
-    Every point runs its 4 measured pings against a fork-cloned copy of
-    a single warmed world (:mod:`repro.bench.checkpoint`); the serial
-    fallback rebuilds the warmup per point with identical results.
-    """
-    from repro.bench import checkpoint
-
-    values = checkpoint.sweep(
-        _warm_world, _warm_point, RAW_SIZES, use_fork=use_fork
-    )
-    raw = Series("Raw U-Net (warm)")
-    for size, us in zip(RAW_SIZES, values):
-        raw.add(size, us)
-    return raw
-
-
 def sweep():
     raw = Series("Raw U-Net")
     for size, us in zip(RAW_SIZES, parallel_map(_raw_point, RAW_SIZES)):

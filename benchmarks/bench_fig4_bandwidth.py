@@ -29,32 +29,6 @@ def _get_point(size):
     return uam_get_bandwidth(size).bytes_per_second / 1e6
 
 
-def _warm_world():
-    from repro.bench.micro import _build_pair
-
-    return _build_pair("sba200", 60.0, True)
-
-
-def _warm_point(world, size):
-    from repro.bench.micro import raw_bandwidth_on
-
-    return raw_bandwidth_on(world, size).bytes_per_second / 1e6
-
-
-def sweep_checkpointed(use_fork=None):
-    """The raw curve with the cluster built once and cloned per point
-    (:mod:`repro.bench.checkpoint`)."""
-    from repro.bench import checkpoint
-
-    values = checkpoint.sweep(
-        _warm_world, _warm_point, RAW_SIZES, use_fork=use_fork
-    )
-    raw = Series("Raw U-Net (warm)")
-    for size, mbps in zip(RAW_SIZES, values):
-        raw.add(size, mbps)
-    return raw
-
-
 def sweep():
     limit = Series("AAL-5 limit")
     for size in sorted(set(RAW_SIZES + UAM_SIZES)):

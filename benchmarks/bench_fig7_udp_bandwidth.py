@@ -26,30 +26,6 @@ def _unet_point(size):
     return udp_bandwidth(size, kind="unet")
 
 
-def _warm_world():
-    from repro.bench.ip import build_unet_pair
-
-    return build_unet_pair()
-
-
-def _warm_point(world, size):
-    from repro.bench.ip import udp_bandwidth_on
-
-    return udp_bandwidth_on(world, size).recv_rate / 1e6
-
-
-def sweep_checkpointed(use_fork=None):
-    """The U-Net curve with both stacks booted once and the warm world
-    cloned per point (:mod:`repro.bench.checkpoint`)."""
-    from repro.bench import checkpoint
-
-    values = checkpoint.sweep(_warm_world, _warm_point, SIZES, use_fork=use_fork)
-    unet = Series("U-Net UDP (warm)")
-    for size, mbps in zip(SIZES, values):
-        unet.add(size, mbps)
-    return unet
-
-
 def sweep():
     k_send = Series("kernel UDP (sender perceived)")
     k_recv = Series("kernel UDP (actually received)")

@@ -25,33 +25,6 @@ def _point(params):
     return tcp_bandwidth(ws, kind=kind, window=window).bytes_per_second / 1e6
 
 
-def _warm_world():
-    from repro.bench.ip import build_unet_pair
-
-    return build_unet_pair()
-
-
-def _warm_point(world, write_size):
-    from repro.bench.ip import tcp_bandwidth_on
-
-    result = tcp_bandwidth_on(world, write_size, kind="unet", window=8192)
-    return result.bytes_per_second / 1e6
-
-
-def sweep_checkpointed(use_fork=None):
-    """The 8K-window U-Net curve against one booted world, cloned per
-    point (:mod:`repro.bench.checkpoint`)."""
-    from repro.bench import checkpoint
-
-    values = checkpoint.sweep(
-        _warm_world, _warm_point, WRITE_SIZES, use_fork=use_fork
-    )
-    series = Series("U-Net TCP, 8K window (warm)")
-    for ws, mbps in zip(WRITE_SIZES, values):
-        series.add(ws, mbps)
-    return series
-
-
 def sweep():
     # One flat point list across all four curves: a single pool fan-out.
     points = [

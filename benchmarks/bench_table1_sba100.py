@@ -8,7 +8,7 @@ from repro.bench import Table, sba100_cost_breakup
 
 
 def sweep():
-    """Perf-harness entry point (see ``benchmarks/bench_perf.py``)."""
+    """Programmatic entry point: the Table 1 numbers without pytest."""
     return sba100_cost_breakup()
 
 

@@ -10,7 +10,7 @@ Run with:  pytest benchmarks/ --benchmark-only -s
 pytest-benchmark is optional: without it the benchmarks still run and
 verify their paper anchors, they just aren't wall-clock timed (the
 ``benchmark`` fixture is replaced by a pass-through).  See
-``benchmarks/bench_perf.py`` for dependency-free wall-clock numbers.
+``benchmarks/suite/run.py`` for dependency-free wall-clock numbers.
 """
 
 import pytest

@@ -72,41 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cost",
-        action="store_true",
-        help=(
-            "instead of simlint, run simcost: hot-path reachability from "
-            "the event-callback roots, a weighted static cost model, "
-            "and profile-guided ranking against BENCH_perf.json's event mix"
-        ),
-    )
-    parser.add_argument(
-        "--cost-checks",
-        metavar="CHECKS",
-        help=(
-            "comma-separated simcost checks that produce findings "
-            "(alloc, alloc-loop, str-format, attr-dict, global-loop, "
-            "kwargs-call, try-loop, gen-resume; default: the actionable "
-            "tier alloc-loop,str-format,kwargs-call,try-loop)"
-        ),
-    )
-    parser.add_argument(
-        "--cost-top",
-        type=int,
-        default=15,
-        metavar="N",
-        help="hot functions to show in the ranking (default: 15)",
-    )
-    parser.add_argument(
-        "--cost-profile",
-        metavar="FILE",
-        help=(
-            "perf report to weight the ranking with (default: the "
-            "nearest BENCH_perf.json; 'none' forces the static-only "
-            "fallback)"
-        ),
-    )
-    parser.add_argument(
         "--baseline",
         metavar="FILE",
         help=(
@@ -227,68 +192,6 @@ def _run_flow(args) -> int:
     return 1 if findings else 0
 
 
-def _run_cost(args) -> int:
-    from repro.analysis import cost
-
-    checks = None
-    if args.cost_checks:
-        checks = [c.strip() for c in args.cost_checks.split(",") if c.strip()]
-    use_profile = args.cost_profile != "none"
-    profile_path = args.cost_profile if use_profile else None
-    try:
-        report = cost.analyze_paths(
-            args.paths,
-            checks=checks,
-            profile_path=profile_path,
-            use_profile=use_profile,
-        )
-    except KeyError as exc:
-        print(f"simcost: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (LintError, SyntaxError) as exc:
-        print(f"simcost: {exc}", file=sys.stderr)
-        return 2
-    findings = report.findings
-    if args.write_baseline:
-        if not args.baseline:
-            print("simcost: --write-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        write_baseline(args.baseline, findings)
-        print(f"simcost: wrote {len(findings)} finding(s) to {args.baseline}")
-        return 0
-    baseline, code = _load_baseline_or_none(args)
-    if code is not None:
-        return code
-    suppressed = 0
-    if baseline is not None:
-        findings, suppressed = suppress(findings, baseline)
-    if args.format == "json":
-        payload = report.to_dict(top=args.cost_top)
-        payload["findings"] = [f.to_dict() for f in findings]
-        payload["count"] = len(findings)
-        payload["suppressed"] = suppressed
-        print(json.dumps(payload, indent=2))
-        return 1 if findings else 0
-    for finding in findings:
-        print(finding.format())
-    if findings:
-        print()
-    source = report.profile_source
-    print(
-        f"simcost: profile = {source}"
-        if source
-        else "simcost: no engine profile found, static-only ranking"
-    )
-    from repro.analysis.cost.rank import render_ranking
-
-    print(render_ranking(report.functions, args.cost_top))
-    if suppressed:
-        print(f"simcost: {suppressed} baselined finding(s) suppressed", file=sys.stderr)
-    if findings:
-        print(f"simcost: {len(findings)} finding(s)", file=sys.stderr)
-    return 1 if findings else 0
-
-
 def _run_race_check(args) -> int:
     from repro.analysis.perturb import check_all, scenario_names
 
@@ -326,9 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.flow:
         return _run_flow(args)
-
-    if args.cost:
-        return _run_cost(args)
 
     if args.race_check:
         return _run_race_check(args)

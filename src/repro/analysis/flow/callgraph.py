@@ -79,10 +79,6 @@ class ClassInfo:
     #: attribute name -> class reference string (from ``self.x = Cls(...)``
     #: or ``self.x = param`` with an annotated parameter).
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: the class body defines ``__slots__`` (or ``@dataclass(slots=True)``);
-    #: whether instances actually lack a ``__dict__`` additionally depends
-    #: on every base -- see :meth:`Program.is_slotted`.
-    slotted: bool = False
 
 
 @dataclass(frozen=True)
@@ -229,10 +225,6 @@ class ModuleIndex:
                 self._walk_scope(stmt, prefix=qual, cls=None, parent=qual)
                 self._collect_lambdas(stmt, qual)
             elif isinstance(stmt, ast.ClassDef) and cls is None and parent is None:
-                # Reuse the slots-hot-path rule's detection so the two
-                # layers can never disagree about what "slotted" means.
-                from repro.analysis.rules.slots_hot_path import _is_slotted
-
                 info = ClassInfo(
                     qualname=f"{prefix}.{stmt.name}",
                     name=stmt.name,
@@ -240,7 +232,6 @@ class ModuleIndex:
                     bases=[
                         r for r in (_annotation_ref(b) for b in stmt.bases) if r
                     ],
-                    slotted=_is_slotted(stmt),
                 )
                 self.classes[stmt.name] = info
                 self._walk_scope(
@@ -434,10 +425,6 @@ class Program:
         self.edges_from: Dict[str, List[CallSite]] = {}
         #: qualnames used as scheduled callbacks / generator processes.
         self.callback_roots: Set[str] = set()
-        #: root qualname -> scheduling kinds it was registered under
-        #: ("callback" | "timer" | "process") -- the event-mix buckets
-        #: the simcost profile-guided ranker joins against.
-        self.root_kinds: Dict[str, Set[str]] = {}
         self._build_edges()
 
     # -- construction -----------------------------------------------------
@@ -489,18 +476,14 @@ class Program:
             func.id if isinstance(func, ast.Name) else ""
         )
         target_expr: Optional[ast.AST] = None
-        kind = "callback"
         if attr in SCHEDULERS and len(node.args) >= 2:
             target_expr = node.args[1]
-            if attr == "schedule_timer":
-                kind = "timer"
         elif attr == "process" and node.args:
             gen = node.args[0]
             if isinstance(gen, ast.Call):  # sim.process(self._rx_proc())
                 target_expr = gen.func
             else:
                 target_expr = gen
-            kind = "process"
         if target_expr is None:
             return
         target = idx.resolve_callback(target_expr, fn)
@@ -509,7 +492,6 @@ class Program:
         if target is not None:
             self._add_edge(fn, target, node, "scheduled")
             self.callback_roots.add(target.qualname)
-            self.root_kinds.setdefault(target.qualname, set()).add(kind)
 
     def _local_types(self, idx: ModuleIndex, fn: FunctionInfo) -> Dict[str, str]:
         """name -> class reference for annotated params and
@@ -681,43 +663,6 @@ class Program:
                     return True
                 return idx.ctx.is_disabled(finding.rule, finding.line)
         return False
-
-    def index_for_path(self, path: str) -> Optional[ModuleIndex]:
-        for idx in self.indexes:
-            if idx.ctx.path == path:
-                return idx
-        return None
-
-    def is_slotted(self, cls_name: str, _seen: Optional[Set[str]] = None) -> Optional[bool]:
-        """Whether instances of the (unique) class named ``cls_name``
-        have no per-instance ``__dict__``.
-
-        ``True`` requires the class body *and every resolvable base* to
-        carry ``__slots__`` -- Python silently adds a ``__dict__`` when
-        any class in the MRO lacks slots.  ``False`` means a definition
-        was found without slots; ``None`` means unknown (class not in
-        the program, ambiguous bare name, or an unresolvable non-trivial
-        base such as an external mixin)."""
-        seen = _seen if _seen is not None else set()
-        bare = cls_name.rsplit(".", 1)[-1]
-        if bare in seen:
-            return True
-        seen.add(bare)
-        info = self._unique_class(bare)
-        if info is None:
-            return None
-        if not info.slotted:
-            return False
-        for base in info.bases:
-            base_bare = base.rsplit(".", 1)[-1]
-            if base_bare in ("object", "Generic", "Protocol"):
-                continue
-            base_ok = self.is_slotted(base_bare, seen)
-            if base_ok is None and base_bare.endswith(("Error", "Exception", "Warning")):
-                continue  # exception hierarchies are never hot-path state
-            if base_ok is not True:
-                return base_ok
-        return True
 
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """Qualnames reachable over call edges from ``roots``."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: method names treated as never-raising: the simulator's cost-charging
 #: generators / observability guards, plus total builtins — without
@@ -332,71 +332,3 @@ def build_cfg(fn_node: ast.AST) -> CFG:
     """Build the CFG of one function/lambda AST node."""
     return _Builder(fn_node).cfg
 
-
-def loop_depths(scope: ast.AST) -> Dict[int, int]:
-    """``id(node) -> loop-nesting depth`` for every AST node of one
-    function scope, without descending into nested function/class defs.
-
-    Depth counts *per-iteration* execution: a loop statement itself sits
-    at its enclosing depth, its body (and a ``while`` test, re-evaluated
-    each pass) one deeper.  Comprehensions count as a loop for their
-    element/condition expressions; the first generator's iterable is
-    evaluated once and stays at the enclosing depth.
-
-    A loop whose body ``yield``\\ s (a process main loop: one iteration
-    per awaited event) does NOT deepen -- its body is per-event work,
-    not per-event-amplified work.  Inner non-yielding loops still do.
-    This is the nesting index the simcost model exponentiates -- see
-    DESIGN.md §10.
-    """
-    depths: Dict[int, int] = {}
-
-    def yields_per_iteration(body: Sequence[ast.AST]) -> bool:
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return True
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-        return False
-
-    def visit(node: ast.AST, depth: int) -> None:
-        depths[id(node)] = depth
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-            return  # the def itself has a depth; its body is another scope
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            inner = depth if yields_per_iteration(node.body) else depth + 1
-            visit(node.iter, depth)
-            visit(node.target, inner)
-            for child in node.body + node.orelse:
-                visit(child, inner)
-            return
-        if isinstance(node, ast.While):
-            inner = depth if yields_per_iteration(node.body) else depth + 1
-            visit(node.test, inner)
-            for child in node.body + node.orelse:
-                visit(child, inner)
-            return
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            first = True
-            for gen in node.generators:
-                visit(gen.iter, depth if first else depth + 1)
-                visit(gen.target, depth + 1)
-                for cond in gen.ifs:
-                    visit(cond, depth + 1)
-                first = False
-            if isinstance(node, ast.DictComp):
-                visit(node.key, depth + 1)
-                visit(node.value, depth + 1)
-            else:
-                visit(node.elt, depth + 1)
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, depth)
-
-    body = scope.body if isinstance(scope.body, list) else [scope.body]
-    for stmt in body:
-        visit(stmt, 0)
-    return depths

@@ -68,7 +68,7 @@ def segment_pdu(payload: bytes, vci: int) -> List[Cell]:
     for i in range(n_cells):
         # The cells *are* the product of segmentation; one object per
         # wire cell is the modelled behaviour, not overhead.
-        cell = new(Cell)  # simcost: disable=cost-alloc
+        cell = new(Cell)
         cell.vci = vci
         cell.payload = cpcs[i * ATM_PAYLOAD_SIZE : (i + 1) * ATM_PAYLOAD_SIZE]
         cell.last = i == last

@@ -39,7 +39,7 @@ _PKG_ROOT = Path(__file__).resolve().parents[1]
 #: repository root (…/src/repro/bench/cache.py -> three levels up)
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: process-wide counters, reported by benchmarks/bench_perf.py
+#: process-wide hit/miss/store counters, read by the cache tests
 hits = 0
 misses = 0
 stores = 0

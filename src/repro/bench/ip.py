@@ -210,22 +210,9 @@ def udp_bandwidth(size: int, kind: str = "unet", n: Optional[int] = None,
     loses nothing (receiver resources govern, §7.3), the kernel path
     drops at the device output queue and the 52 KB socket buffer.
     """
-    world = _BUILDERS[kind]()
-    return udp_bandwidth_on(world, size, n=n, pace_us=pace_us)
-
-
-def udp_bandwidth_on(
-    world, size: int, n: Optional[int] = None, pace_us: float = 0.0
-) -> UdpBandwidthResult:
-    """:func:`udp_bandwidth`'s measurement phase on a booted world.
-
-    ``world`` is what a ``_BUILDERS`` entry returns: both stacks booted
-    and quiescent.  Checkpointed sweeps build the world once and fork a
-    clone per point; see :mod:`repro.bench.checkpoint`.
-    """
     if n is None:
         n = max(150, min(800, 1_600_000 // max(size, 200)))
-    sim, _net, stack_a, stack_b = world
+    sim, _net, stack_a, stack_b = _BUILDERS[kind]()
     sock_a = stack_a.udp_socket(5000)
     sock_b = stack_b.udp_socket(6000)
     payload = bytes(size)
@@ -264,10 +251,6 @@ def udp_bandwidth_on(
     )
 
 
-def _drops_of(stack):
-    return getattr(stack, "device", None)
-
-
 # ------------------------------------------------------------ TCP bandwidth
 def tcp_bandwidth(
     write_size: int,
@@ -279,31 +262,9 @@ def tcp_bandwidth(
 ) -> TcpBandwidthResult:
     """One-way TCP stream (Figure 8): the application writes
     ``write_size``-byte buffers as fast as the stack accepts them."""
-    world = _BUILDERS[kind]()
-    return tcp_bandwidth_on(
-        world, write_size, kind=kind, window=window,
-        total_bytes=total_bytes, mss=mss, delayed_ack=delayed_ack,
-    )
-
-
-def tcp_bandwidth_on(
-    world,
-    write_size: int,
-    kind: str = "unet",
-    window: Optional[int] = None,
-    total_bytes: Optional[int] = None,
-    mss: Optional[int] = None,
-    delayed_ack: Optional[bool] = None,
-) -> TcpBandwidthResult:
-    """:func:`tcp_bandwidth`'s measurement phase on a booted world.
-
-    ``kind`` still selects the config flavour (the kernel stack derives
-    its window from its socket-buffer model); it must match the builder
-    that produced ``world``.
-    """
     if total_bytes is None:
         total_bytes = 600_000
-    sim, _net, stack_a, stack_b = world
+    sim, _net, stack_a, stack_b = _BUILDERS[kind]()
     if kind == "unet":
         config = TcpConfig(window=window or 8192)
     else:

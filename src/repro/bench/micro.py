@@ -148,158 +148,6 @@ def raw_rtt(
     )
 
 
-def rtt_point_on(world, size: int, n: int = 4) -> RttResult:
-    """``n`` ping-pongs at ``size`` bytes against an existing pair.
-
-    The measurement phase of :func:`raw_rtt`, split out so checkpointed
-    sweeps can run many points against one warmed world.  Processes are
-    spawned fresh per call; the world must be quiescent (a previous
-    call's processes completed) when this is invoked.
-    """
-    sim, cluster, sa, sb, ch_a, ch_b = world
-    stats = StatSeries(name=f"rtt-{size}")
-    payload = bytes((i * 7 + 3) % 256 for i in range(size))
-
-    def pinger():
-        yield from sa.provide_receive_buffers(8)
-        if size <= SINGLE_CELL_MAX:
-            make = lambda: SendDescriptor(channel=ch_a.ident, inline=payload)
-        else:
-            offset = sa.alloc(size)
-            try:
-                yield from sa.write_segment(offset, payload)
-            except Exception:
-                sa.free(offset, size)
-                raise
-            make = lambda: SendDescriptor(
-                channel=ch_a.ident, bufs=((offset, size),)
-            )
-        for _ in range(n):
-            t0 = sim.now
-            yield from sa.send(make())
-            desc = yield from sa.recv()
-            stats.add(sim.now - t0)
-            _m = _metrics.active
-            if _m is not None:
-                _m.observe("rtt_us", sim.now - t0)
-            assert sa.peek_payload(desc) == payload
-            if not desc.is_inline:
-                yield from sa.repost_free(desc)
-
-    def ponger():
-        yield from sb.provide_receive_buffers(8)
-        for _ in range(n):
-            desc = yield from sb.recv()
-            yield from _echo_one(sb, ch_b.ident, desc)
-
-    sim.process(pinger(), name="pinger")
-    sim.process(ponger(), name="ponger")
-    sim.run(until=sim.now + 1e9)
-    if len(stats) != n:
-        raise RuntimeError(
-            f"ping-pong stalled: only {len(stats)}/{n} round trips completed"
-        )
-    return RttResult(
-        size=size, mean_us=stats.mean, min_us=stats.minimum,
-        samples=stats.samples,
-    )
-
-
-def warm_rtt_world(
-    warmup: int = 200,
-    size: int = 32,
-    ni_kind: str = "sba200",
-    mhz: float = 60.0,
-):
-    """Build a session pair and run ``warmup`` ping-pongs on it.
-
-    The returned world is the shared warmup prefix for a checkpointed
-    fig3-style sweep: every point forks a copy-on-write clone and runs
-    its own short measurement via :func:`rtt_point_on`.
-    """
-    world = _build_pair(ni_kind, mhz, True)
-    if warmup:
-        rtt_point_on(world, size, n=warmup)
-    return world
-
-
-def mixed_rtt(
-    n: int = 200,
-    sizes=(0, 16, 32, 48, 128, 256, 512, 1024),
-    jitter_us=(0.0, 11.0),
-    seed: int = 7,
-    ni_kind: str = "sba200",
-    mhz: float = 60.0,
-) -> RttResult:
-    """Mixed-size, jittered-arrival fig3 variant for tail statistics.
-
-    :func:`raw_rtt` pings one size back to back, so every sample lands
-    in the same histogram bucket and the reported percentiles
-    degenerate to p50 == p99 == p999 — a tail report with no tail.
-    This variant cycles through the fig3 size classes (single-cell
-    through 22-cell) with a seeded random think time between pings, so
-    the ``rtt_us`` distribution genuinely spreads and p999 > p50 is a
-    meaningful model property the perf gate can assert.
-    """
-    import random
-
-    rng = random.Random(seed)
-    order = [sizes[i % len(sizes)] for i in range(n)]
-    gaps = [rng.uniform(*jitter_us) for _ in range(n)]
-    sim, cluster, sa, sb, ch_a, ch_b = _build_pair(ni_kind, mhz, True)
-    stats = StatSeries(name="rtt-mixed")
-    payloads = {s: bytes((i * 7 + 3) % 256 for i in range(s)) for s in sizes}
-
-    def pinger():
-        yield from sa.provide_receive_buffers(8)
-        offsets = {}
-        for s in sorted({x for x in order if x > SINGLE_CELL_MAX}):
-            offset = sa.alloc(s)
-            try:
-                yield from sa.write_segment(offset, payloads[s])
-            except Exception:
-                sa.free(offset, s)
-                raise
-            offsets[s] = offset
-        for i, s in enumerate(order):
-            if gaps[i]:
-                yield sim.timeout(gaps[i])
-            t0 = sim.now
-            if s <= SINGLE_CELL_MAX:
-                desc_out = SendDescriptor(channel=ch_a.ident, inline=payloads[s])
-            else:
-                desc_out = SendDescriptor(
-                    channel=ch_a.ident, bufs=((offsets[s], s),)
-                )
-            yield from sa.send(desc_out)
-            desc = yield from sa.recv()
-            stats.add(sim.now - t0)
-            _m = _metrics.active
-            if _m is not None:
-                _m.observe("rtt_us", sim.now - t0)
-            assert sa.peek_payload(desc) == payloads[s]
-            if not desc.is_inline:
-                yield from sa.repost_free(desc)
-
-    def ponger():
-        yield from sb.provide_receive_buffers(8)
-        for _ in range(n):
-            desc = yield from sb.recv()
-            yield from _echo_one(sb, ch_b.ident, desc)
-
-    sim.process(pinger(), name="pinger")
-    sim.process(ponger(), name="ponger")
-    sim.run(until=1e9)
-    if len(stats) != n:
-        raise RuntimeError(
-            f"mixed ping-pong stalled: only {len(stats)}/{n} completed"
-        )
-    return RttResult(
-        size=-1, mean_us=stats.mean, min_us=stats.minimum,
-        samples=stats.samples,
-    )
-
-
 def raw_bandwidth(
     size: int,
     n: Optional[int] = None,
@@ -314,26 +162,12 @@ def raw_bandwidth(
     receive-buffer exhaustion and the measurement reflects the pipeline
     bottleneck (i960 per-packet cost vs. wire time).
     """
-    world = _build_pair(ni_kind, mhz, True)
-    return raw_bandwidth_on(world, size, n=n, window=window)
-
-
-def raw_bandwidth_on(
-    world, size: int, n: Optional[int] = None, window: int = 32
-) -> BandwidthResult:
-    """:func:`raw_bandwidth`'s measurement phase against an existing pair.
-
-    ``world`` is the tuple :func:`_build_pair` returns.  Splitting the
-    build from the measurement lets checkpointed sweeps
-    (:mod:`repro.bench.checkpoint`) construct the cluster once and run
-    every sweep point against a fork-cloned copy.
-    """
     if size <= 0:
         raise ValueError("message size must be positive")
     if n is None:
         # Enough messages that fixed start-up costs are amortized.
         n = max(60, min(400, 200_000 // max(size, 40)))
-    sim, cluster, sa, sb, ch_a, ch_b = world
+    sim, cluster, sa, sb, ch_a, ch_b = _build_pair(ni_kind, mhz, True)
     payload = bytes((i * 13 + 5) % 256 for i in range(size))
     # Large messages span several 4160-byte receive buffers; shrink the
     # window so the outstanding data always has buffers waiting and the

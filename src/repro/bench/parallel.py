@@ -65,34 +65,6 @@ def sweep_workers() -> int:
     return min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
 
 
-def fork_available() -> bool:
-    """True when ``os.fork`` exists and is not vetoed by the sandbox.
-
-    Checkpointed sweeps (:mod:`repro.bench.checkpoint`) clone a warmed
-    simulation per point with a real fork — copy-on-write is the whole
-    trick, a spawn-based pool cannot substitute.  Probed once per
-    process: some sandboxes expose ``os.fork`` but fail it at call time.
-    """
-    global _fork_probe
-    if _fork_probe is None:
-        if not hasattr(os, "fork"):
-            _fork_probe = False
-        else:
-            try:
-                pid = os.fork()
-            except OSError:
-                _fork_probe = False
-            else:
-                if pid == 0:  # pragma: no cover - child exits immediately
-                    os._exit(0)
-                os.waitpid(pid, 0)
-                _fork_probe = True
-    return _fork_probe
-
-
-_fork_probe: Optional[bool] = None
-
-
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
     return [fn(item) for item in chunk]
 

@@ -204,7 +204,7 @@ class EmulatedUNet:
             take = min(free.length, remaining)
             emu.segment.write(free.offset, payload[cursor : cursor + take])
             # The scatter list itself is the product of this helper.
-            used.append((free.offset, take))  # simcost: disable=cost-alloc
+            used.append((free.offset, take))
             cursor += take
             remaining -= take
         ok = emu.deliver(
@@ -220,5 +220,5 @@ class EmulatedUNet:
                 # Re-posting a free descriptor per buffer is the modelled
                 # kernel behaviour (descriptors are owned by the queue).
                 self.real.post_free(
-                    FreeDescriptor(offset, self.KERNEL_BUFFER), KERNEL_OWNER  # simcost: disable=cost-alloc
+                    FreeDescriptor(offset, self.KERNEL_BUFFER), KERNEL_OWNER
                 )

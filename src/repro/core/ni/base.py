@@ -143,7 +143,7 @@ class NetworkInterface:
             take = min(free.length, remaining)
             endpoint.segment.write(free.offset, payload[cursor : cursor + take])
             # The scatter list itself is the product of this helper.
-            used.append((free.offset, take))  # simcost: disable=cost-alloc
+            used.append((free.offset, take))
             cursor += take
             remaining -= take
         desc = RecvDescriptor(

@@ -194,7 +194,7 @@ class SpanCollector:
         return out
 
     def engine_profile(self) -> Dict[str, Any]:
-        """Engine self-profiling summary for BENCH_perf.json / reports."""
+        """Engine self-profiling summary for the obs reports and exports."""
         return {
             "entries_scheduled": self.entries_scheduled,
             "executed_callbacks": self.executed_callbacks,

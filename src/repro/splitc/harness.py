@@ -44,7 +44,7 @@ def _execute(sim, transport, app: Callable, nprocs: int, label: str,
         t_window.setdefault("t0", sc.sim.now)
         t_start = sc.sim.now
         # Generic dispatch into the app body, once per PE for the whole run.
-        out = yield from app(sc, **params)  # simcost: disable=cost-kwargs-call
+        out = yield from app(sc, **params)
         yield from sc.barrier()
         sc.timings.total_us = sc.sim.now - t_start
         t_window["t1"] = sc.sim.now

@@ -155,9 +155,12 @@ class UNetTransport:
         self._rank_of_channel: List[Dict[int, int]] = [dict() for _ in range(nprocs)]
         self._channel_to: List[Dict[int, int]] = [dict() for _ in range(nprocs)]
         cfg = UamConfig(window=window, memory_size=(nprocs + 1) * self.STAGE_BYTES)
+        # UAM.open_channel preallocates 3 * window buffers per peer: w
+        # transmit slots plus 2w receive buffers on the free queue.
+        segment_size = (nprocs - 1) * 3 * window * cfg.buffer_size
         for rank, name in enumerate(names):
             session = cluster.open_session(
-                name, f"splitc-{rank}", segment_size=512 * 1024,
+                name, f"splitc-{rank}", segment_size=segment_size,
                 send_ring=128, recv_ring=128, free_ring=128,
             )
             self.sessions.append(session)

@@ -82,6 +82,12 @@ class TestFullStackValidation:
         )
         assert result.verified
 
+    def test_sample_sort_over_unet_at_eight_ranks(self):
+        # every rank preallocates 3w UAM buffers per peer, so the
+        # segment must grow with the rank count
+        result = run_on_unet_cluster(sample_sort, nprocs=8, n_per_proc=64)
+        assert result.verified
+
     def test_cg_over_unet(self):
         result = run_on_unet_cluster(
             conjugate_gradient, nprocs=4, m=16, iterations=6
