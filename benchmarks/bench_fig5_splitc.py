@@ -8,20 +8,33 @@ per-message overhead; overall the ATM cluster is roughly equivalent to
 the Meiko CS-2.
 """
 
-from repro.bench import Table
+from repro.bench import Table, parallel_map
 from repro.splitc.apps import FIGURE5_SUITE
 from repro.splitc.harness import run_on_machine
 from repro.splitc.machines import ATM_CLUSTER, CM5, MEIKO_CS2
 
 NPROCS = 8
+MACHINES = (CM5, ATM_CLUSTER, MEIKO_CS2)
+_APPS = {label: (app, params) for label, app, params in FIGURE5_SUITE}
+_MACHINES = {machine.name: machine for machine in MACHINES}
+
+
+def _point(item):
+    label, machine_name = item
+    app, params = _APPS[label]
+    return run_on_machine(
+        _MACHINES[machine_name], app, nprocs=NPROCS, label=label, **params
+    )
 
 
 def run_suite():
+    items = [(label, m.name) for label, _, _ in FIGURE5_SUITE for m in MACHINES]
+    results = dict(zip(items, parallel_map(_point, items)))
     rows = []
-    for label, app, params in FIGURE5_SUITE:
+    for label, _, _ in FIGURE5_SUITE:
         per_machine = {}
-        for machine in (CM5, ATM_CLUSTER, MEIKO_CS2):
-            result = run_on_machine(machine, app, nprocs=NPROCS, label=label, **params)
+        for machine in MACHINES:
+            result = results[(label, machine.name)]
             assert result.verified, f"{label} wrong on {machine.name}"
             per_machine[machine.name] = result
         rows.append((label, per_machine))

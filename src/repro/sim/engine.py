@@ -262,7 +262,7 @@ class Process(Event):
                 event._defused = True
                 next_event = self._throw(event._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._exit(stop.value)
             return
         except BaseException as exc:
             self.fail(exc)
@@ -274,7 +274,7 @@ class Process(Event):
             try:
                 self._throw(exc)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._exit(stop.value)
             except BaseException as exc2:
                 self.fail(exc2)
             return
@@ -288,6 +288,23 @@ class Process(Event):
             self.sim._schedule(stub, 0.0)
         else:
             next_event.callbacks.append(self._resume)
+
+    def _exit(self, value: Any) -> None:
+        """Finish successfully with ``value``.
+
+        With no callback attached the exit entry would do nothing when
+        popped, so none is scheduled: the process is marked processed on
+        the spot.  Dropping an entry leaves the ``(when, seq)`` order of
+        every other entry unchanged, and a later ``yield`` of this
+        process resumes through the already-processed stub path.  A
+        failed exit is always scheduled: popping it is what surfaces an
+        unhandled exception."""
+        if self.callbacks:
+            self.succeed(value)
+        else:
+            self._ok = True
+            self._value = value
+            self.callbacks = None
 
 
 class _Condition(Event):

@@ -7,7 +7,7 @@ from collections import deque
 from typing import Any, Deque, List, Optional
 
 from repro.sim import engine as _engine
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, Timeout
 
 
 class Store:
@@ -119,6 +119,8 @@ class Resource:
             yield sim.timeout(cost)
         finally:
             resource.release(req)
+
+    or, for a plain timed hold, ``yield from resource.use(cost)``.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_queue", "_seq")
@@ -130,7 +132,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: List[tuple] = []  # heap of (priority, seq, event)
+        # heap of (priority, seq, event, duration); duration is None for
+        # a request() waiter and the hold time for a use() waiter
+        self._queue: List[tuple] = []
         self._seq = 0
 
     @property
@@ -153,7 +157,7 @@ class Resource:
             event.succeed()
         else:
             self._seq += 1
-            heapq.heappush(self._queue, (priority, self._seq, event))
+            heapq.heappush(self._queue, (priority, self._seq, event, None))
         return event
 
     def release(self, request: Event) -> None:
@@ -176,30 +180,49 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release on idle resource {self.name!r}")
         if self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            event.succeed()
+            _, _, event, duration = heapq.heappop(self._queue)
+            if duration is None:
+                event.succeed()
+            else:
+                # Hand over to a use() waiter: a bare callback now, in
+                # the slot a wake-up event would take, starts its hold
+                # timer, so the waiter resumes once, at the end of it.
+                self.sim.schedule_callback(0.0, event.succeed, None, duration)
         else:
             self._in_use -= 1
 
     def use(self, duration: float, priority: int = 0):
         """Generator helper: hold the resource for ``duration``.
 
-        When the resource is free the request phase is skipped entirely
-        (it would succeed at the current instant anyway): one timeout is
-        the only scheduled occurrence.  Contended acquisitions take the
-        full FIFO request path."""
+        A free resource is taken at once and one timeout is the only
+        scheduled occurrence.  A contended one queues a grant event that
+        fires at the end of the hold (see ``_release_held``).  An
+        interrupt leaves the queue, or releases a granted hold."""
         if self._in_use < self.capacity and not self._queue:
             if _engine.access_hook is not None:
                 _engine.access_hook(id(self), f"res:{self.name}", "w")
             self._in_use += 1
             try:
-                yield self.sim.timeout(duration)
+                yield Timeout(self.sim, duration)
             finally:
                 self._release_held()
-        else:
-            request = self.request(priority)
-            yield request
+            return
+        if duration < 0:
+            raise ValueError(f"negative hold duration: {duration}")
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(self), f"res:{self.name}", "w")
+        grant = Event(self.sim)
+        self._seq += 1
+        entry = (priority, self._seq, grant, duration)
+        heapq.heappush(self._queue, entry)
+        try:
+            yield grant
+        except BaseException:
             try:
-                yield self.sim.timeout(duration)
-            finally:
-                self.release(request)
+                self._queue.remove(entry)
+            except ValueError:
+                self._release_held()  # granted: this waiter holds it
+            else:
+                heapq.heapify(self._queue)
+            raise
+        self._release_held()

@@ -12,7 +12,8 @@ import struct
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim import AnyOf, Event, Resource, Simulator, Store
+from repro.sim import AnyOf, Event, Resource, Simulator
+from repro.sim import engine as _engine
 from repro.splitc.machines import MachineSpec
 
 #: message callback: (src_rank, raw_bytes) -> generator
@@ -47,7 +48,11 @@ class ModelTransport:
         self.machine = machine
         self.nprocs = nprocs
         self.cpus = [Resource(sim, 1, name=f"pe{r}.cpu") for r in range(nprocs)]
-        self._nic_out: List[Store] = [Store(sim) for _ in range(nprocs)]
+        #: per-sender NIC: messages waiting behind the one in flight
+        self._nic_queue: List[Deque[Tuple[int, bytes, int]]] = [
+            deque() for _ in range(nprocs)
+        ]
+        self._nic_busy = [False] * nprocs
         self._handlers: Dict[int, MessageHandler] = {}
         #: per-receiver: arrival instant -> [(src, send seq, data), ...]
         self._arrivals: List[Dict[float, List[Tuple[int, int, bytes]]]] = [
@@ -56,8 +61,6 @@ class ModelTransport:
         self._arrival_seq = 0
         self.messages = 0
         self.bulk_bytes = 0
-        for rank in range(nprocs):
-            sim.process(self._nic_pump(rank), name=f"pe{rank}.nic")
 
     def attach(self, rank: int, handler: MessageHandler) -> None:
         self._handlers[rank] = handler
@@ -67,23 +70,52 @@ class ModelTransport:
         """Small Active Message: sender busy for one overhead."""
         yield from self.cpus[src].use(self.machine.overhead_us)
         self.messages += 1
-        self._nic_out[src].try_put((dst, data, 0))
+        self._nic_put(src, (dst, data, 0))
 
     def send_bulk(self, src: int, dst: int, data: bytes):
         """Bulk transfer: sender overhead, then the NIC streams it."""
         yield from self.cpus[src].use(self.machine.overhead_us)
         self.messages += 1
         self.bulk_bytes += len(data)
-        self._nic_out[src].try_put((dst, data, len(data)))
+        self._nic_put(src, (dst, data, len(data)))
 
     # -- internals ---------------------------------------------------------
-    def _nic_pump(self, rank: int):
-        while True:
-            dst, data, bulk_bytes = yield self._nic_out[rank].get()
-            if bulk_bytes:
-                # serialization onto the network at machine bandwidth
-                yield self.sim.timeout(self.machine.bulk_wire_us(bulk_bytes))
-            self._post(rank, dst, data)
+    # Each sender's NIC is a callback state machine: an idle NIC takes a
+    # message in a zero-delay step, a bulk message then streams for its
+    # wire time, and the next queued message starts in another
+    # zero-delay step once the previous one is posted.  The zero-delay
+    # steps are deliberate: they put each post, and so every same-instant
+    # tie, in the (when, seq) slot of a process blocking on a FIFO store.
+    def _nic_put(self, rank: int, item: Tuple[int, bytes, int]) -> None:
+        queue = self._nic_queue[rank]
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(queue), f"nic:pe{rank}", "w")
+        if self._nic_busy[rank]:
+            queue.append(item)
+        else:
+            self._nic_busy[rank] = True
+            self.sim.schedule_callback(0.0, self._nic_start, rank, item)
+
+    def _nic_start(self, rank: int, item: Tuple[int, bytes, int]) -> None:
+        dst, data, bulk_bytes = item
+        if bulk_bytes:
+            # serialization onto the network at machine bandwidth
+            self.sim.schedule_callback(
+                self.machine.bulk_wire_us(bulk_bytes),
+                self._nic_done, rank, dst, data,
+            )
+        else:
+            self._nic_done(rank, dst, data)
+
+    def _nic_done(self, rank: int, dst: int, data: bytes) -> None:
+        self._post(rank, dst, data)
+        queue = self._nic_queue[rank]
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(queue), f"nic:pe{rank}", "w")
+        if queue:
+            self.sim.schedule_callback(0.0, self._nic_start, rank, queue.popleft())
+        else:
+            self._nic_busy[rank] = False
 
     def _post(self, src: int, dst: int, data: bytes) -> None:
         """Register an arrival one wire latency from now.

@@ -598,3 +598,80 @@ class TestConditionsOverProcessedEvents:
         p = sim.process(waiter())
         sim.run()
         assert p.value == {e1: "a", e2: "b"}
+
+
+class TestProcessExit:
+    def test_attached_waiter_resumes_at_exit_entry_position(self):
+        """The exit entry of an observed process is scheduled when it
+        ends: same-instant entries scheduled before it run first, later
+        ones after it."""
+        sim = Simulator()
+        log = []
+
+        def child():
+            yield sim.timeout(5.0)
+            return "v"
+
+        def parent(c):
+            value = yield c
+            log.append(("parent", value))
+
+        def bystander():
+            yield sim.timeout(5.0)
+            log.append("bystander")
+            yield sim.timeout(0.0)
+            log.append("bystander again")
+
+        c = sim.process(child())
+        sim.process(parent(c))
+        sim.process(bystander())
+        sim.run()
+        assert log == ["bystander", ("parent", "v"), "bystander again"]
+
+    @pytest.mark.parametrize("delay", [0.0, 4.0])
+    def test_yield_after_exit_resumes_with_return_value(self, delay):
+        sim = Simulator()
+
+        def child():
+            yield sim.timeout(5.0)
+            return "v"
+
+        c = sim.process(child())
+
+        def late():
+            yield sim.timeout(5.0 + delay)
+            assert c.processed
+            value = yield c
+            return (sim.now, value)
+
+        p = sim.process(late())
+        sim.run()
+        assert p.value == (5.0 + delay, "v")
+
+    def test_unobserved_exit_schedules_nothing(self):
+        def run(observed):
+            sim = Simulator()
+
+            def proc():
+                yield sim.timeout(1.0)
+                return 3
+
+            p = sim.process(proc())
+            if observed:
+                p.callbacks.append(lambda event: None)
+            sim.run()
+            assert p.value == 3 and p.processed
+            return sim.events_processed
+
+        assert run(observed=False) == run(observed=True) - 1
+
+    def test_unobserved_failure_still_surfaces(self):
+        sim = Simulator()
+
+        def proc():
+            yield sim.timeout(1.0)
+            raise KeyError("lost")
+
+        sim.process(proc())
+        with pytest.raises(KeyError):
+            sim.run()

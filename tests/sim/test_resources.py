@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, Simulator, SimulationError, Store
+from repro.sim import Interrupt, Resource, Simulator, SimulationError, Store
 
 
 class TestStore:
@@ -217,3 +217,188 @@ class TestResource:
             sim.run()  # the Interrupt escapes dier
         sim.run()
         assert f.value == 7.0
+
+
+def reference_use(res, duration, priority=0):
+    """``Resource.use`` as it was before the contended hand-off: a free
+    resource is taken at once; a contended one is a request event, a
+    wake-up at grant time, then a timeout for the hold."""
+    if res.in_use < res.capacity and not res.queued:
+        res._in_use += 1
+        try:
+            yield res.sim.timeout(duration)
+        finally:
+            res._release_held()
+    else:
+        request = res.request(priority)
+        yield request
+        try:
+            yield res.sim.timeout(duration)
+        finally:
+            res.release(request)
+
+
+def _contention_log(use, seed, capacity):
+    """Workers with tied arrival times and durations, some using
+    ``use(...)`` and some ``request(priority=-1)``, plus observers that
+    log the resource state at every instant a hold can start or end.
+    Same-instant entries log in (when, seq) order, so equal logs mean
+    equal grant order and equal tie order."""
+    import random
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    log = []
+
+    def user(tag, arrive, duration, priority):
+        yield sim.timeout(arrive)
+        log.append((sim.now, tag, "arrive"))
+        yield from use(res, duration, priority)
+        log.append((sim.now, tag, "done"))
+
+    def requester(tag, arrive, duration):
+        yield sim.timeout(arrive)
+        req = res.request(priority=-1)
+        yield req
+        log.append((sim.now, tag, "granted"))
+        yield sim.timeout(duration)
+        res.release(req)
+        log.append((sim.now, tag, "done"))
+
+    def observer(tag, at):
+        yield sim.timeout(at)
+        log.append((sim.now, tag, res.in_use, res.queued))
+
+    for i in range(12):
+        arrive = rng.choice([0.0, 0.0, 1.0, 2.0, 4.0])
+        duration = rng.choice([0.0, 1.0, 2.0, 2.0, 3.0])
+        if rng.random() < 0.25:
+            sim.process(requester(f"r{i}", arrive, duration))
+        else:
+            sim.process(user(f"u{i}", arrive, duration, rng.choice([0, 0, 1])))
+        sim.process(observer(f"o{i}", float(rng.randrange(12))))
+    sim.run()
+    return log, sim.now, sim.events_processed
+
+
+class TestContendedUse:
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_request_release_path(self, seed, capacity):
+        def use(res, duration, priority):
+            return res.use(duration, priority)
+
+        assert _contention_log(use, seed, capacity) == _contention_log(
+            reference_use, seed, capacity
+        )
+
+    def test_mixed_queue_serves_priority_first(self):
+        sim = Simulator()
+        res = Resource(sim)
+        order = []
+
+        def holder():
+            yield from res.use(5.0)
+
+        def user(tag):
+            yield from res.use(1.0)
+            order.append((sim.now, tag))
+
+        def urgent():
+            req = res.request(priority=-1)
+            yield req
+            order.append((sim.now, "urgent"))
+            res.release(req)
+
+        sim.process(holder())
+        sim.process(user("u1"))
+        sim.process(urgent())
+        sim.process(user("u2"))
+        sim.run()
+        assert order == [(5.0, "urgent"), (6.0, "u1"), (7.0, "u2")]
+
+    def test_interrupt_while_queued_leaves_queue(self):
+        sim = Simulator()
+        res = Resource(sim)
+        seen = {}
+
+        def holder():
+            yield from res.use(10.0)
+
+        def waiter():
+            try:
+                yield from res.use(5.0)
+            except Interrupt:
+                seen["queued_after"] = res.queued
+                return "gave up"
+
+        def follower():
+            yield sim.timeout(3.0)
+            yield from res.use(1.0)
+            return sim.now
+
+        sim.process(holder())
+        w = sim.process(waiter())
+
+        def interrupter():
+            yield sim.timeout(2.0)
+            w.interrupt()
+
+        sim.process(interrupter())
+        f = sim.process(follower())
+        sim.run()
+        assert w.value == "gave up"
+        assert seen["queued_after"] == 0
+        assert f.value == 11.0  # served right after the holder
+        assert (res.in_use, res.queued) == (0, 0)
+
+    @pytest.mark.parametrize("at", [10.0, 15.0])
+    def test_interrupt_while_holding_releases(self, at):
+        """Interrupted at the grant instant or mid-hold, a contended
+        waiter releases the resource to the next in line."""
+        sim = Simulator()
+        res = Resource(sim)
+
+        def holder():
+            yield from res.use(10.0)
+
+        def victim():
+            try:
+                yield from res.use(10.0)
+            except Interrupt:
+                return sim.now
+
+        def follower():
+            yield sim.timeout(1.0)
+            yield from res.use(1.0)
+            return sim.now
+
+        sim.process(holder())
+        v = sim.process(victim())
+        f = sim.process(follower())
+
+        def interrupter():
+            yield sim.timeout(at)
+            v.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        assert v.value == at
+        assert f.value == at + 1.0
+        assert (res.in_use, res.queued) == (0, 0)
+
+    def test_negative_contended_duration_rejected(self):
+        sim = Simulator()
+        res = Resource(sim)
+
+        def holder():
+            yield from res.use(1.0)
+
+        def bad():
+            yield from res.use(-1.0)
+
+        sim.process(holder())
+        sim.process(bad())
+        with pytest.raises(ValueError):
+            sim.run()

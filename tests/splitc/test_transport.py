@@ -171,3 +171,33 @@ class TestUNetTransport:
         cluster = UNetCluster.pair(sim)
         with pytest.raises(ValueError):
             UNetTransport(cluster, nprocs=3)
+
+
+class TestModelTransportScheduling:
+    def test_fresh_transport_schedules_nothing(self):
+        sim = Simulator()
+        ModelTransport(sim, CM5, 4)
+        assert sim.peek() == float("inf")
+
+    def test_small_exchange_entry_count(self):
+        """One small send and one bulk send, and a bulk reply.  The
+        count pins the NIC callbacks and the dropped exits of the
+        delivery processes; a process per message would add entries."""
+        sim = Simulator()
+        tp = ModelTransport(sim, CM5, 2)
+        hits = []
+        collect(sim, tp, 0, hits)
+
+        def reply(src, data):
+            yield from tp.send_bulk(1, 0, data * 2)
+
+        tp.attach(1, reply)
+
+        def sender():
+            yield from tp.send(0, 1, b"ab")
+            yield from tp.send_bulk(0, 1, bytes(1000))
+
+        sim.process(sender())
+        sim.run()
+        assert [(t, len(d)) for t, _, d in hits] == [(18.4, 4), (321.0, 2000)]
+        assert sim.events_processed == 24
