@@ -1,19 +1,25 @@
 """repro.analysis: static analysis + runtime invariants for the simulator.
 
-Three sub-systems (ISSUE 2):
+Three sub-systems:
 
-* **simlint** (:mod:`repro.analysis.linter`, :mod:`repro.analysis.rules`)
-  -- an AST-based lint pass with repo-specific rules: simulated time
-  only, seeded randomness, no ``x or Default()`` collaborator fallbacks,
+* **static analysis** -- one pass, ``python -m repro.analysis PATHS``
+  (:func:`repro.analysis.flow.analyze_paths`).  Every file is parsed
+  once; the simlint rules (:mod:`repro.analysis.linter`,
+  :mod:`repro.analysis.rules`) check each file: simulated time only,
+  seeded randomness, no ``x or Default()`` collaborator fallbacks,
   engine yield discipline, ``schedule_callback`` arity, deterministic
   iteration, ``__slots__`` on hot paths, no silent exception drops.
-  Run with ``python -m repro.analysis src/``.
+  The simflow checks (:mod:`repro.analysis.flow`) then run over the
+  whole-repo call graph: U-Net API typestate on every path and
+  interprocedural determinism.
 * **sanitizers** (:mod:`repro.analysis.sanitize`) -- runtime ownership
   and queue-invariant checking for communication segments and
   descriptor rings, armed by ``REPRO_SANITIZE=1``.
-* **determinism harness** (:mod:`repro.analysis.determinism`) -- runs a
-  benchmark twice under different ``PYTHONHASHSEED`` values and diffs
-  the complete event traces (``python -m repro.analysis --determinism``).
+* **race check** (:mod:`repro.analysis.race`,
+  :mod:`repro.analysis.perturb`) -- the dynamic schedule-order race
+  detector, and a harness that re-runs figure scenarios under other
+  same-timestamp tie orders and another ``PYTHONHASHSEED`` and diffs
+  the results (``python -m repro.analysis --race-check NAMES``).
 
 This ``__init__`` stays import-light: the core data path imports
 :mod:`repro.analysis.sanitize` through here, so the linter machinery
@@ -43,13 +49,11 @@ _LAZY = {
     "Violation": "repro.analysis.linter",
     "iter_python_files": "repro.analysis.linter",
     "lint_file": "repro.analysis.linter",
-    "lint_paths": "repro.analysis.linter",
+    "analyze_paths": "repro.analysis.flow",
     "Rule": "repro.analysis.rules",
     "all_rules": "repro.analysis.rules",
     "get_rules": "repro.analysis.rules",
     "register": "repro.analysis.rules",
-    "run_ab": "repro.analysis.determinism",
-    "trace_run": "repro.analysis.determinism",
     "RaceFinding": "repro.analysis.race",
     "RaceReport": "repro.analysis.race",
     "RaceTracker": "repro.analysis.race",

@@ -1,7 +1,8 @@
-"""simflow: interprocedural typestate + determinism verification.
+"""simflow: interprocedural typestate + determinism verification, and
+the one static-analysis pass that runs it alongside simlint.
 
-Where simlint (:mod:`repro.analysis.rules`) inspects one file at a
-time with syntactic rules, simflow builds a whole-repo view:
+Where a simlint rule (:mod:`repro.analysis.rules`) inspects one file
+at a time, simflow builds a whole-repo view:
 
 * a module-level **call graph** (:mod:`.callgraph`) with alias-aware
   resolution of ``self`` methods, imported functions, and
@@ -15,21 +16,19 @@ and two clients on top:
 * **typestate checking** (:mod:`.typestate` / :mod:`.specs`): the
   alloc→write→post→free protocols of the U-Net API (communication
   segment buffers, receive descriptors, endpoints, timer handles),
-  proven on *all* paths — including the exception edges the PR-2
-  runtime sanitizers only see when a scenario happens to take them;
+  proven on *all* paths — including the exception edges the runtime
+  sanitizers only see when a scenario happens to take them;
 * **determinism inference** (:mod:`.purity`): a purity lattice
-  (sim-pure < seeded-stochastic < nondeterministic) propagated over
-  the call graph, making the wall-clock / unseeded-random /
-  unordered-iter rules interprocedural.
+  (sim-pure < seeded-stochastic < nondeterministic) seeded from the
+  wall-clock / unseeded-random / unordered-iter rules and propagated
+  over the call graph, reporting only the interprocedural sites those
+  rules cannot see.
 
-Entry point: ``python -m repro.analysis --flow`` (see
-:mod:`repro.analysis.cli`), or :func:`analyze_paths` from code.
-
-Escape hatches mirror simlint: ``# simflow: disable=<rule>`` on the
-finding line, ``# simflow: disable-file=<rule>`` anywhere in the file,
-and the simlint disables for the syntactic determinism rules are
-honoured too (a ``# simlint: disable=wall-clock`` site never poisons
-the purity lattice).
+:func:`analyze_paths` is the whole pass behind ``python -m
+repro.analysis``: every file is parsed once into the :class:`Program`,
+each rule runs on each file's context, then the two clients run over
+the graph.  Rules and clients share one :class:`Violation` record and
+the ``# simlint: disable[-file]=<name>`` comments.
 """
 
 from __future__ import annotations
@@ -37,37 +36,61 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis.flow.callgraph import Program
-from repro.analysis.flow.report import Finding
+from repro.analysis.linter import Violation, check_context
+from repro.analysis.rules import all_rules, get_rules
 
-#: the registered client checks, in report order.
-CHECKS = ("typestate", "determinism")
+#: the flow client checks, in report order, with their descriptions.
+CHECKS = {
+    "typestate": (
+        "U-Net API protocols (segment buffers, receive descriptors, "
+        "endpoints, timer handles) hold on every path, exception edges "
+        "included"
+    ),
+    "determinism": (
+        "event-callback-reachable code must not call (transitively) "
+        "nondeterministic functions"
+    ),
+}
+
+
+def check_names() -> List[str]:
+    """Every selectable name: the simlint rules, then the flow checks."""
+    return [rule.name for rule in all_rules()] + list(CHECKS)
 
 
 def analyze_program(
-    program: Program, checks: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Run the selected client checks over an indexed :class:`Program`."""
+    program: Program, names: Optional[Sequence[str]] = None
+) -> List[Violation]:
+    """Run the selected rules and flow checks (default: all) over an
+    indexed :class:`Program`; unknown names raise KeyError."""
     from repro.analysis.flow import purity, typestate
 
-    selected = tuple(checks) if checks else CHECKS
-    unknown = [c for c in selected if c not in CHECKS]
+    known = check_names()
+    selected = list(names) if names else known
+    unknown = [name for name in selected if name not in known]
     if unknown:
         raise KeyError(
-            f"unknown flow check(s) {', '.join(unknown)} "
-            f"(known: {', '.join(CHECKS)})"
+            f"unknown check(s) {', '.join(unknown)} (known: {', '.join(known)})"
         )
-    findings: List[Finding] = []
+    rules = get_rules([name for name in selected if name not in CHECKS])
+    found: List[Violation] = []
+    for index in program.indexes:
+        found.extend(check_context(index.ctx, rules))
+    flow: List[Violation] = []
     if "typestate" in selected:
-        findings.extend(typestate.check_program(program))
+        flow.extend(typestate.check_program(program))
     if "determinism" in selected:
-        findings.extend(purity.check_program(program))
-    findings = [f for f in findings if not program.is_disabled(f)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+        flow.extend(purity.check_program(program))
+    contexts = {index.ctx.path: index.ctx for index in program.indexes}
+    found.extend(
+        f for f in flow if not contexts[f.path].is_disabled(f.rule, f.line)
+    )
+    found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return found
 
 
 def analyze_paths(
-    paths: Iterable[str], checks: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Index every python file under ``paths`` and run the checks."""
-    return analyze_program(Program.from_paths(paths), checks)
+    paths: Iterable[str], names: Optional[Sequence[str]] = None
+) -> List[Violation]:
+    """Index every python file under ``paths`` and run the pass."""
+    return analyze_program(Program.from_paths(paths), names)

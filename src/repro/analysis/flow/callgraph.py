@@ -7,9 +7,10 @@ Two layers:
   chain, per-scope local names, class attribute types inferred from
   ``self.x = ClassName(...)`` / annotated parameters, and resolution
   of callback references (``self.method``, nested functions, module
-  functions, aliases).  The migrated simlint rule
-  (``schedule-shared-state``) runs on this layer alone, keeping its
-  per-file semantics.
+  functions, aliases).  Each file gets one index
+  (``FileContext.index``), shared by the flow checks and the simlint
+  rule ``schedule-shared-state``, which runs on this layer alone and
+  keeps its per-file semantics.
 
 * :class:`Program` — the whole-repo graph: ModuleIndexes for every
   file, cross-module import resolution, call edges (plain calls and
@@ -27,19 +28,13 @@ pure", except where documented (see DESIGN.md §9 known unsoundness).
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.analysis.linter import FileContext, LintError, iter_python_files
+from repro.analysis.linter import FileContext, iter_python_files, read_context
 
 #: scheduling entry points whose second argument is an event callback.
 SCHEDULERS = ("schedule_callback", "schedule_callback_at", "schedule_timer")
-
-_FLOW_DISABLE_RE = re.compile(
-    r"#\s*simflow:\s*(disable-file|disable)"
-    r"\s*(?:=\s*([\w-]+(?:\s*,\s*[\w-]+)*))?"
-)
 
 
 @dataclass
@@ -155,36 +150,7 @@ class ModuleIndex:
         self.by_node: Dict[int, FunctionInfo] = {}
         #: module-level function name -> qualname
         self.module_functions: Dict[str, str] = {}
-        #: simflow disable comments (mirrors simlint's in FileContext)
-        self.flow_disabled_lines: Dict[int, Set[str]] = {}
-        self.flow_disabled_file: Set[str] = set()
-        self._scan_flow_disables()
         self._index()
-
-    # -- disable comments -------------------------------------------------
-    def _scan_flow_disables(self) -> None:
-        for lineno, text in enumerate(self.ctx.lines, start=1):
-            if "simflow" not in text:
-                continue
-            match = _FLOW_DISABLE_RE.search(text)
-            if not match:
-                continue
-            kind, names = match.group(1), match.group(2)
-            rules = (
-                {n.strip() for n in names.split(",") if n.strip()}
-                if names
-                else {"*"}
-            )
-            if kind == "disable-file":
-                self.flow_disabled_file |= rules
-            else:
-                self.flow_disabled_lines.setdefault(lineno, set()).update(rules)
-
-    def is_disabled(self, rule: str, line: int) -> bool:
-        if "*" in self.flow_disabled_file or rule in self.flow_disabled_file:
-            return True
-        on_line = self.flow_disabled_lines.get(line, ())
-        return "*" in on_line or rule in on_line
 
     # -- indexing ---------------------------------------------------------
     def _index(self) -> None:
@@ -430,15 +396,7 @@ class Program:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_paths(cls, paths: Iterable[str]) -> "Program":
-        indexes = []
-        for path in iter_python_files(paths):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                raise LintError(f"{path}: {exc}") from exc
-            indexes.append(ModuleIndex(FileContext(path, source)))
-        return cls(indexes)
+        return cls([read_context(path).index for path in iter_python_files(paths)])
 
     def _build_edges(self) -> None:
         for idx in self.indexes:
@@ -654,15 +612,6 @@ class Program:
             return self._resolve_call(idx, fn, call, local_types)
 
         return resolve
-
-    def is_disabled(self, finding) -> bool:
-        """simflow/simlint disable comments for a Finding-like object."""
-        for idx in self.indexes:
-            if idx.ctx.path == finding.path:
-                if idx.is_disabled(finding.rule, finding.line):
-                    return True
-                return idx.ctx.is_disabled(finding.rule, finding.line)
-        return False
 
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """Qualnames reachable over call edges from ``roots``."""

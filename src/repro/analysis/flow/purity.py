@@ -6,11 +6,13 @@ Every function is classified on the three-point lattice
 
 * **direct evidence** for *nondeterministic* comes from the existing
   syntactic simlint rules — wall-clock, unseeded-random and
-  unordered-iter — re-run per file, honouring their ``# simlint:
-  disable`` comments.  Reusing the rules (not a re-implementation)
+  unordered-iter — per file, honouring their ``# simlint: disable``
+  comments (each rule's result is computed once per file and shared
+  with the report).  Reusing the rules (not a re-implementation)
   means the interprocedural pass agrees with the syntactic one by
   construction, and a deliberately disabled benchmark-timing site
-  never poisons the lattice.
+  never poisons the lattice.  The rules themselves report these
+  sites; this pass only classifies them.
 * **direct evidence** for *seeded-stochastic* is a seeded RNG
   construction (``random.Random(seed)``, ``default_rng(seed)``) or a
   draw from an rng-named receiver (``rng`` / ``_rng`` /
@@ -19,27 +21,22 @@ Every function is classified on the three-point lattice
   a fixpoint: you are at least as nondeterministic as anything you
   call.
 
-Findings:
-
-* ``flow-nondet`` — every direct evidence site (same sites the
-  syntactic rules flag, now attributed to their enclosing function);
-* ``flow-nondet-call`` — a call site inside an event-callback-
-  reachable function whose callee is (transitively) nondeterministic
-  while the caller itself has no direct evidence on that line: the
-  interprocedural case the syntactic rules cannot see.  The witness
-  walks the call chain down to a concrete evidence site.
+The one finding, ``flow-nondet-call``, is a call site inside an
+event-callback-reachable function whose callee is (transitively)
+nondeterministic while the caller itself has no direct evidence on
+that line: the interprocedural case the syntactic rules cannot see.
+The witness walks the call chain down to a concrete evidence site.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flow.callgraph import FunctionInfo, ModuleIndex, Program
-from repro.analysis.flow.report import Finding
-from repro.analysis.rules.unordered_iter import UnorderedIterRule
-from repro.analysis.rules.unseeded_random import SEED_REQUIRED, UnseededRandomRule
-from repro.analysis.rules.wall_clock import WallClockRule
+from repro.analysis.linter import Violation, check_context
+from repro.analysis.rules import get_rules
+from repro.analysis.rules.unseeded_random import SEED_REQUIRED
 
 SIM_PURE = "sim-pure"
 SEEDED = "seeded-stochastic"
@@ -51,7 +48,7 @@ _ORDER = {SIM_PURE: 0, SEEDED: 1, NONDET: 2}
 RNG_NAMES = frozenset({"rng", "_rng", "random_state", "rand", "_rand"})
 
 #: rules supplying direct nondeterminism evidence.
-_EVIDENCE_RULES = (WallClockRule, UnseededRandomRule, UnorderedIterRule)
+EVIDENCE_RULES = ("wall-clock", "unseeded-random", "unordered-iter")
 
 #: (line, col, reason, source rule name)
 Evidence = Tuple[int, int, str, str]
@@ -63,18 +60,11 @@ def _join(a: str, b: str) -> str:
 
 def direct_evidence(index: ModuleIndex) -> List[Evidence]:
     """Nondeterminism evidence sites in one file, via the syntactic
-    rules, with simlint *and* simflow disables honoured."""
-    sites: List[Evidence] = []
-    for rule_cls in _EVIDENCE_RULES:
-        rule = rule_cls()
-        for violation in rule.check(index.ctx):
-            if index.ctx.is_disabled(violation.rule, violation.line):
-                continue
-            if index.is_disabled("flow-nondet", violation.line):
-                continue
-            sites.append(
-                (violation.line, violation.col, violation.message, violation.rule)
-            )
+    rules, with their disable comments honoured."""
+    sites = [
+        (violation.line, violation.col, violation.message, violation.rule)
+        for violation in check_context(index.ctx, get_rules(EVIDENCE_RULES))
+    ]
     sites.sort()
     return sites
 
@@ -153,16 +143,12 @@ class Classification:
 
 def classify(program: Program) -> Classification:
     result = Classification()
-    module_sites: Dict[str, List[Evidence]] = {}
 
     for index in program.indexes:
         for line, col, reason, rule in direct_evidence(index):
             owner = _owner_of(index, line)
             if owner is None:
-                module_sites.setdefault(index.ctx.path, []).append(
-                    (line, col, reason, rule)
-                )
-                continue
+                continue  # module scope: no function to classify
             result.evidence.setdefault(owner.qualname, []).append(
                 (line, col, reason, rule)
             )
@@ -175,7 +161,6 @@ def classify(program: Program) -> Classification:
                 result.levels[fn.qualname] = _join(
                     result.level(fn.qualname), SEEDED
                 )
-    result.module_sites = module_sites  # type: ignore[attr-defined]
 
     # propagate caller-ward to fixpoint
     callers: Dict[str, List[Tuple[str, int]]] = {}
@@ -215,48 +200,9 @@ def _evidence_chain(
     return tuple(steps)
 
 
-def check_program(program: Program) -> List[Finding]:
+def check_program(program: Program) -> List[Violation]:
     classification = classify(program)
-    findings: List[Finding] = []
-
-    # direct sites — everything the syntactic rules know, re-attributed
-    for index in program.indexes:
-        path = index.ctx.path
-        for qualname, sites in classification.evidence.items():
-            fn = program.functions.get(qualname)
-            if fn is None or fn.ctx.path != path:
-                continue
-            for line, col, reason, rule in sites:
-                if rule == "seeded-rng":
-                    continue  # seeded draws are allowed; classification only
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=line,
-                        col=col,
-                        rule="flow-nondet",
-                        message=(
-                            f"{reason} [function {fn.name}() is "
-                            "nondeterministic]"
-                        ),
-                        function=qualname,
-                        witness=(),
-                    )
-                )
-        for line, col, reason, rule in getattr(
-            classification, "module_sites", {}
-        ).get(path, ()):
-            findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    col=col,
-                    rule="flow-nondet",
-                    message=f"{reason} [at module scope]",
-                    function="<module>",
-                    witness=(),
-                )
-            )
+    findings: List[Violation] = []
 
     # interprocedural: callback-reachable callers of nondet callees
     reachable = program.reachable_from_callbacks()
@@ -270,8 +216,8 @@ def check_program(program: Program) -> List[Finding]:
         callee_fn = program.functions.get(site.callee)
         if caller_fn is None or callee_fn is None:
             continue
-        # skip when the callee's direct evidence IS this very line
-        # (the flow-nondet finding already covers it)
+        # skip when the caller's direct evidence IS this very line
+        # (the syntactic rule already reports it)
         direct_here = any(
             line == site.line
             for line, _c, _r, _ru in classification.evidence.get(
@@ -286,7 +232,7 @@ def check_program(program: Program) -> List[Finding]:
         reported.add(key)
         chain = _evidence_chain(classification, site.callee)
         findings.append(
-            Finding(
+            Violation(
                 path=caller_fn.ctx.path,
                 line=site.line,
                 col=site.col,

@@ -43,7 +43,6 @@ from repro.analysis.flow.callgraph import (
 )
 from repro.analysis.flow.cfg import CFG, EXCEPTION, build_cfg
 from repro.analysis.flow.dataflow import Facts, ForwardAnalysis
-from repro.analysis.flow.report import Finding
 from repro.analysis.flow.specs import (
     ALL_SPECS,
     ARG0,
@@ -53,6 +52,7 @@ from repro.analysis.flow.specs import (
     OpRule,
     ProtocolSpec,
 )
+from repro.analysis.linter import Violation
 
 SPEC_BY_NAME = {spec.name: spec for spec in ALL_SPECS}
 
@@ -241,11 +241,11 @@ class _FunctionChecker:
         self.fn = fn
         self.resolve = resolver
         self.summaries = summaries
-        self._findings: Dict[Tuple, Finding] = {}
+        self._findings: Dict[Tuple, Violation] = {}
         self._created_here: List[Token] = []
 
     # -- entry -------------------------------------------------------------
-    def run(self) -> List[Finding]:
+    def run(self) -> List[Violation]:
         cfg = build_cfg(self.fn.node)
         analysis = ForwardAnalysis(cfg, self._transfer).run()
         self._report_leaks(cfg, analysis)
@@ -522,7 +522,7 @@ class _FunctionChecker:
         key = (rule, line, col, message)
         if key in self._findings:
             return
-        self._findings[key] = Finding(
+        self._findings[key] = Violation(
             path=self.fn.ctx.path,
             line=line,
             col=col,
@@ -603,9 +603,9 @@ def _has_creator(fn: FunctionInfo) -> bool:
     return False
 
 
-def check_program(program: Program) -> List[Finding]:
+def check_program(program: Program) -> List[Violation]:
     summaries = param_op_summaries(program)
-    findings: List[Finding] = []
+    findings: List[Violation] = []
     for fn in program.functions.values():
         if isinstance(fn.node, ast.Lambda):
             continue

@@ -7,11 +7,15 @@ Rules live in :mod:`repro.analysis.rules`; this module supplies the
 shared machinery:
 
 * :class:`FileContext` -- one parsed file plus the import table and the
-  ``# simlint: disable=...`` map, handed to every rule.
-* :func:`lint_file` / :func:`lint_paths` -- run a rule set and return
-  :class:`Violation` records with precise ``file:line:col`` positions.
+  ``# simlint: disable=...`` map, handed to every rule and to the
+  simflow index built on top of it.
+* :class:`Violation` -- the one record type every check reports, with
+  a precise ``file:line:col`` position and, for the flow checks, the
+  enclosing function and a witness path.
+* :func:`lint_file` -- run a rule set over one file.  The whole-tree
+  pass (rules plus flow checks) is :func:`repro.analysis.flow.analyze_paths`.
 
-Escape hatches::
+Escape hatches (the same grammar for rules and flow checks)::
 
     x = frob()  # simlint: disable=wall-clock        (this line, this rule)
     y = nrob()  # simlint: disable                   (this line, all rules)
@@ -25,7 +29,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 _DISABLE_RE = re.compile(
     r"#\s*simlint:\s*(disable-file|disable)"
@@ -35,16 +39,27 @@ _DISABLE_RE = re.compile(
 
 @dataclass(frozen=True)
 class Violation:
-    """One rule breach at a precise source position."""
+    """One breach at a precise source position.
+
+    Flow findings also name the enclosing ``function`` and carry a
+    ``witness`` path: the source events (allocation, transitions, the
+    may-raise statement, the call chain) that prove the breach,
+    rendered indented under the ``file:line:col`` headline."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
+    function: str = ""
+    witness: Tuple[str, ...] = ()
 
     def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
+        head = f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
+        if not self.witness:
+            return head
+        steps = "\n".join(f"    {i + 1}. {s}" for i, s in enumerate(self.witness))
+        return f"{head}\n  witness path:\n{steps}"
 
     def to_dict(self) -> dict:
         return {
@@ -53,6 +68,8 @@ class Violation:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
+            "function": self.function,
+            "witness": list(self.witness),
         }
 
 
@@ -80,6 +97,20 @@ class FileContext:
         #: "time" -> "time.time" for ``from time import time``).
         self.imports: Dict[str, str] = {}
         self._build_import_table()
+        self._index = None
+        #: rule name -> its violations here, so a rule run for the
+        #: report and again as flow evidence is computed once.
+        self._found: Dict[str, List[Violation]] = {}
+
+    @property
+    def index(self):
+        """This file's simflow :class:`~repro.analysis.flow.callgraph.ModuleIndex`,
+        built on first use and shared by the rules and the flow checks."""
+        if self._index is None:
+            from repro.analysis.flow.callgraph import ModuleIndex
+
+            self._index = ModuleIndex(self)
+        return self._index
 
     # -- module identity -------------------------------------------------
     @property
@@ -163,20 +194,34 @@ class FileContext:
         return Violation(self.path, line, col + 1, rule, message)
 
 
-def lint_file(path: str, rules: Sequence, source: Optional[str] = None) -> List[Violation]:
-    """Run ``rules`` over one file; honours the disable comments."""
-    if source is None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            raise LintError(f"{path}: {exc}") from exc
-    ctx = FileContext(path, source)
+def read_context(path: str) -> FileContext:
+    """Read and parse one file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise LintError(f"{path}: {exc}") from exc
+    return FileContext(path, source)
+
+
+def check_context(ctx: FileContext, rules: Sequence) -> List[Violation]:
+    """Run ``rules`` over one parsed file; honours the disable comments."""
     found: List[Violation] = []
     for rule in rules:
-        for violation in rule.check(ctx):
-            if not ctx.is_disabled(violation.rule, violation.line):
-                found.append(violation)
+        if rule.name not in ctx._found:
+            ctx._found[rule.name] = [
+                violation
+                for violation in rule.check(ctx)
+                if not ctx.is_disabled(violation.rule, violation.line)
+            ]
+        found.extend(ctx._found[rule.name])
+    return found
+
+
+def lint_file(path: str, rules: Sequence, source: Optional[str] = None) -> List[Violation]:
+    """Run ``rules`` over one file, sorted by position."""
+    ctx = read_context(path) if source is None else FileContext(path, source)
+    found = check_context(ctx, rules)
     found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return found
 
@@ -199,10 +244,3 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                 if name.endswith(".py"):
                     yield os.path.join(root, name)
 
-
-def lint_paths(paths: Iterable[str], rules: Sequence) -> List[Violation]:
-    """Lint every python file under ``paths`` with ``rules``."""
-    found: List[Violation] = []
-    for path in iter_python_files(paths):
-        found.extend(lint_file(path, rules))
-    return found

@@ -10,7 +10,11 @@ engine supports:
 * ``fifo`` — insertion order, the engine's default (the baseline);
 * ``lifo`` — reversed tie order, the most adversarial deterministic
   perturbation;
-* ``random`` × N seeds — seeded shuffles of each tie group.
+* ``random`` × N seeds — seeded shuffles of each tie group;
+* ``hashseed`` — fifo again, but in a child interpreter
+  (``python -m repro.analysis.perturb --emit NAME``) under a
+  ``PYTHONHASHSEED`` different from this one's, so any set iteration
+  or other hash-order dependence shows up as a different result.
 
 Each run records the final metrics (at full float precision, via
 ``float.hex``) and the canonical event trace: for every timestamp, the
@@ -31,6 +35,10 @@ the full set.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -329,6 +337,49 @@ def run_scenario(
     )
 
 
+def _child_hash_seed() -> str:
+    """A ``PYTHONHASHSEED`` that differs from this interpreter's."""
+    return "4243" if os.environ.get("PYTHONHASHSEED") == "4242" else "4242"
+
+
+def run_in_child(name: str, hash_seed: str) -> PerturbRun:
+    """The fifo run of ``name`` in a child interpreter started under
+    ``PYTHONHASHSEED=hash_seed``."""
+    import repro
+
+    src_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        src_root if not existing else src_root + os.pathsep + existing
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.analysis.perturb", "--emit", name],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    if result.returncode != 0:
+        raise RuntimeError(
+            f"race-check child for {name!r} (PYTHONHASHSEED={hash_seed}) "
+            f"failed:\n{result.stderr}"
+        )
+    emitted = json.loads(result.stdout.splitlines()[-1])
+    return PerturbRun(
+        tie="hashseed",
+        seed=int(hash_seed),
+        metrics=emitted["metrics"],
+        trace_groups=[
+            (when, tuple(map(tuple, counts)))
+            for when, counts in emitted["trace_groups"]
+        ],
+        races=[],
+        entries=emitted["entries"],
+    )
+
+
 def _diff_runs(baseline: PerturbRun, other: PerturbRun) -> OrderDiff:
     metric_diffs = []
     for key in sorted(set(baseline.metrics) | set(other.metrics)):
@@ -367,12 +418,14 @@ def race_check(
     random_orders: int = 2,
     base_seed: int = 1,
 ) -> ScenarioVerdict:
-    """Run ``name`` under fifo, lifo, and N seeded-random tie orders and
-    classify every flagged race as CONFIRMED or BENIGN."""
+    """Run ``name`` under fifo, lifo, N seeded-random tie orders and a
+    different ``PYTHONHASHSEED``, and classify every flagged race as
+    CONFIRMED or BENIGN."""
     baseline = run_scenario(name, tie="fifo")
     orders: List[Tuple[str, Optional[int]]] = [("lifo", None)]
     orders += [("random", base_seed + i) for i in range(random_orders)]
     runs = [run_scenario(name, tie=tie, seed=seed) for tie, seed in orders]
+    runs.append(run_in_child(name, _child_hash_seed()))
     diffs = [_diff_runs(baseline, run) for run in runs]
     diverged = any(diff.metrics_diverged for diff in diffs)
     verdict = ScenarioVerdict(
@@ -393,3 +446,31 @@ def check_all(
         race_check(name, random_orders=random_orders)
         for name in (names if names is not None else scenario_names())
     ]
+
+
+def _main() -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="python -m repro.analysis.perturb")
+    parser.add_argument(
+        "--emit",
+        metavar="NAME",
+        required=True,
+        help="print the canonical fifo run of scenario NAME as one JSON line",
+    )
+    args = parser.parse_args()
+    run = run_scenario(args.emit)
+    print(
+        json.dumps(
+            {
+                "metrics": run.metrics,
+                "trace_groups": run.trace_groups,
+                "entries": run.entries,
+            }
+        )
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())

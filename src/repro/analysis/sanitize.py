@@ -38,22 +38,6 @@ def _env_enabled() -> bool:
     )
 
 
-def _trip(exc):
-    """Crash hook for sanitizer violations: before the typed error
-    propagates, dump the obs flight recorder (when one is armed) so the
-    spans leading up to the invariant break survive for post-mortem.
-    Returns ``exc`` so raise sites read ``raise _trip(Error(...))``."""
-    try:
-        from repro import obs as _obs
-
-        col = _obs.active
-        if col is not None and col.flight is not None:
-            col.flight.dump_on_trip(repr(exc))
-    except Exception:  # simlint: disable=silent-except -- a failed dump must never mask the violation
-        pass
-    return exc
-
-
 _STATE = {"enabled": _env_enabled()}
 
 #: Weak references to every SegmentSanitizer created while enabled, in
@@ -147,10 +131,10 @@ class SegmentSanitizer:
         end = offset + length
         for off, ln in self.poisoned.items():
             if off < end and offset < off + ln:
-                raise _trip(SegmentOwnershipError(
+                raise SegmentOwnershipError(
                     f"use-after-free: write [{offset}, {end}) touches freed "
                     f"buffer [{off}, {off + ln}) of segment {self.name!r}"
-                ))
+                )
 
     def was_freed(self, offset: int) -> bool:
         return offset in self.poisoned
@@ -162,11 +146,11 @@ class SegmentSanitizer:
             total = sum(length for _, length in leaked)
             head = ", ".join(f"[{o}, {o + l})" for o, l in leaked[:5])
             more = "..." if len(leaked) > 5 else ""
-            raise _trip(SegmentOwnershipError(
+            raise SegmentOwnershipError(
                 f"leak-at-teardown: segment {self.name!r} still holds "
                 f"{len(leaked)} live allocation(s) totalling {total} bytes: "
                 f"{head}{more}"
-            ))
+            )
 
 
 #: Types whose instances may be interned/shared: pushing one twice is
@@ -188,32 +172,32 @@ class RingSanitizer:
 
     def on_push(self, item, occupancy: int, capacity: int) -> None:
         if occupancy >= capacity:
-            raise _trip(QueueInvariantError(
+            raise QueueInvariantError(
                 f"ring {self.name!r} overflow: push at occupancy "
                 f"{occupancy}/{capacity} (back-pressure bypassed)"
-            ))
+            )
         if isinstance(item, _IDENTITYLESS):
             # Interned immutables (test payloads, sentinels) share id();
             # recycle tracking only means something for descriptor objects.
             return
         key = id(item)
         if key in self.queued_ids:
-            raise _trip(QueueInvariantError(
+            raise QueueInvariantError(
                 f"ring {self.name!r}: descriptor {item!r} pushed while "
                 f"still queued (recycled before the consumer popped it)"
-            ))
+            )
         bounds = self._buffer_bounds(item)
         if bounds is not None:
             offset, length = bounds
             end = offset + length
             for other_off, other_len in self.free_ranges.values():
                 if other_off < end and offset < other_off + other_len:
-                    raise _trip(QueueInvariantError(
+                    raise QueueInvariantError(
                         f"ring {self.name!r}: free buffer [{offset}, {end}) "
                         f"overlaps queued buffer [{other_off}, "
                         f"{other_off + other_len}); the NI would scatter two "
                         f"messages into the same memory"
-                    ))
+                    )
             self.free_ranges[key] = bounds
         self.queued_ids[key] = True
 

@@ -34,14 +34,12 @@ from contextlib import contextmanager
 from typing import Optional
 
 from repro.obs import metrics
-from repro.obs.flight import FlightRecorder, ring_limit_from_env
 from repro.obs.spans import ObsMonitor, Span, SpanCollector
 
 __all__ = [
     "Span",
     "SpanCollector",
     "ObsMonitor",
-    "FlightRecorder",
     "metrics",
     "active",
     "enabled",
@@ -60,21 +58,7 @@ def enabled() -> bool:
     return active is not None
 
 
-def _attach_flight(collector: SpanCollector, flight) -> None:
-    """Attach a flight recorder per the ``flight`` argument: ``None``
-    consults ``REPRO_OBS_FLIGHT``, ``True`` uses the default capacity,
-    an int sets the capacity, ``False`` forces off."""
-    if flight is None:
-        limit = ring_limit_from_env()
-        if limit is not None:
-            collector.flight = FlightRecorder(limit)
-    elif flight is True:
-        collector.flight = FlightRecorder()
-    elif flight:
-        collector.flight = FlightRecorder(int(flight))
-
-
-def enable(profile_wall: bool = False, flight=None) -> SpanCollector:
+def enable(profile_wall: bool = False) -> SpanCollector:
     """Arm span collection (and the metrics registry) globally.
 
     Must run before the Simulator under observation is constructed (the
@@ -93,7 +77,6 @@ def enable(profile_wall: bool = False, flight=None) -> SpanCollector:
             "span tracing and race detection are mutually exclusive"
         )
     collector = SpanCollector()
-    _attach_flight(collector, flight)
     monitor = ObsMonitor(collector, profile_wall=profile_wall)
     _engine.set_instrumentation(lambda: monitor, _engine.access_hook)
     metrics.enable()
@@ -115,7 +98,7 @@ def disable() -> None:
 
 
 @contextmanager
-def collecting(profile_wall: bool = False, flight=None):
+def collecting(profile_wall: bool = False):
     """Scoped span collection::
 
         with obs.collecting() as col:
@@ -136,7 +119,6 @@ def collecting(profile_wall: bool = False, flight=None):
     prev_active = active
     prev_metrics = metrics.active
     collector = SpanCollector()
-    _attach_flight(collector, flight)
     monitor = ObsMonitor(collector, profile_wall=profile_wall)
     _engine.set_instrumentation(lambda: monitor, prev_access)
     metrics.active = collector.metrics = metrics.MetricsRegistry()

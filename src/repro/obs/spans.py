@@ -96,8 +96,6 @@ class SpanCollector:
         #: sample() points: (time, track, host, value) counter tracks.
         self.samples: List[Tuple[float, str, str, float]] = []
         self._sid = 0
-        #: Optional FlightRecorder fed on every span end; None = off.
-        self.flight: Optional[Any] = None
         #: The metrics registry armed alongside this collector (set by
         #: ``obs.enable``/``obs.collecting``) so report code can read
         #: histograms after the collecting scope has exited.
@@ -139,9 +137,6 @@ class SpanCollector:
         self.spans.append(span)
         if self.current is span:
             self.current = span.parent
-        fl = self.flight
-        if fl is not None:
-            fl.record(span)
         return span
 
     def annotate(self, span: Span, **attrs: Any) -> None:
@@ -174,9 +169,6 @@ class SpanCollector:
         span = Span(self._sid, name, layer, host, t0, parent)
         span.t1 = t1
         self.spans.append(span)
-        fl = self.flight
-        if fl is not None:
-            fl.record(span)
         return span
 
     # -- counters -------------------------------------------------------

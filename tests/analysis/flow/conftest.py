@@ -3,7 +3,7 @@
 import textwrap
 from pathlib import Path
 
-from repro.analysis.flow.callgraph import ModuleIndex, Program
+from repro.analysis.flow.callgraph import Program
 from repro.analysis.linter import FileContext
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -18,7 +18,7 @@ def make_program(**modules) -> Program:
     works exactly as it does on the real tree.
     """
     indexes = [
-        ModuleIndex(FileContext(f"src/repro/{name}.py", textwrap.dedent(src)))
+        FileContext(f"src/repro/{name}.py", textwrap.dedent(src)).index
         for name, src in modules.items()
     ]
     return Program(indexes)

@@ -1,5 +1,5 @@
-"""Acceptance tests for ``python -m repro.analysis --flow`` and the
-baseline workflow (both simflow and simlint sides)."""
+"""Acceptance tests for the simflow checks (``typestate``,
+``determinism``) as run by the one ``python -m repro.analysis`` pass."""
 
 import json
 import os
@@ -11,6 +11,7 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 BAD = FIXTURES / "typestate_bad.py"
+FLOW_CHECKS = "typestate,determinism"
 
 
 def run_cli(*args):
@@ -28,84 +29,23 @@ def run_cli(*args):
 
 class TestFlowCli:
     def test_src_tree_is_clean(self):
-        result = run_cli("--flow", "src", "benchmarks", "examples")
+        result = run_cli("--select", FLOW_CHECKS, "src", "benchmarks", "examples")
         assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_fixture_fails_with_findings(self):
-        result = run_cli("--flow", str(BAD))
-        assert result.returncode == 1
-        assert "flow-segment-leak" in result.stdout
-        assert "witness path:" in result.stdout
-        assert "finding(s)" in result.stderr
 
     def test_json_format(self):
-        result = run_cli("--flow", "--format", "json", str(BAD))
+        result = run_cli("--select", FLOW_CHECKS, "--format", "json", str(BAD))
         assert result.returncode == 1
         payload = json.loads(result.stdout)
-        assert payload["count"] == len(payload["findings"]) > 0
-        assert payload["suppressed"] == 0
-        finding = payload["findings"][0]
-        assert {"path", "line", "col", "rule", "message", "function", "witness"} \
-            <= set(finding)
-
-    def test_check_selection(self):
-        result = run_cli(
-            "--flow", "--flow-checks", "determinism", str(BAD)
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
+        assert payload["count"] == len(payload["violations"]) > 0
+        assert payload["checks"] == ["typestate", "determinism"]
+        for violation in payload["violations"]:
+            assert violation["rule"].startswith("flow-")
+            assert {"path", "line", "col", "rule", "message", "function", "witness"} \
+                <= set(violation)
+            assert violation["function"] and violation["witness"]
 
     def test_unknown_check_is_usage_error(self):
-        result = run_cli("--flow", "--flow-checks", "bogus", "src")
+        result = run_cli("--select", "typestate,bogus", "src")
         assert result.returncode == 2
-        assert "unknown flow check" in result.stderr
+        assert "bogus" in result.stderr
         assert "typestate" in result.stderr
-
-    def test_write_baseline_requires_baseline(self):
-        result = run_cli("--flow", "--write-baseline", str(BAD))
-        assert result.returncode == 2
-        assert "--write-baseline requires --baseline" in result.stderr
-
-
-class TestBaselineRoundtrip:
-    def test_flow_baseline_suppresses_everything(self, tmp_path):
-        baseline = tmp_path / "flow_baseline.json"
-        wrote = run_cli("--flow", "--baseline", str(baseline), "--write-baseline", str(BAD))
-        assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-        assert baseline.exists()
-        replay = run_cli("--flow", "--baseline", str(baseline), str(BAD))
-        assert replay.returncode == 0, replay.stdout + replay.stderr
-        assert "suppressed" in replay.stderr
-
-    def test_baseline_is_count_aware(self, tmp_path):
-        """A baseline of the clean fixture does not forgive the bad one."""
-        baseline = tmp_path / "empty_baseline.json"
-        wrote = run_cli(
-            "--flow",
-            "--baseline",
-            str(baseline),
-            "--write-baseline",
-            str(FIXTURES / "typestate_clean.py"),
-        )
-        assert wrote.returncode == 0
-        replay = run_cli("--flow", "--baseline", str(baseline), str(BAD))
-        assert replay.returncode == 1
-
-    def test_malformed_baseline_is_infra_error(self, tmp_path):
-        baseline = tmp_path / "broken.json"
-        baseline.write_text("{not json")
-        result = run_cli("--flow", "--baseline", str(baseline), str(BAD))
-        assert result.returncode == 2
-
-    def test_simlint_baseline_roundtrip(self, tmp_path):
-        fixture = REPO_ROOT / "tests" / "analysis" / "fixtures" / "bad_example.py"
-        baseline = tmp_path / "lint_baseline.json"
-        wrote = run_cli("--baseline", str(baseline), "--write-baseline", str(fixture))
-        assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-        replay = run_cli("--baseline", str(baseline), str(fixture))
-        assert replay.returncode == 0, replay.stdout + replay.stderr
-        payload = run_cli(
-            "--format", "json", "--baseline", str(baseline), str(fixture)
-        )
-        data = json.loads(payload.stdout)
-        assert data["count"] == 0
-        assert data["suppressed"] > 0

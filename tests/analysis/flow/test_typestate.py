@@ -131,10 +131,12 @@ class TestInterprocedural:
 
 class TestDisables:
     def test_simflow_disable_comment_suppresses(self):
+        """The one ``# simlint: disable`` grammar also silences the flow
+        checks' findings."""
         program = make_program(
             mod="""
             def leaky(session, n):
-                offset = session.alloc(n)  # simflow: disable=flow-segment-leak
+                offset = session.alloc(n)  # simlint: disable=flow-segment-leak
                 return None
             """
         )

@@ -1,4 +1,5 @@
-"""Acceptance tests for ``python -m repro.analysis`` (the simlint CLI)."""
+"""Acceptance tests for ``python -m repro.analysis``: one pass running
+every simlint rule plus the simflow typestate and determinism checks."""
 
 import json
 import os
@@ -8,12 +9,19 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
-FIXTURE = Path(__file__).resolve().parent / "fixtures" / "bad_example.py"
+HERE = Path(__file__).resolve().parent
+FIXTURE = HERE / "fixtures" / "bad_example.py"
 #: unguarded-obs-call only fires in data-path module paths, so its
 #: violation lives in a fixture under a repro/core/ directory.
-FIXTURE_HOT = (
-    Path(__file__).resolve().parent
-    / "fixtures" / "repro" / "core" / "bad_obs_calls.py"
+FIXTURE_HOT = HERE / "fixtures" / "repro" / "core" / "bad_obs_calls.py"
+FLOW_FIXTURES = HERE / "flow" / "fixtures"
+#: every seeded fixture: one site per rule, the typestate protocol
+#: breaches, and the interprocedural determinism case.
+SEEDED = (
+    str(FIXTURE),
+    str(FIXTURE_HOT),
+    str(FLOW_FIXTURES / "typestate_bad.py"),
+    str(FLOW_FIXTURES / "determinism_bad.py"),
 )
 
 ALL_RULES = {
@@ -31,6 +39,14 @@ ALL_RULES = {
     "direct-heapq",
     "unguarded-obs-call",
 }
+FLOW_CHECKS = ("typestate", "determinism")
+TYPESTATE_RULES = {
+    "flow-segment-leak",
+    "flow-use-after-free",
+    "flow-descriptor-reuse",
+    "flow-endpoint-use",
+    "flow-stale-timer",
+}
 
 
 def run_cli(*args):
@@ -46,50 +62,79 @@ def run_cli(*args):
     )
 
 
+def reported_rules(stdout):
+    """Rule names of the headline lines (witness steps are indented)."""
+    rules = []
+    for line in stdout.splitlines():
+        if not line.strip() or line.startswith(" "):
+            continue
+        # file:line:col: rule: message
+        path, lineno, col, rule, _message = line.split(":", 4)
+        assert int(lineno) > 0 and int(col) > 0, line
+        rules.append(rule.strip())
+    return rules
+
+
 def test_src_tree_is_clean():
-    result = run_cli("src")
+    result = run_cli("src", "benchmarks", "examples")
     assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_fixture_reports_every_rule_once():
     result = run_cli(str(FIXTURE), str(FIXTURE_HOT))
     assert result.returncode == 1
-    lines = [line for line in result.stdout.splitlines() if line.strip()]
-    assert len(lines) == len(ALL_RULES)
-    seen = set()
-    for line in lines:
-        # file:line:col: rule: message
-        path, lineno, col, rule, _message = line.split(":", 4)
-        assert path.endswith(("bad_example.py", "bad_obs_calls.py"))
-        assert int(lineno) > 0 and int(col) > 0
-        seen.add(rule.strip())
-    assert seen == ALL_RULES
+    rules = reported_rules(result.stdout)
+    assert sorted(rules) == sorted(ALL_RULES)
+
+
+def test_seeded_fixtures_report_every_check():
+    result = run_cli(*SEEDED)
+    assert result.returncode == 1
+    rules = set(reported_rules(result.stdout))
+    assert ALL_RULES <= rules
+    assert rules & TYPESTATE_RULES
+    assert "flow-nondet-call" in rules
+    assert "witness path:" in result.stdout
+    assert "violation(s)" in result.stderr
 
 
 def test_json_output():
-    result = run_cli("--format", "json", str(FIXTURE), str(FIXTURE_HOT))
+    result = run_cli("--format", "json", *SEEDED)
     assert result.returncode == 1
     payload = json.loads(result.stdout)
-    assert payload["count"] == len(ALL_RULES)
-    assert {v["rule"] for v in payload["violations"]} == ALL_RULES
-    assert all(v["line"] > 0 for v in payload["violations"])
+    assert payload["count"] == len(payload["violations"])
+    assert payload["checks"] == sorted(ALL_RULES) + list(FLOW_CHECKS)
+    rules = {v["rule"] for v in payload["violations"]}
+    assert ALL_RULES | {"flow-nondet-call"} <= rules
+    for violation in payload["violations"]:
+        assert violation["line"] > 0
+        assert {"path", "col", "message", "function", "witness"} <= set(violation)
+    flow = [v for v in payload["violations"] if v["rule"].startswith("flow-")]
+    assert flow and all(v["function"] and v["witness"] for v in flow)
 
 
 def test_select_single_rule():
     result = run_cli("--select", "wall-clock", str(FIXTURE))
     assert result.returncode == 1
-    lines = [line for line in result.stdout.splitlines() if line.strip()]
-    assert len(lines) == 1
-    assert "wall-clock" in lines[0]
+    assert reported_rules(result.stdout) == ["wall-clock"]
+
+
+def test_select_typestate_narrows_to_typestate_findings():
+    result = run_cli("--select", "typestate", *SEEDED)
+    assert result.returncode == 1
+    rules = set(reported_rules(result.stdout))
+    assert rules and rules <= TYPESTATE_RULES
 
 
 def test_select_unknown_rule_is_usage_error():
     result = run_cli("--select", "no-such-rule", str(FIXTURE))
     assert result.returncode == 2
+    assert "no-such-rule" in result.stderr
+    assert "typestate" in result.stderr
 
 
 def test_list_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0
-    for rule in ALL_RULES:
-        assert rule in result.stdout
+    listed = {line.split()[0] for line in result.stdout.splitlines()}
+    assert listed == ALL_RULES | set(FLOW_CHECKS)

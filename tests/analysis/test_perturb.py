@@ -6,6 +6,8 @@ processes racing for the destination CPU) is CONFIRMED by the harness,
 while the shipped arrival-arbiter code is not.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import perturb
@@ -14,8 +16,16 @@ from repro.sim import Resource, Simulator
 from repro.splitc import CM5, ModelTransport
 
 
+def _in_process_child(name, hash_seed):
+    """Stand-in for the child interpreter: a scenario registered only in
+    this process cannot be rebuilt in another one."""
+    run = perturb.run_scenario(name)
+    return dataclasses.replace(run, tie="hashseed", seed=int(hash_seed))
+
+
 def _scenario(monkeypatch, fn, name="tmp"):
     monkeypatch.setitem(perturb._SCENARIOS, name, fn)
+    monkeypatch.setattr(perturb, "run_in_child", _in_process_child)
     return name
 
 
@@ -105,6 +115,36 @@ def test_trace_reorder_without_metric_divergence_is_benign(monkeypatch):
     verdict = perturb.race_check(name, random_orders=1)
     assert not verdict.diverged
     assert verdict.status == "CLEAN"
+
+
+# -- the PYTHONHASHSEED order ----------------------------------------------
+
+def test_hash_seed_divergence_is_confirmed(monkeypatch):
+    """A child whose metrics differ under another PYTHONHASHSEED makes
+    the verdict diverge, even when every tie order agrees."""
+    name = _scenario(monkeypatch, _stable_metric)
+
+    def drifting_child(name, hash_seed):
+        run = _in_process_child(name, hash_seed)
+        return dataclasses.replace(run, metrics={"first": (20.0).hex()})
+
+    monkeypatch.setattr(perturb, "run_in_child", drifting_child)
+    verdict = perturb.race_check(name, random_orders=1)
+    assert verdict.diverged
+    diverging = [d.order for d in verdict.diffs if d.metrics_diverged]
+    assert diverging == [f"hashseed:{perturb._child_hash_seed()}"]
+    assert "hashseed" in verdict.format()
+
+
+def test_fig3_hash_seed_run_equals_fifo():
+    """The real child interpreter, under a different PYTHONHASHSEED,
+    reproduces the fifo run's metrics and trace groups exactly."""
+    fifo = perturb.run_scenario("fig3")
+    child = perturb.run_in_child("fig3", perturb._child_hash_seed())
+    assert child.order.startswith("hashseed:")
+    assert child.metrics == fifo.metrics
+    assert child.trace_groups == fifo.trace_groups
+    assert child.entries == fifo.entries
 
 
 # -- the ModelTransport arrival race: before / after -----------------------

@@ -3,8 +3,8 @@
 The paper's Figure 5 apps run over the full U-Net stack; their results
 must not depend on the engine's FIFO accident for same-timestamp heap
 entries.  This drives sample_sort through every perturbation order the
-harness supports (fifo baseline, lifo, two seeded-random shuffles) and
-asserts bit-identical results.
+harness supports (fifo baseline, lifo, two seeded-random shuffles, a
+different PYTHONHASHSEED) and asserts bit-identical results.
 """
 
 from repro.analysis import perturb
@@ -15,8 +15,9 @@ def test_sample_sort_identical_under_all_tie_orders():
     assert not verdict.diverged, verdict.format()
     assert verdict.confirmed == []
     baseline = verdict.baseline
-    # four orders total: fifo baseline + lifo + random:1 + random:2
-    assert [run.order for run in verdict.runs] == ["lifo", "random:1", "random:2"]
+    # fifo baseline + lifo + random:1 + random:2 + a PYTHONHASHSEED child
+    assert [run.order for run in verdict.runs][:3] == ["lifo", "random:1", "random:2"]
+    assert verdict.runs[3].tie == "hashseed"
     for run in verdict.runs:
         assert run.metrics == baseline.metrics, (
             f"order {run.order} changed the app result"
