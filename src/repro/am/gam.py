@@ -39,7 +39,6 @@ from repro.am.wire import (
     Message,
 )
 from repro import obs
-from repro.obs import metrics as _metrics
 from repro.core import SendDescriptor, UNetSession
 from repro.core.errors import UNetError
 from repro.sim import AnyOf
@@ -119,8 +118,8 @@ class UAM:
         self.xfer_bytes_in = 0
         self.memory_range_errors = 0
         # Per-endpoint metric keys, precomputed off the hot path.
-        self._mk_tx = f"am.{self.host.name}.tx"
-        self._mk_rx = f"am.{self.host.name}.rx"
+        self._k_tx = f"am.{self.host.name}.tx"
+        self._k_rx = f"am.{self.host.name}.rx"
 
     # -- set-up ----------------------------------------------------------------
     def register_handler(self, index: int, fn: Callable) -> None:
@@ -308,14 +307,10 @@ class UAM:
         peer.ack_urgent = False
         peer.rx_since_ack = 0
         _o = obs.active
-        _sp = (
-            _o.begin(self.sim.now, "uam_tx", "uam", host=self.host.name)
-            if _o is not None
-            else None
-        )
-        _m = _metrics.active
-        if _m is not None:
-            _m.count(self._mk_tx)
+        _sp = None
+        if _o is not None:
+            _sp = _o.begin(self.sim.now, "uam_tx", "uam", host=self.host.name)
+            _o.count(self._k_tx)
         yield from self.host.compute(self.cfg.send_overhead_us)
         if len(raw) <= 40:
             desc = SendDescriptor(channel=peer.channel_id, inline=raw)
@@ -386,14 +381,10 @@ class UAM:
             # into its retransmission timeout.
             peer.ack_urgent = True
         _o = obs.active
-        _sp = (
-            _o.begin(self.sim.now, "uam_dispatch", "uam", host=self.host.name)
-            if _o is not None
-            else None
-        )
-        _m = _metrics.active
-        if _m is not None:
-            _m.count(self._mk_rx)
+        _sp = None
+        if _o is not None:
+            _sp = _o.begin(self.sim.now, "uam_dispatch", "uam", host=self.host.name)
+            _o.count(self._k_rx)
         try:
             yield from self.host.compute(self.cfg.dispatch_overhead_us)
             if msg.type in (MSG_REQUEST, MSG_REPLY):

@@ -38,7 +38,9 @@ NON_RAISING = frozenset(
         "begin",
         "end",
         "annotate",
-        "bump",
+        "count",
+        "gauge_max",
+        "observe",
         "sample",
         "charge",
         "append",

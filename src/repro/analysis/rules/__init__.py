@@ -64,8 +64,8 @@ def get_rules(names: Iterable[str]) -> List[Rule]:
 # Built-in rules: importing each module triggers its @register.
 from repro.analysis.rules import (  # noqa: E402,F401
     callback_arity,
+    data_path_print,
     direct_heapq,
-    direct_tracer_append,
     mutable_default,
     or_default,
     schedule_shared_state,

@@ -1,12 +1,12 @@
 """or-default: no ``x or Default()`` fallbacks for injected collaborators.
 
-The PR 1 tracer bug class: ``self.tracer = tracer or Tracer()`` silently
-replaces a *falsy but valid* injected object (a shared Tracer with no
-records yet, an empty cost table) with a fresh private one, and six
-modules each stopped reporting into the shared instance.  The only
-correct spelling for optional injection is an explicit None test::
+``self.pool = pool or BufferPool()`` silently replaces a *falsy but
+valid* injected object (a shared pool that is empty right now, an empty
+cost table) with a fresh private one, so the caller's instance stops
+seeing the traffic.  The only correct spelling for optional injection
+is an explicit None test::
 
-    self.tracer = tracer if tracer is not None else Tracer()
+    self.pool = pool if pool is not None else BufferPool()
 """
 
 from __future__ import annotations
@@ -55,6 +55,6 @@ class OrDefaultRule(Rule):
                 ctx,
                 node,
                 f"`{left_src} or {ctor}(...)` drops a falsy-but-valid injected "
-                f"object (the PR 1 shared-tracer bug); use "
+                f"object; use "
                 f"`{left_src} if {left_src} is not None else {ctor}(...)`",
             )

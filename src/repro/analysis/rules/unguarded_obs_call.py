@@ -1,25 +1,19 @@
 """unguarded-obs-call: observability calls must pay zero when off.
 
-The span and metrics substrates are zero-overhead-when-off only under
-the module-attr guard discipline::
+The span collector is zero-overhead-when-off only under the
+module-attr guard discipline::
 
     _o = obs.active            # one attribute read
     if _o is not None:
-        _o.bump(...)           # hot-path work only when armed
+        _o.count(...)          # hot-path work only when armed
 
-    _m = _metrics.active
-    if _m is not None:
-        _m.observe(key, value)
-
-Calling through the module attribute directly --
-``obs.active.bump(...)`` or ``metrics.active.observe(...)`` -- breaks
-that contract twice over: it raises ``AttributeError`` the moment
-observability is off (``active`` is ``None``), and even when armed it
-re-reads the module global on every call instead of once per function.
-This rule flags any call whose receiver chain resolves to
-``repro.obs.active`` or ``repro.obs.metrics.active`` inside the
-data-path modules; report/analysis layers, which only run with
-observability armed, are exempt.
+Calling through the module attribute directly -- ``obs.active.count(...)``
+-- breaks that contract twice over: it raises ``AttributeError`` the
+moment observability is off (``active`` is ``None``), and even when
+armed it re-reads the module global on every call instead of once per
+function.  This rule flags any call whose receiver chain resolves to
+``repro.obs.active`` inside the data-path modules; report/analysis
+layers, which only run with observability armed, are exempt.
 """
 
 from __future__ import annotations
@@ -29,20 +23,17 @@ from typing import Iterator
 
 from repro.analysis.linter import FileContext, Violation
 from repro.analysis.rules import Rule, register
-from repro.analysis.rules.direct_tracer_append import _is_hot_path
+from repro.analysis.rules.data_path_print import _is_hot_path
 
-#: Receiver chains that mean "the live collector/registry, read inline".
-_GUARDED_ATTRS = (
-    "repro.obs.active",
-    "repro.obs.metrics.active",
-)
+#: Receiver chains that mean "the live collector, read inline".
+_GUARDED_ATTRS = ("repro.obs.active",)
 
 
 @register
 class UnguardedObsCallRule(Rule):
     name = "unguarded-obs-call"
     description = (
-        "no obs.active.X() / metrics.active.X() in data-path modules; "
+        "no obs.active.X() in data-path modules; "
         "bind the module attr once and branch on None"
     )
 
@@ -56,7 +47,7 @@ class UnguardedObsCallRule(Rule):
             if not isinstance(func, ast.Attribute):
                 continue
             # The receiver is everything left of the final method name:
-            # obs.active.bump(...) -> receiver chain "repro.obs.active".
+            # obs.active.count(...) -> receiver chain "repro.obs.active".
             receiver = ctx.qualified_name(func.value)
             if receiver in _GUARDED_ATTRS:
                 yield self.violation(

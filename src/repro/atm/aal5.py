@@ -132,12 +132,12 @@ class Reassembler:
         except AAL5Error:
             self.crc_errors += 1
             if _o is not None:
-                _o.bump("aal5.crc_errors")
+                _o.count("aal5.crc_errors")
             return None
         self.completed_pdus += 1
         if _o is not None:
-            _o.bump("aal5.pdus_reassembled")
-            _o.bump("aal5.cells_reassembled", len(cells))
+            _o.count("aal5.pdus_reassembled")
+            _o.count("aal5.cells_reassembled", len(cells))
         return payload
 
     def pending_cells(self, vci: int) -> int:

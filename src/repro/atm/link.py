@@ -26,18 +26,13 @@ from typing import Callable, List, Optional, Sequence
 
 from repro import obs
 from repro.atm.cell import ATM_CELL_SIZE, Cell
-from repro.obs import metrics as _metrics
-from repro.sim import Event, Simulator, Tracer
+from repro.sim import Event, Simulator
 from repro.sim import engine as _engine
 
 #: 140 Mbit/s TAXI fiber used throughout the paper's testbed.
 TAXI_140_BPS = 140_000_000.0
 #: Classic 10 Mbit/s Ethernet, for the Figure 6 baseline.
 ETHERNET_10_BPS = 10_000_000.0
-
-#: Process-wide default for the analytic train fast path; the A/B
-#: equivalence tests flip this to compare against per-cell scheduling.
-FAST_PATH_DEFAULT = True
 
 
 class CellTrain:
@@ -73,7 +68,6 @@ class Link:
         "bandwidth_bps",
         "propagation_us",
         "name",
-        "tracer",
         "loss_fn",
         "_sink",
         "_train_sink",
@@ -86,11 +80,10 @@ class Link:
         "_cell_us",
         "_busy_until",
         "_starts",
+        "_k_txq",
+        "_k_busy",
         "_k_txq_drop",
         "_k_loss",
-        "_mk_txq",
-        "_mk_busy",
-        "_mk_drop",
     )
 
     def __init__(
@@ -99,10 +92,9 @@ class Link:
         bandwidth_bps: float = TAXI_140_BPS,
         propagation_us: float = 0.3,
         name: str = "link",
-        tracer: Optional[Tracer] = None,
         loss_fn: Optional[Callable[[Cell], bool]] = None,
         queue_cells: float = float("inf"),
-        fast_path: Optional[bool] = None,
+        fast_path: bool = True,
     ):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -112,12 +104,11 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_us = propagation_us
         self.name = name
-        self.tracer = tracer if tracer is not None else Tracer()
         self.loss_fn = loss_fn
         self._sink: Optional[Callable[[Cell], None]] = None
         self._train_sink: Optional[Callable[[CellTrain], None]] = None
         self.capacity = queue_cells
-        self.fast_path = FAST_PATH_DEFAULT if fast_path is None else fast_path
+        self.fast_path = fast_path
         self.cells_sent = 0
         self.cells_dropped = 0
         self.bytes_sent = 0
@@ -131,15 +122,13 @@ class Link:
         self._cell_us = ATM_CELL_SIZE * 8 / bandwidth_bps * 1e6
         self._busy_until = 0.0
         self._starts: deque = deque()
-        # Tracer keys are built once here: send()/_finish_cell() run per
-        # cell on the event hot path and must not re-format strings.
-        self._k_txq_drop = f"{name}.txq_drop"
-        self._k_loss = f"{name}.loss"
-        # Metric keys likewise: the guarded metric calls in _claim()/
-        # send() must not pay per-cell string formatting.
-        self._mk_txq = f"link.{name}.txq_depth"
-        self._mk_busy = f"link.{name}.busy_us"
-        self._mk_drop = f"link.{name}.drops"
+        # Metric keys are built once here: _claim()/send()/_finish_cell()
+        # run per cell on the event hot path and must not re-format
+        # strings.  Queue overflow and injected loss are separate causes.
+        self._k_txq = f"link.{name}.txq_depth"
+        self._k_busy = f"link.{name}.busy_us"
+        self._k_txq_drop = f"link.{name}.txq_drop"
+        self._k_loss = f"link.{name}.loss"
 
     def connect(
         self,
@@ -184,12 +173,10 @@ class Link:
             _o.add_complete(
                 start, finish + self.propagation_us, "cell", "wire", host=self.name
             )
-        _m = _metrics.active
-        if _m is not None:
             # busy_us accumulates serialization time; dividing by the
             # span of the run gives link utilization in the report.
-            _m.observe(self._mk_txq, len(starts))
-            _m.count(self._mk_busy, finish - start)
+            _o.observe(self._k_txq, len(starts))
+            _o.count(self._k_busy, finish - start)
         return finish
 
     # -- producer API ---------------------------------------------------
@@ -209,10 +196,9 @@ class Link:
             if _engine.access_hook is not None:
                 _engine.access_hook(id(self), f"link:{self.name}", "r")
             self.cells_dropped += 1
-            self.tracer.count(self._k_txq_drop)
-            _m = _metrics.active
-            if _m is not None:
-                _m.count(self._mk_drop)
+            _o = obs.active
+            if _o is not None:
+                _o.count(self._k_txq_drop)
             return False
         finish = self._claim(cell, now)
         if self.loss_fn is not None or not self.fast_path:
@@ -289,10 +275,9 @@ class Link:
         self.bytes_sent += ATM_CELL_SIZE
         if self.loss_fn is not None and self.loss_fn(cell):
             self.cells_dropped += 1
-            self.tracer.count(self._k_loss)
-            _m = _metrics.active
-            if _m is not None:
-                _m.count(self._mk_drop)
+            _o = obs.active
+            if _o is not None:
+                _o.count(self._k_loss)
             return
         self.sim.schedule_callback(self.propagation_us, self._deliver_cell, cell)
 

@@ -10,12 +10,12 @@ kernel agent opens a channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.atm.cell import Cell
 from repro.atm.link import TAXI_140_BPS, Link
 from repro.atm.switch import Switch
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 
 #: VCIs 0-31 are reserved for signalling/management, as on real ATM gear.
 FIRST_USER_VCI = 32
@@ -64,18 +64,15 @@ class AtmNetwork:
         bandwidth_bps: float = TAXI_140_BPS,
         propagation_us: float = 0.3,
         switching_latency_us: float = 2.0,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
-        self.tracer = tracer if tracer is not None else Tracer()
         self.switch = Switch(
             sim,
             n_ports=n_ports,
             bandwidth_bps=bandwidth_bps,
             switching_latency_us=switching_latency_us,
             propagation_us=propagation_us,
-            tracer=self.tracer,
         )
         self._ports: Dict[str, NetworkPort] = {}
         self._next_vci = FIRST_USER_VCI
@@ -94,7 +91,6 @@ class AtmNetwork:
             bandwidth_bps=self.bandwidth_bps,
             propagation_us=self.switch.output_links[index].propagation_us,
             name=f"{name}.tx",
-            tracer=self.tracer,
         )
         tx_link.connect(
             self.switch.input_sink(index),

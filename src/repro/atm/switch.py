@@ -11,13 +11,12 @@ turns into AAL5 CRC failures -- the paper's §7.8 cell-loss discussion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro import obs
 from repro.atm.cell import Cell
 from repro.atm.link import TAXI_140_BPS, CellTrain, Link
-from repro.obs import metrics as _metrics
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim import engine as _engine
 
 
@@ -35,14 +34,12 @@ class Switch:
         "n_ports",
         "switching_latency_us",
         "name",
-        "tracer",
         "_routes",
         "output_links",
         "cells_switched",
         "cells_unrouted",
         "_k_unrouted",
-        "_mk_unrouted",
-        "_mk_buf",
+        "_k_buf",
     )
 
     def __init__(
@@ -54,7 +51,6 @@ class Switch:
         output_queue_cells: int = 256,
         propagation_us: float = 0.3,
         name: str = "asx200",
-        tracer: Optional[Tracer] = None,
     ):
         if n_ports < 1:
             raise ValueError("switch needs at least one port")
@@ -62,7 +58,6 @@ class Switch:
         self.n_ports = n_ports
         self.switching_latency_us = switching_latency_us
         self.name = name
-        self.tracer = tracer if tracer is not None else Tracer()
         self._routes: Dict[Tuple[int, int], SwitchRoute] = {}
         self.output_links = [
             Link(
@@ -70,7 +65,6 @@ class Switch:
                 bandwidth_bps=bandwidth_bps,
                 propagation_us=propagation_us,
                 name=f"{name}.out{p}",
-                tracer=self.tracer,
                 queue_cells=output_queue_cells,
             )
             for p in range(n_ports)
@@ -78,9 +72,8 @@ class Switch:
         self.cells_switched = 0
         self.cells_unrouted = 0
         # Built once: _receive() runs per cell on the event hot path.
-        self._k_unrouted = f"{name}.unrouted"
-        self._mk_unrouted = f"switch.{name}.unrouted"
-        self._mk_buf = f"switch.{name}.buffer_high_water"
+        self._k_unrouted = f"switch.{name}.unrouted"
+        self._k_buf = f"switch.{name}.buffer_high_water"
 
     def add_route(self, in_port: int, in_vci: int, out_port: int, out_vci: int) -> None:
         self._check_port(in_port)
@@ -127,14 +120,12 @@ class Switch:
         if _engine.access_hook is not None:
             _engine.access_hook(id(self._routes), f"routes:{self.name}", "r")
         route = self._routes.get((port, cell.vci))
+        _o = obs.active
         if route is None:
             self.cells_unrouted += 1
-            self.tracer.count(self._k_unrouted)
-            _m = _metrics.active
-            if _m is not None:
-                _m.count(self._mk_unrouted)
+            if _o is not None:
+                _o.count(self._k_unrouted)
             return
-        _o = obs.active
         if _o is not None:
             now = self.sim._now
             _o.add_complete(
@@ -158,11 +149,11 @@ class Switch:
         self.cells_switched += 1
         link = self.output_links[route.out_port]
         link.send(cell.with_vci(route.out_vci))
-        _m = _metrics.active
-        if _m is not None:
+        _o = obs.active
+        if _o is not None:
             # Output contention lives in the per-port link queues; the
             # switch-level high-water gauge is the max across all ports.
-            _m.gauge_max(self._mk_buf, len(link._starts))
+            _o.gauge_max(self._k_buf, len(link._starts))
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.n_ports:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro import obs
-from repro.obs import metrics as _metrics
 from repro.core import SINGLE_CELL_MAX, SendDescriptor, UNetCluster, UNetSession
 from repro.core.upcall import UpcallCondition, register_upcall
 from repro.sim import Simulator, StatSeries
@@ -113,10 +112,8 @@ def raw_rtt(
                 # Signal delivery interposes before the app sees the message.
                 yield from sa.host.signal_delivery()
             stats.add(sim.now - t0)
-            _m = _metrics.active
-            if _m is not None:
-                _m.observe("rtt_us", sim.now - t0)
             if _sp is not None:
+                _o.observe("rtt_us", sim.now - t0)
                 _o.annotate(_sp, i=i, bytes=size)
                 _o.end(_sp, sim.now)
             assert sa.peek_payload(desc) == payload
@@ -134,11 +131,6 @@ def raw_rtt(
     sim.process(pinger(), name="pinger")
     sim.process(ponger(), name="ponger")
     sim.run(until=1e9)
-    _o = obs.active
-    if _o is not None and cluster.tracer.records_dropped:
-        # Surface silent tracer truncation so the report can warn: a
-        # clipped ring means per-layer attribution is undercounting.
-        _o.bump("tracer.records_dropped", cluster.tracer.records_dropped)
     if len(stats) != n:
         raise RuntimeError(
             f"ping-pong stalled: only {len(stats)}/{n} round trips completed"

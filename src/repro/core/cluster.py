@@ -16,7 +16,7 @@ from repro.core.endpoint import Channel, Endpoint
 from repro.core.kernel_agent import ClusterDirectory, KernelAgent, ResourceLimits
 from repro.core.ni.costs import ForeCosts, Sba100Costs, Sba200Costs
 from repro.host import Workstation
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 
 
 class UNetCluster:
@@ -29,7 +29,6 @@ class UNetCluster:
         ni_kind: str = "sba200",
         bandwidth_bps: float = TAXI_140_BPS,
         limits: Optional[ResourceLimits] = None,
-        tracer: Optional[Tracer] = None,
         ni_costs=None,
     ):
         # NI classes are imported lazily to avoid circular imports.
@@ -49,21 +48,17 @@ class UNetCluster:
         ni_cls, default_costs = ni_factories[ni_kind]
 
         self.sim = sim
-        self.tracer = tracer if tracer is not None else Tracer()
         self.network = AtmNetwork(
-            sim, n_ports=len(host_specs), bandwidth_bps=bandwidth_bps,
-            tracer=self.tracer,
+            sim, n_ports=len(host_specs), bandwidth_bps=bandwidth_bps
         )
         self.hosts: Dict[str, Workstation] = {}
         self.agents: Dict[str, KernelAgent] = {}
         self.directory = ClusterDirectory(self.network)
         for name, mhz in host_specs:
             port = self.network.attach(name)
-            host = Workstation(sim, name, mhz=mhz, tracer=self.tracer)
-            ni = ni_cls(
-                host, port, costs=ni_costs or default_costs(), tracer=self.tracer
-            )
-            agent = KernelAgent(host, ni, limits=limits, tracer=self.tracer)
+            host = Workstation(sim, name, mhz=mhz)
+            ni = ni_cls(host, port, costs=ni_costs or default_costs())
+            agent = KernelAgent(host, ni, limits=limits)
             self.directory.register_agent(agent)
             self.hosts[name] = host
             self.agents[name] = agent

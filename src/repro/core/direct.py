@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import obs
 from repro.atm.aal5 import cells_for_pdu, segment_pdu
 from repro.core.descriptors import RecvDescriptor, SendDescriptor
 from repro.core.endpoint import Endpoint
@@ -59,6 +60,7 @@ class DirectAccessNI(Sba200UNet):
         super().__init__(*args, **kwargs)
         self.direct_deposits = 0
         self.direct_range_errors = 0
+        self._k_direct_range_error = f"{self.name}.direct_range_error"
 
     # -- transmit: add framing ------------------------------------------------
     def _gather(self, endpoint: Endpoint, desc: SendDescriptor) -> bytes:
@@ -77,11 +79,15 @@ class DirectAccessNI(Sba200UNet):
             framed = self.reassembler.push(cell)
             if framed is None:
                 if cell.last:
-                    self.tracer.count(f"{self.name}.rx_bad_pdu")
+                    _o = obs.active
+                    if _o is not None:
+                        _o.count(self._k_rx_bad_pdu)
                 continue
             channel = self.mux.demux(cell.vci)
             if channel is None:
-                self.tracer.count(f"{self.name}.rx_unmatched")
+                _o = obs.active
+                if _o is not None:
+                    _o.count(self._k_rx_unmatched)
                 continue
             msg_type, offset = HEADER.unpack(framed[: HEADER.size])
             payload = framed[HEADER.size :]
@@ -109,7 +115,9 @@ class DirectAccessNI(Sba200UNet):
         except Exception:
             # Out-of-segment deposit: protection says drop, never write.
             self.direct_range_errors += 1
-            self.tracer.count(f"{self.name}.direct_range_error")
+            _o = obs.active
+            if _o is not None:
+                _o.count(self._k_direct_range_error)
             return
         endpoint.segment.write(offset, payload)
         self.direct_deposits += 1
@@ -121,4 +129,6 @@ class DirectAccessNI(Sba200UNet):
         if endpoint.deliver(notification):
             self.pdus_received += 1
         else:
-            self.tracer.count(f"{self.name}.rx_ring_full")
+            _o = obs.active
+            if _o is not None:
+                _o.count(self._k_rx_ring_full)

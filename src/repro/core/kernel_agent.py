@@ -19,7 +19,6 @@ from repro.atm.network import AtmNetwork, VciPair
 from repro.core.endpoint import Channel, Endpoint
 from repro.core.errors import ChannelError, ProtectionError, ResourceLimitError
 from repro.host import Workstation
-from repro.sim import Tracer
 
 
 @dataclass
@@ -49,13 +48,11 @@ class KernelAgent:
         ni,
         limits: Optional[ResourceLimits] = None,
         auth: AuthCheck = allow_all,
-        tracer: Optional[Tracer] = None,
     ):
         self.host = host
         self.ni = ni  # the network interface model this kernel controls
         self.limits = limits if limits is not None else ResourceLimits()
         self.auth = auth
-        self.tracer = tracer if tracer is not None else Tracer()
         self.endpoints: List[Endpoint] = []
         self.pinned_bytes = 0
         self._next_channel_id = 1

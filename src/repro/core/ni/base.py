@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro import obs
 from repro.atm.cell import Cell
@@ -10,7 +10,7 @@ from repro.atm.network import NetworkPort
 from repro.core.endpoint import Endpoint
 from repro.core.mux import Mux
 from repro.host import Workstation
-from repro.sim import Event, Simulator, Store, Tracer
+from repro.sim import Event, Simulator, Store
 
 
 class NetworkInterface:
@@ -28,7 +28,6 @@ class NetworkInterface:
         "port",
         "name",
         "mux",
-        "tracer",
         "endpoints",
         "_attach_event",
         "input_fifo",
@@ -47,14 +46,12 @@ class NetworkInterface:
         host: Workstation,
         port: NetworkPort,
         input_fifo_cells: int = 292,
-        tracer: Optional[Tracer] = None,
     ):
         self.host = host
         self.sim: Simulator = host.sim
         self.port = port
         self.name = f"{host.name}.ni"
         self.mux = Mux(name=f"{self.name}.mux")
-        self.tracer = tracer or host.tracer
         self.endpoints: List[Endpoint] = []
         self._attach_event: Event = self.sim.event()
         # Cell input FIFO between the fiber and the (modelled) firmware.
@@ -92,7 +89,6 @@ class NetworkInterface:
         accepted = self.input_fifo.try_put(cell)
         if not accepted:
             self.input_fifo_drops += 1
-            self.tracer.count(self._k_rxfifo_drop)
         _o = obs.active
         if _o is not None:
             _o.sample(
@@ -102,7 +98,7 @@ class NetworkInterface:
                 host=self.host.name,
             )
             if not accepted:
-                _o.bump(self._k_rxfifo_drop)
+                _o.count(self._k_rxfifo_drop)
 
     # -- delivery helpers shared by all NI models --------------------------
     def _deliver_inline(self, channel, payload: bytes) -> bool:
@@ -112,13 +108,13 @@ class NetworkInterface:
         desc = RecvDescriptor(
             channel=channel.ident, length=len(payload), inline=payload
         )
-        if channel.endpoint.deliver(desc):
-            _o = obs.active
-            if _o is not None:
-                _o.bump(self._k_rx_inline_pdus)
-            return True
-        self.tracer.count(self._k_rx_ring_full)
-        return False
+        delivered = channel.endpoint.deliver(desc)
+        _o = obs.active
+        if _o is not None:
+            _o.count(
+                self._k_rx_inline_pdus if delivered else self._k_rx_ring_full
+            )
+        return delivered
 
     def _deliver_buffered(self, channel, payload: bytes) -> bool:
         """Scatter a message into free-queue buffers and deliver it."""
@@ -135,7 +131,9 @@ class NetworkInterface:
                 # Out of receive buffers: the whole message is dropped and
                 # any buffers already popped go back to the free queue.
                 endpoint.no_buffer_drops += 1
-                self.tracer.count(self._k_rx_nobuf)
+                _o = obs.active
+                if _o is not None:
+                    _o.count(self._k_rx_nobuf)
                 for fd in popped:
                     endpoint.free_queue.push(fd)
                 return False
@@ -149,15 +147,17 @@ class NetworkInterface:
         desc = RecvDescriptor(
             channel=channel.ident, length=len(payload), bufs=tuple(used)
         )
-        if endpoint.deliver(desc):
-            _o = obs.active
+        delivered = endpoint.deliver(desc)
+        _o = obs.active
+        if delivered:
             if _o is not None:
-                _o.bump(self._k_rx_buffered_pdus)
-                _o.bump(self._k_rx_buffered_bytes, len(payload))
+                _o.count(self._k_rx_buffered_pdus)
+                _o.count(self._k_rx_buffered_bytes, len(payload))
             return True
         for fd in popped:
             endpoint.free_queue.push(fd)
-        self.tracer.count(self._k_rx_ring_full)
+        if _o is not None:
+            _o.count(self._k_rx_ring_full)
         return False
 
     def __repr__(self) -> str:

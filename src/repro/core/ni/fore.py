@@ -20,7 +20,6 @@ from repro.atm.network import NetworkPort
 from repro.core.ni.costs import ForeCosts, Sba200Costs
 from repro.core.ni.sba200 import Sba200UNet
 from repro.host import Workstation
-from repro.sim import Tracer
 
 
 class ForeFirmwareNI(Sba200UNet):
@@ -39,7 +38,6 @@ class ForeFirmwareNI(Sba200UNet):
         host: Workstation,
         port: NetworkPort,
         costs: Optional[ForeCosts] = None,
-        tracer: Optional[Tracer] = None,
     ):
         fore = costs if costs is not None else ForeCosts()
         translated = Sba200Costs(
@@ -61,7 +59,6 @@ class ForeFirmwareNI(Sba200UNet):
             host,
             port,
             costs=translated,
-            tracer=tracer,
             single_cell_optimization=False,
         )
         self.fore_costs = fore

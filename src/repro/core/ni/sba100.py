@@ -22,7 +22,6 @@ from repro.core.endpoint import Endpoint
 from repro.core.ni.base import NetworkInterface
 from repro.core.ni.costs import Sba100Costs
 from repro.host import Workstation
-from repro.sim import Tracer
 
 
 class Sba100UNet(NetworkInterface):
@@ -44,12 +43,9 @@ class Sba100UNet(NetworkInterface):
         host: Workstation,
         port: NetworkPort,
         costs: Optional[Sba100Costs] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.costs = costs if costs is not None else Sba100Costs()
-        super().__init__(
-            host, port, input_fifo_cells=self.costs.input_fifo_cells, tracer=tracer
-        )
+        super().__init__(host, port, input_fifo_cells=self.costs.input_fifo_cells)
         self.reassembler = Reassembler()
         # The 36-cell output FIFO: the PIO loop blocks when it is full.
         self.port.tx_link.set_queue_capacity(self.costs.output_fifo_cells)
@@ -88,7 +84,9 @@ class Sba100UNet(NetworkInterface):
             channel = endpoint.channels.get(desc.channel)
             if channel is None or not channel.open:
                 self.send_errors += 1
-                self.tracer.count(self._k_tx_badchannel)
+                _o = obs.active
+                if _o is not None:
+                    _o.count(self._k_tx_badchannel)
                 continue
             if desc.inline is not None:
                 payload = desc.inline
@@ -131,13 +129,14 @@ class Sba100UNet(NetworkInterface):
                 yield from self.host.cpu.compute(self._per_cell_recv_us())
                 payload = self.reassembler.push(cell)
                 if payload is None:
-                    if cell.last:
-                        self.tracer.count(self._k_rx_bad_pdu)
+                    if cell.last and _o is not None:
+                        _o.count(self._k_rx_bad_pdu)
                     continue
                 yield from self.host.cpu.compute(costs.recv_trap_us)
                 channel = self.mux.demux(cell.vci)
                 if channel is None:
-                    self.tracer.count(self._k_rx_unmatched)
+                    if _o is not None:
+                        _o.count(self._k_rx_unmatched)
                     continue
                 if _sp is not None:
                     _o.annotate(_sp, bytes=len(payload))

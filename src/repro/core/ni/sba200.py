@@ -29,7 +29,7 @@ from repro.core.endpoint import Endpoint
 from repro.core.ni.base import NetworkInterface
 from repro.core.ni.costs import Sba200Costs
 from repro.host import Workstation
-from repro.sim import Resource, Tracer
+from repro.sim import Resource
 
 
 class Sba200UNet(NetworkInterface):
@@ -56,13 +56,10 @@ class Sba200UNet(NetworkInterface):
         host: Workstation,
         port: NetworkPort,
         costs: Optional[Sba200Costs] = None,
-        tracer: Optional[Tracer] = None,
         single_cell_optimization: bool = True,
     ):
         self.costs = costs if costs is not None else Sba200Costs()
-        super().__init__(
-            host, port, input_fifo_cells=self.costs.input_fifo_cells, tracer=tracer
-        )
+        super().__init__(host, port, input_fifo_cells=self.costs.input_fifo_cells)
         #: The single on-board processor; TX and RX firmware share it.
         self.i960 = Resource(self.sim, capacity=1, name=f"{self.name}.i960")
         self.single_cell_optimization = single_cell_optimization
@@ -104,7 +101,9 @@ class Sba200UNet(NetworkInterface):
             channel = endpoint.channels.get(desc.channel)
             if channel is None or not channel.open:
                 self.send_errors += 1
-                self.tracer.count(self._k_tx_badchannel)
+                _o = obs.active
+                if _o is not None:
+                    _o.count(self._k_tx_badchannel)
                 continue
             payload = self._gather(endpoint, desc)
             n_cells = cells_for_pdu(len(payload))
@@ -170,8 +169,8 @@ class Sba200UNet(NetworkInterface):
                 first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
                 payload = self.reassembler.push(cell)
                 if payload is None:
-                    if cell.last:
-                        self.tracer.count(self._k_rx_bad_pdu)
+                    if cell.last and _o is not None:
+                        _o.count(self._k_rx_bad_pdu)
                     continue
                 single = (
                     self.single_cell_optimization
@@ -181,7 +180,8 @@ class Sba200UNet(NetworkInterface):
                 )
                 channel = self.mux.demux(cell.vci)
                 if channel is None:
-                    self.tracer.count(self._k_rx_unmatched)
+                    if _o is not None:
+                        _o.count(self._k_rx_unmatched)
                     continue
                 if _sp is not None:
                     _sp.name = "rx_single" if single else "rx_packet"

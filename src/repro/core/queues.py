@@ -18,7 +18,6 @@ from typing import Any, Deque, List, Optional
 
 from repro import obs
 from repro.analysis import sanitize
-from repro.obs import metrics as _metrics
 from repro.sim import Event, Simulator
 from repro.sim import engine as _engine
 
@@ -51,8 +50,8 @@ class DescriptorRing:
         self._san = sanitize.RingSanitizer(name) if sanitize.enabled() else None
         # Metric keys are precomputed: the guarded hot path pays no
         # per-operation string formatting.
-        self._mk_depth = f"ring.{name}.depth"
-        self._mk_rejected = f"ring.{name}.rejected"
+        self._k_depth = f"ring.{name}.depth"
+        self._k_rejected = f"ring.{name}.rejected"
 
     def __len__(self) -> int:
         return len(self._items)
@@ -79,10 +78,7 @@ class DescriptorRing:
             self.rejected += 1
             _o = obs.active
             if _o is not None:
-                _o.bump(f"ring.{self.name}.rejected")
-            _m = _metrics.active
-            if _m is not None:
-                _m.count(self._mk_rejected)
+                _o.count(self._k_rejected)
             return False
         if self._san is not None:
             self._san.on_push(item, len(self._items), self.capacity)
@@ -90,10 +86,9 @@ class DescriptorRing:
         self.pushed += 1
         _o = obs.active
         if _o is not None:
-            _o.sample(self.sim._now, f"ring.{self.name}.depth", len(self._items))
-        _m = _metrics.active
-        if _m is not None:
-            _m.observe(self._mk_depth, len(self._items))
+            depth = len(self._items)
+            _o.sample(self.sim._now, self._k_depth, depth)
+            _o.observe(self._k_depth, depth)
         if self._nonempty_waiters:
             waiters, self._nonempty_waiters = self._nonempty_waiters, []
             for event in waiters:
@@ -118,10 +113,9 @@ class DescriptorRing:
         self.popped += 1
         _o = obs.active
         if _o is not None:
-            _o.sample(self.sim._now, f"ring.{self.name}.depth", len(self._items))
-        _m = _metrics.active
-        if _m is not None:
-            _m.observe(self._mk_depth, len(self._items))
+            depth = len(self._items)
+            _o.sample(self.sim._now, self._k_depth, depth)
+            _o.observe(self._k_depth, depth)
         if self._space_waiters:
             waiters, self._space_waiters = self._space_waiters, []
             for event in waiters:

@@ -64,7 +64,7 @@ class CommSegment:
             _engine.access_hook(id(self), f"seg:{self.owner or 'segment'}", "w")
         _o = obs.active
         if _o is not None:
-            _o.bump("segment.bytes_written", len(data))
+            _o.count("segment.bytes_written", len(data))
         self._mem[offset : offset + len(data)] = data
 
     def read(self, offset: int, length: int) -> bytes:
@@ -73,7 +73,7 @@ class CommSegment:
             _engine.access_hook(id(self), f"seg:{self.owner or 'segment'}", "r")
         _o = obs.active
         if _o is not None:
-            _o.bump("segment.bytes_read", length)
+            _o.count("segment.bytes_read", length)
         return bytes(self._mem[offset : offset + length])
 
     # -- convenience allocator --------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.host.cpu import CpuModel, REFERENCE_MHZ
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 
 
 @dataclass
@@ -63,13 +63,11 @@ class Workstation:
         name: str,
         mhz: float = REFERENCE_MHZ,
         costs: Optional[HostCosts] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.name = name
         self.cpu = CpuModel(sim, mhz=mhz, name=f"{name}.cpu")
         self.costs = costs if costs is not None else HostCosts()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.ni = None  # set by the NI model when attached
 
     @property

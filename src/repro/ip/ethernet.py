@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.sim import Simulator, Store, Tracer
+from repro.sim import Simulator, Store
 
 ETHERNET_BPS = 10_000_000.0
 ETHERNET_MTU = 1500
@@ -55,9 +55,8 @@ class EthernetPort:
 class EthernetLan:
     """A shared 10 Mbit/s segment."""
 
-    def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.tracer = tracer if tracer is not None else Tracer()
         self._ports: Dict[int, EthernetPort] = {}
         self._medium = Store(sim, name="ether.medium")
         self.frames_sent = 0

@@ -20,7 +20,6 @@ from typing import Deque, List, Optional
 from collections import deque
 
 from repro import obs
-from repro.obs import metrics as _metrics
 from repro.ip.headers import (
     FLAG_ACK,
     FLAG_FIN,
@@ -255,9 +254,9 @@ class TcpConnection:
                     self.cwnd = self.cfg.mss
                     self.fast_retransmits += 1
                     self.retransmits += 1
-                    _m = _metrics.active
-                    if _m is not None:
-                        _m.count("tcp.retransmits")
+                    _o = obs.active
+                    if _o is not None:
+                        _o.count("tcp.retransmits")
                     payload = bytes(self._retx[: self.cfg.mss])
                     yield from self._emit(FLAG_ACK, seq=self.snd_una, payload=payload)
                     self._retx_deadline = self.sim.now + self._rto()
@@ -339,9 +338,9 @@ class TcpConnection:
         self.segments_sent += 1
         _o = obs.active
         if _o is not None:
-            _o.bump("tcp.segments_sent")
+            _o.count("tcp.segments_sent")
             if payload:
-                _o.bump("tcp.bytes_sent", len(payload))
+                _o.count("tcp.bytes_sent", len(payload))
         if flags & FLAG_ACK:
             self._delack_count = 0
             self._delack_deadline = None
@@ -356,9 +355,9 @@ class TcpConnection:
                 if self._delack_deadline is None:
                     self._delack_deadline = self.sim.now + self.cfg.delayed_ack_us
                     self._wake_timer()
-                _m = _metrics.active
-                if _m is not None:
-                    _m.count("tcp.delayed_acks")
+                _o = obs.active
+                if _o is not None:
+                    _o.count("tcp.delayed_acks")
                 return
         self.acks_sent += 1
         yield from self._emit(FLAG_ACK, seq=self.snd_nxt)
@@ -369,7 +368,7 @@ class TcpConnection:
         self.segments_received += 1
         _o = obs.active
         if _o is not None:
-            _o.bump("tcp.segments_received")
+            _o.count("tcp.segments_received")
             _o.sample(
                 self.sim.now, f"{self.name}.cwnd", self.cwnd, host=self.name
             )
@@ -631,21 +630,16 @@ class TcpConnection:
         self.cwnd = self.cfg.mss
         # go-back-N: retransmit the first outstanding segment
         _o = obs.active
-        _m = _metrics.active
         if len(self._retx):
             payload = bytes(self._retx[: self.cfg.mss])
             self.retransmits += 1
             if _o is not None:
-                _o.bump("tcp.retransmits")
-            if _m is not None:
-                _m.count("tcp.retransmits")
+                _o.count("tcp.retransmits")
             yield from self._emit(FLAG_ACK, seq=self.snd_una, payload=payload)
         elif self._fin_sent:
             self.retransmits += 1
             if _o is not None:
-                _o.bump("tcp.retransmits")
-            if _m is not None:
-                _m.count("tcp.retransmits")
+                _o.count("tcp.retransmits")
             yield from self._emit(FLAG_FIN | FLAG_ACK, seq=self.snd_nxt - 1)
         self._retx_deadline = self.sim.now + self._rto()
         self._wake_timer()

@@ -1,14 +1,16 @@
 """repro.obs -- causal span tracing, latency attribution, timeline export.
 
-Observability subsystem for the U-Net reproduction (ISSUE 4).  Three
-pieces:
+Observability subsystem for the U-Net reproduction.  Three pieces:
 
-* **causal spans** (:mod:`repro.obs.spans`) — a zero-overhead-when-off
-  begin/end/annotate API.  Model code guards every call site with
-  ``obs.active is not None``; with ``REPRO_OBS`` unset that is the only
-  cost.  Span parents propagate across heap entries via the engine's
-  instrumentation slot (the race detector's happens-before mechanism),
-  so causality follows ``schedule -> execute`` edges.
+* **causal spans and metrics** (:mod:`repro.obs.spans`) — a
+  zero-overhead-when-off begin/end/annotate API plus named counters,
+  high-water gauges and histograms, all on one :class:`SpanCollector`,
+  the only place model code records anything.  Model code guards every
+  call site with one ``obs.active`` load and an ``is None`` test; with
+  ``REPRO_OBS`` unset that is the only cost.  Span parents propagate
+  across heap entries via the engine's instrumentation slot (the race
+  detector's happens-before mechanism), so causality follows
+  ``schedule -> execute`` edges.
 * **latency attribution** (:mod:`repro.obs.attrib`) — folds a window of
   spans into a per-layer breakdown whose components sum *exactly* to
   the window length, checked against the paper's Table 1 / §4.2.3
@@ -33,14 +35,12 @@ import os
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.obs import metrics
 from repro.obs.spans import ObsMonitor, Span, SpanCollector
 
 __all__ = [
     "Span",
     "SpanCollector",
     "ObsMonitor",
-    "metrics",
     "active",
     "enabled",
     "enable",
@@ -58,8 +58,8 @@ def enabled() -> bool:
     return active is not None
 
 
-def enable(profile_wall: bool = False) -> SpanCollector:
-    """Arm span collection (and the metrics registry) globally.
+def enable() -> SpanCollector:
+    """Arm span and metrics collection globally.
 
     Must run before the Simulator under observation is constructed (the
     engine picks its monitored subclass at construction time).  Raises
@@ -77,10 +77,8 @@ def enable(profile_wall: bool = False) -> SpanCollector:
             "span tracing and race detection are mutually exclusive"
         )
     collector = SpanCollector()
-    monitor = ObsMonitor(collector, profile_wall=profile_wall)
+    monitor = ObsMonitor(collector)
     _engine.set_instrumentation(lambda: monitor, _engine.access_hook)
-    metrics.enable()
-    collector.metrics = metrics.active
     active = collector
     return collector
 
@@ -93,12 +91,11 @@ def disable() -> None:
     from repro.sim import engine as _engine
 
     _engine.set_instrumentation(None, _engine.access_hook)
-    metrics.disable()
     active = None
 
 
 @contextmanager
-def collecting(profile_wall: bool = False):
+def collecting():
     """Scoped span collection::
 
         with obs.collecting() as col:
@@ -106,9 +103,8 @@ def collecting(profile_wall: bool = False):
             ... run the scenario ...
         report = attrib.attribute(col.spans, t0, t1)
 
-    Also arms a scoped metrics registry (``obs.metrics.active``).  Saves
-    and restores whatever instrumentation (and collector) was active
-    before, so scopes nest safely with the race detector's
+    Saves and restores whatever instrumentation (and collector) was
+    active before, so scopes nest safely with the race detector's
     ``detected()`` as long as they do not overlap.
     """
     global active
@@ -117,17 +113,14 @@ def collecting(profile_wall: bool = False):
     prev_factory = _engine._monitor_factory
     prev_access = _engine.access_hook
     prev_active = active
-    prev_metrics = metrics.active
     collector = SpanCollector()
-    monitor = ObsMonitor(collector, profile_wall=profile_wall)
+    monitor = ObsMonitor(collector)
     _engine.set_instrumentation(lambda: monitor, prev_access)
-    metrics.active = collector.metrics = metrics.MetricsRegistry()
     active = collector
     try:
         yield collector
     finally:
         active = prev_active
-        metrics.active = prev_metrics
         _engine.set_instrumentation(prev_factory, prev_access)
 
 

@@ -2,8 +2,7 @@
 
 Subcommands::
 
-    report fig3 [--size N] [--n N] [--ni KIND] [--json PATH]
-                [--profile-wall] [--percentiles]
+    report fig3 [--size N] [--n N] [--ni KIND] [--json PATH] [--percentiles]
     export fig3 [--size N] [--n N] [--ni KIND] [-o trace.json]
     diff OLD.json NEW.json
 
@@ -39,8 +38,7 @@ def _scenario_kwargs(args) -> dict:
 def cmd_report(args) -> int:
     try:
         doc, _collector = report.run_scenario(
-            args.scenario, profile_wall=args.profile_wall,
-            **_scenario_kwargs(args),
+            args.scenario, **_scenario_kwargs(args)
         )
     except ValueError as exc:
         # the check_sum() invariant raises ValueError
@@ -63,8 +61,7 @@ def cmd_report(args) -> int:
 
 def cmd_export(args) -> int:
     doc, collector = report.run_scenario(
-        args.scenario, profile_wall=args.profile_wall,
-        **_scenario_kwargs(args),
+        args.scenario, **_scenario_kwargs(args)
     )
     out = args.output or f"OBS_{args.scenario}_trace.json"
     n_events = export.write_trace(collector, out)
@@ -114,7 +111,6 @@ def main(argv=None) -> int:
     p_report.add_argument(
         "--json", default=None, help="attribution JSON output path"
     )
-    p_report.add_argument("--profile-wall", action="store_true")
     p_report.add_argument(
         "--percentiles", action="store_true",
         help="print p50/p99/p999 RTT and per-layer tail attribution",
@@ -126,7 +122,6 @@ def main(argv=None) -> int:
     )
     _add_scenario_args(p_export)
     p_export.add_argument("-o", "--output", default=None)
-    p_export.add_argument("--profile-wall", action="store_true")
     p_export.set_defaults(fn=cmd_export)
 
     p_diff = subs.add_parser(

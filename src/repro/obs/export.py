@@ -90,7 +90,7 @@ def to_trace_events(collector: SpanCollector) -> Dict[str, object]:
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.obs",
-            "counters": collector.snapshot(),
+            **collector.snapshot(),
             "engine_profile": collector.engine_profile(),
         },
     }

@@ -1,55 +1,25 @@
-"""repro.obs.metrics -- counters, gauges, and log-bucketed histograms.
+"""repro.obs.metrics -- log-bucketed histograms.
 
-The metrics substrate is the second leg of repro.obs (spans are the
-first): plain named counters, high-water gauges, and HDR-style
-log-bucketed histograms with bounded relative error and exact
-min/max/count/sum.  It follows exactly the zero-overhead-when-off
-discipline of :mod:`repro.obs.spans`: hot-path code reads one module
-attribute and does one ``is`` test::
-
-    _m = metrics.active
-    if _m is not None:
-        _m.observe(self._mk_depth, len(self._items))
-
-With metrics off (the default) that attribute load is the only cost.
-
-Histogram buckets are logarithmic with ``SUBBUCKETS`` linear
-sub-buckets per power of two (``frexp`` decomposition), so any recorded
-value is reproduced by :meth:`Histogram.percentile` within a relative
-error of ``1 / (2 * SUBBUCKETS)`` -- and min/max/count/sum are tracked
-exactly on the side, so p0/p100 and means are exact.
-
-Unlike spans, metrics need no engine instrumentation slot: arming is a
-single module attribute, so metrics work identically on the calendar
-core and the monitored heap.
+:class:`Histogram` is the distribution store behind
+:meth:`repro.obs.spans.SpanCollector.observe`.  Buckets are logarithmic
+with ``SUBBUCKETS`` linear sub-buckets per power of two (``frexp``
+decomposition), so any recorded value is reproduced by
+:meth:`Histogram.percentile` within a relative error of
+``1 / (2 * SUBBUCKETS)`` -- and min/max/count/sum are tracked exactly
+on the side, so p0/p100 and means are exact.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Any, Dict, Optional
+from typing import Dict
 
-__all__ = [
-    "Histogram",
-    "MetricsRegistry",
-    "active",
-    "enabled",
-    "enable",
-    "disable",
-    "collecting",
-    "SUBBUCKETS",
-]
+__all__ = ["Histogram", "SUBBUCKETS"]
 
 #: Linear sub-buckets per power of two.  64 bounds the relative error of
 #: a percentile readout at 1/128 (< 0.8%), HDR-histogram territory,
 #: while a typical run touches only a few dozen (sparse) buckets.
 SUBBUCKETS = 64
-
-#: The live registry, or ``None`` when metrics are off.  Hot paths read
-#: this exactly once per instrumented function (same discipline as
-#: ``obs.active``).
-active: Optional["MetricsRegistry"] = None
 
 
 class Histogram:
@@ -139,91 +109,3 @@ class Histogram:
             "p99": self.percentile(99.0),
             "p999": self.percentile(99.9),
         }
-
-
-class MetricsRegistry:
-    """Named counters, high-water gauges, and histograms for one run."""
-
-    __slots__ = ("counters", "gauges", "histograms")
-
-    def __init__(self):
-        #: count() totals; float amounts are allowed (busy-time sums).
-        self.counters: Counter = Counter()
-        #: gauge_max() high-water marks.
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    # -- recording (hot path when armed) --------------------------------
-    def count(self, key: str, n: float = 1) -> None:
-        self.counters[key] += n
-
-    def gauge_max(self, key: str, value: float) -> None:
-        gauges = self.gauges
-        if value > gauges.get(key, -math.inf):
-            gauges[key] = value
-
-    def observe(self, key: str, value: float) -> None:
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = Histogram()
-        hist.observe(value)
-
-    # -- readout --------------------------------------------------------
-    def histogram(self, key: str) -> Histogram:
-        try:
-            return self.histograms[key]
-        except KeyError:
-            raise KeyError(
-                f"no histogram {key!r} (known: {sorted(self.histograms)})"
-            ) from None
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                key: self.histograms[key].summary()
-                for key in sorted(self.histograms)
-            },
-        }
-
-
-def enabled() -> bool:
-    return active is not None
-
-
-def enable() -> MetricsRegistry:
-    """Arm metrics globally (idempotent); returns the live registry."""
-    global active
-    if active is None:
-        active = MetricsRegistry()
-    return active
-
-
-def disable() -> None:
-    global active
-    active = None
-
-
-class collecting:
-    """Scoped metrics collection (no engine slot needed, so this nests
-    freely with spans and the race detector)::
-
-        with metrics.collecting() as reg:
-            ... run ...
-        print(reg.histogram("rtt_us").percentile(99))
-    """
-
-    def __init__(self):
-        self._saved: Optional[MetricsRegistry] = None
-        self.registry = MetricsRegistry()
-
-    def __enter__(self) -> MetricsRegistry:
-        global active
-        self._saved = active
-        active = self.registry
-        return self.registry
-
-    def __exit__(self, *exc: Any) -> None:
-        global active
-        active = self._saved

@@ -28,7 +28,6 @@ def run_fig3(
     n: int = 8,
     ni_kind: str = "sba200",
     mhz: float = 60.0,
-    profile_wall: bool = False,
 ):
     """Figure 3 raw round trip with spans.
 
@@ -39,7 +38,7 @@ def run_fig3(
     from repro.core import UNetCluster
     from repro.sim import Simulator
 
-    with obs.collecting(profile_wall=profile_wall) as collector:
+    with obs.collecting() as collector:
         result = micro.raw_rtt(size, n=n, ni_kind=ni_kind, mhz=mhz)
 
     budget = None
@@ -131,14 +130,9 @@ def _build_report(
             "rel_tol": attrib.SUM_REL_TOL,
         },
         "percentiles": percentiles,
-        "counters": collector.snapshot(),
-        "tracer_records_dropped": int(
-            collector.counters.get("tracer.records_dropped", 0)
-        ),
+        **collector.snapshot(),
         "engine_profile": collector.engine_profile(),
     }
-    if collector.metrics is not None:
-        report["metrics"] = collector.metrics.snapshot()
     if budget is not None:
         comparison = budgets.compare(mean.layers, budget)
         report["budget"] = {
@@ -242,10 +236,4 @@ def format_report(
                     f"  {layer:<14}{t['p50']:>10.3f}{t['p99']:>10.3f}"
                     f"{t['p999']:>10.3f}"
                 )
-    dropped = report.get("tracer_records_dropped", 0)
-    if dropped:
-        lines.append(
-            f"  WARNING: tracer dropped {dropped} record(s) -- counter "
-            f"attribution is undercounting (raise the tracer ring limit)"
-        )
     return "\n".join(lines)

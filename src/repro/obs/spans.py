@@ -10,6 +10,11 @@ happens-before edges (:class:`ObsMonitor` records the span that was
 current when an entry was scheduled and restores it when the entry
 pops).
 
+The collector is also the run's only metrics sink: named counters,
+high-water gauges and log-bucketed histograms (:meth:`SpanCollector.count`,
+:meth:`~SpanCollector.gauge_max`, :meth:`~SpanCollector.observe`) sit
+next to the spans and counter-track samples.
+
 Everything here is instant-off: model code guards every call with
 ``obs.active is not None`` so a disabled run pays one attribute load
 and an ``is`` test per instrumented function.
@@ -17,8 +22,11 @@ and an ``is`` test per instrumented function.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.metrics import Histogram
 
 _MISSING = object()
 
@@ -80,7 +88,8 @@ class Span:
 
 
 class SpanCollector:
-    """Accumulates spans, counter samples, and engine self-profile data.
+    """Accumulates spans, metrics, counter samples and engine self-profile
+    data.
 
     One collector serves the whole run (all simulated hosts share one
     Simulator in this repo).  ``current`` is the innermost open span of
@@ -91,26 +100,21 @@ class SpanCollector:
     def __init__(self):
         self.spans: List[Span] = []  # completed spans, in end order
         self.current: Optional[Span] = None
-        #: bump() totals: plain named counters with no time axis.
+        #: count() totals; float amounts are allowed (busy-time sums).
         self.counters: Counter = Counter()
+        #: gauge_max() high-water marks.
+        self.gauges: Dict[str, float] = {}
+        #: observe() distributions.
+        self.histograms: Dict[str, Histogram] = {}
         #: sample() points: (time, track, host, value) counter tracks.
         self.samples: List[Tuple[float, str, str, float]] = []
         self._sid = 0
-        #: The metrics registry armed alongside this collector (set by
-        #: ``obs.enable``/``obs.collecting``) so report code can read
-        #: histograms after the collecting scope has exited.
-        self.metrics: Optional[Any] = None
         # -- engine self-profile (fed by ObsMonitor) --------------------
         self.executed_callbacks = 0
         self.executed_events = 0
         self.executed_timers = 0
         self.entries_scheduled = 0
         self.max_heap_depth = 0
-        self.wall_by_kind: Dict[str, float] = {
-            "callback": 0.0,
-            "event": 0.0,
-            "timer": 0.0,
-        }
 
     # -- span lifecycle -------------------------------------------------
     def begin(
@@ -171,9 +175,20 @@ class SpanCollector:
         self.spans.append(span)
         return span
 
-    # -- counters -------------------------------------------------------
-    def bump(self, name: str, n: int = 1) -> None:
-        self.counters[name] += n
+    # -- metrics --------------------------------------------------------
+    def count(self, key: str, n: float = 1) -> None:
+        self.counters[key] += n
+
+    def gauge_max(self, key: str, value: float) -> None:
+        gauges = self.gauges
+        if value > gauges.get(key, -math.inf):
+            gauges[key] = value
+
+    def observe(self, key: str, value: float) -> None:
+        hist = self.histograms.get(key)
+        if hist is None:
+            hist = self.histograms[key] = Histogram()
+        hist.observe(value)
 
     def sample(self, now: float, track: str, value: float, host: str = "") -> None:
         self.samples.append((now, track, host, value))
@@ -192,15 +207,25 @@ class SpanCollector:
             "executed_callbacks": self.executed_callbacks,
             "executed_events": self.executed_events,
             "max_heap_depth": self.max_heap_depth,
-            "wall_s_by_kind": dict(self.wall_by_kind),
         }
 
+    def histogram(self, key: str) -> Histogram:
+        try:
+            return self.histograms[key]
+        except KeyError:
+            raise KeyError(
+                f"no histogram {key!r} (known: {sorted(self.histograms)})"
+            ) from None
+
     def snapshot(self) -> Dict[str, Any]:
+        """Counters, gauges and histogram summaries for the JSON reports."""
         return {
-            "spans": len(self.spans),
             "counters": dict(self.counters),
-            "samples": len(self.samples),
-            "engine": self.engine_profile(),
+            "gauges": dict(self.gauges),
+            "histograms": {
+                key: self.histograms[key].summary()
+                for key in sorted(self.histograms)
+            },
         }
 
 
@@ -217,23 +242,14 @@ class ObsMonitor:
     process resumes.
 
     The monitor doubles as the engine self-profiler: entry counts by
-    kind (callback vs. event), high-water heap depth, and — when
-    ``profile_wall`` is set — wall time attributed per entry kind.
+    kind (callback, timer, event) and high-water heap depth.
     """
 
-    def __init__(self, collector: SpanCollector, profile_wall: bool = False):
+    def __init__(self, collector: SpanCollector):
         self.collector = collector
         self._eid = 0
         self._ctx: Dict[int, Span] = {}
         self._pending = 0
-        self._clock = None
-        self._last_wall: Optional[float] = None
-        self._last_kind = "event"
-        if profile_wall:
-            import time
-
-            # Deliberate wall-clock use: this *is* the profiler.
-            self._clock = time.perf_counter  # simlint: disable=wall-clock
 
     def on_schedule(self, seq: int, when: float, target: Any) -> int:
         c = self.collector
@@ -255,18 +271,9 @@ class ObsMonitor:
         # (possibly cancelled), anything else = an Event firing.
         tag = item[2]
         if tag is None:
-            kind = "callback"
             c.executed_callbacks += 1
         elif tag is False:
-            kind = "timer"
             c.executed_timers += 1
         else:
-            kind = "event"
             c.executed_events += 1
-        if self._clock is not None:
-            now_w = self._clock()
-            if self._last_wall is not None:
-                c.wall_by_kind[self._last_kind] += now_w - self._last_wall
-            self._last_wall = now_w
-            self._last_kind = kind
         c.current = self._ctx.pop(item[1], None)

@@ -15,7 +15,7 @@ Public surface:
 * :class:`AnyOf` / :class:`AllOf` -- condition events.
 * :class:`Store` -- FIFO channel with blocking ``get``/``put``.
 * :class:`Resource` -- counted resource with FIFO ``request``/``release``.
-* :class:`Tracer` -- structured event trace and counters.
+* :class:`StatSeries` -- sample statistics (mean, percentiles).
 """
 
 from repro.sim.engine import (
@@ -29,7 +29,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import StatSeries, Tracer
+from repro.sim.trace import StatSeries
 
 __all__ = [
     "AllOf",
@@ -43,5 +43,4 @@ __all__ = [
     "StatSeries",
     "Store",
     "Timeout",
-    "Tracer",
 ]

@@ -1,78 +1,10 @@
-"""Structured tracing and statistics collection for simulations."""
+"""Sample statistics for simulation measurements."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, MutableSequence, Optional, Tuple
-
-
-@dataclass
-class TraceRecord:
-    time: float
-    category: str
-    message: str
-    data: Optional[Dict[str, Any]] = None
-
-    def __str__(self) -> str:
-        extra = f" {self.data}" if self.data else ""
-        return f"[{self.time:12.3f}us] {self.category:>12}: {self.message}{extra}"
-
-
-class Tracer:
-    """Collects trace records and named counters.
-
-    Tracing is off by default (``enabled=False``) so hot paths pay only a
-    boolean check; counters are always collected since they are cheap and
-    the benchmark harness relies on them (drops, retransmits, etc.).
-
-    ``max_records`` bounds the record buffer with a ring: once full, the
-    oldest records are discarded (counted in ``records_dropped``) so that
-    long lossy-link runs cannot grow memory without limit.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = False,
-        categories: Optional[set] = None,
-        max_records: Optional[int] = None,
-    ):
-        if max_records is not None and max_records <= 0:
-            raise ValueError("max_records must be positive (or None for unbounded)")
-        self.enabled = enabled
-        self.categories = categories
-        self.max_records = max_records
-        self.records: MutableSequence[TraceRecord] = (
-            [] if max_records is None else deque(maxlen=max_records)
-        )
-        self.records_dropped = 0
-        self.counters: Counter = Counter()
-
-    def log(self, time: float, category: str, message: str, **data: Any) -> None:
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
-        if self.max_records is not None and len(self.records) == self.max_records:
-            self.records_dropped += 1
-        # The one sanctioned append; everywhere else goes through log().
-        self.records.append(  # simlint: disable=direct-tracer-append
-            TraceRecord(time, category, message, data or None)
-        )
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-
-    def snapshot(self) -> Dict[str, int]:
-        """Counters as a plain dict (for bench JSON reports)."""
-        return dict(self.counters)
-
-    def __getitem__(self, counter_name: str) -> int:
-        return self.counters[counter_name]
-
-    def dump(self) -> str:
-        return "\n".join(str(r) for r in self.records)
+from typing import List, Tuple
 
 
 @dataclass

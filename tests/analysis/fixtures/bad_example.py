@@ -1,8 +1,10 @@
-"""Deliberately broken module: exactly one violation of every simlint rule.
+"""Deliberately broken module: exactly one violation of every simlint rule
+that applies outside data-path modules.
 
 Never imported -- this file exists to be *linted* by the acceptance
 tests (``tests/analysis/test_cli.py``), which expect simlint to exit
-non-zero here with one ``file:line:rule`` report per rule.
+non-zero here with one ``file:line:rule`` report per rule.  The
+data-path-only rules fire in ``repro/core/bad_obs_calls.py``.
 """
 
 import heapq  # one direct-heapq violation
@@ -58,10 +60,6 @@ def bad_swallow(ring):
 def bad_mutable_default(sample, buf=[]):  # one mutable-default violation
     buf.append(sample)
     return buf
-
-
-def bad_tracer_append(tracer, record):
-    tracer.records.append(record)  # one direct-tracer-append violation
 
 
 SHARED_TABLE = {}

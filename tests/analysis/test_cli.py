@@ -11,8 +11,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 HERE = Path(__file__).resolve().parent
 FIXTURE = HERE / "fixtures" / "bad_example.py"
-#: unguarded-obs-call only fires in data-path module paths, so its
-#: violation lives in a fixture under a repro/core/ directory.
+#: unguarded-obs-call and data-path-print only fire in data-path module
+#: paths, so their violations live in a fixture under repro/core/.
 FIXTURE_HOT = HERE / "fixtures" / "repro" / "core" / "bad_obs_calls.py"
 FLOW_FIXTURES = HERE / "flow" / "fixtures"
 #: every seeded fixture: one site per rule, the typestate protocol
@@ -35,7 +35,7 @@ ALL_RULES = {
     "silent-except",
     "mutable-default",
     "schedule-shared-state",
-    "direct-tracer-append",
+    "data-path-print",
     "direct-heapq",
     "unguarded-obs-call",
 }

@@ -29,7 +29,7 @@ def test_registry_has_all_rules():
         "silent-except",
         "mutable-default",
         "schedule-shared-state",
-        "direct-tracer-append",
+        "data-path-print",
         "direct-heapq",
         "unguarded-obs-call",
     }
@@ -104,17 +104,17 @@ def test_unseeded_random_allows_seeded_instance():
 
 def test_or_default_flags_constructor_fallback():
     violations = run_rule("or-default", """
-        def __init__(self, tracer=None):
-            self.tracer = tracer or Tracer()
+        def __init__(self, pool=None):
+            self.pool = pool or BufferPool()
     """)
     assert len(violations) == 1
-    assert "tracer if tracer is not None else Tracer(...)" in violations[0].message
+    assert "pool if pool is not None else BufferPool(...)" in violations[0].message
 
 
 def test_or_default_allows_explicit_none_check():
     assert run_rule("or-default", """
-        def __init__(self, tracer=None):
-            self.tracer = tracer if tracer is not None else Tracer()
+        def __init__(self, pool=None):
+            self.pool = pool if pool is not None else BufferPool()
     """) == []
 
 
@@ -564,49 +564,24 @@ def test_violation_format_and_dict():
     assert as_dict["path"] == "snippet.py"
 
 
-# -- direct-tracer-append -------------------------------------------------
+# -- data-path-print ------------------------------------------------------
 
-def test_direct_tracer_append_flags_records_append():
-    violations = run_rule("direct-tracer-append", """
-        def emit(tracer, record):
-            tracer.records.append(record)
-    """)
-    assert len(violations) == 1
-    assert violations[0].rule == "direct-tracer-append"
-    assert "Tracer.log" in violations[0].message
-
-
-def test_direct_tracer_append_flags_nested_attribute_chain():
-    violations = run_rule("direct-tracer-append", """
-        def emit(host, record):
-            host.tracer.records.append(record)
-    """)
-    assert len(violations) == 1
-
-
-def test_direct_tracer_append_allows_tracer_log_and_other_appends():
-    assert run_rule("direct-tracer-append", """
-        def emit(tracer, items, record):
-            tracer.log("send", when=1.0)
-            items.append(record)
-    """) == []
-
-
-def test_direct_tracer_append_flags_print_in_data_path_module():
+def test_data_path_print_flags_print_in_data_path_module():
     source = textwrap.dedent("""
         def firmware_step(cell):
             print("got cell", cell)
     """)
     violations = linter.lint_file(
         "repro/core/ni/snippet.py",
-        get_rules(["direct-tracer-append"]),
+        get_rules(["data-path-print"]),
         source=source,
     )
     assert len(violations) == 1
+    assert violations[0].rule == "data-path-print"
     assert "print" in violations[0].message
 
 
-def test_direct_tracer_append_allows_print_outside_data_path():
+def test_data_path_print_allows_print_outside_data_path():
     for path in ("snippet.py", "repro/bench/snippet.py",
                  "repro/analysis/snippet.py", "repro/obs/snippet.py"):
         source = textwrap.dedent("""
@@ -614,15 +589,20 @@ def test_direct_tracer_append_allows_print_outside_data_path():
                 print(stats)
         """)
         assert linter.lint_file(
-            path, get_rules(["direct-tracer-append"]), source=source
+            path, get_rules(["data-path-print"]), source=source
         ) == []
 
 
-def test_direct_tracer_append_disable_comment():
-    assert run_rule("direct-tracer-append", """
-        def emit(tracer, record):
-            tracer.records.append(record)  # simlint: disable=direct-tracer-append
-    """) == []
+def test_data_path_print_disable_comment():
+    source = textwrap.dedent("""
+        def firmware_step(cell):
+            print("got cell", cell)  # simlint: disable=data-path-print
+    """)
+    assert linter.lint_file(
+        "repro/core/ni/snippet.py",
+        get_rules(["data-path-print"]),
+        source=source,
+    ) == []
 
 
 # -- unguarded-obs-call ---------------------------------------------------
@@ -639,11 +619,10 @@ def _lint_hot(rule_name, source):
 def test_unguarded_obs_call_flags_span_and_metric_calls():
     violations = _lint_hot("unguarded-obs-call", """
         from repro import obs
-        from repro.obs import metrics
 
-        def push(ring):
-            obs.active.bump("ring.rejected")
-            metrics.active.observe("ring.depth", len(ring))
+        def push(ring, now):
+            obs.active.begin(now, "push", "host")
+            obs.active.observe("ring.depth", len(ring))
     """)
     assert len(violations) == 2
     assert all(v.rule == "unguarded-obs-call" for v in violations)
@@ -652,10 +631,10 @@ def test_unguarded_obs_call_flags_span_and_metric_calls():
 
 def test_unguarded_obs_call_resolves_import_aliases():
     violations = _lint_hot("unguarded-obs-call", """
-        from repro.obs import metrics as _metrics
+        from repro import obs as _obs
 
         def pop(ring):
-            _metrics.active.count("ring.pops")
+            _obs.active.count("ring.pops")
     """)
     assert len(violations) == 1
 
@@ -663,15 +642,12 @@ def test_unguarded_obs_call_resolves_import_aliases():
 def test_unguarded_obs_call_allows_the_guarded_discipline():
     assert _lint_hot("unguarded-obs-call", """
         from repro import obs
-        from repro.obs import metrics as _metrics
 
         def push(ring):
             _o = obs.active
             if _o is not None:
-                _o.bump("ring.rejected")
-            _m = _metrics.active
-            if _m is not None:
-                _m.observe("ring.depth", len(ring))
+                _o.count("ring.rejected")
+                _o.observe("ring.depth", len(ring))
     """) == []
 
 
@@ -680,7 +656,7 @@ def test_unguarded_obs_call_ignores_cold_modules():
         from repro import obs
 
         def report():
-            obs.active.bump("report.runs")
+            obs.active.count("report.runs")
     """
     for path in ("snippet.py", "repro/obs/snippet.py",
                  "repro/bench/snippet.py", "repro/analysis/snippet.py"):
@@ -695,7 +671,7 @@ def test_unguarded_obs_call_disable_comment():
         from repro import obs
 
         def push():
-            obs.active.bump("x")  # simlint: disable=unguarded-obs-call
+            obs.active.count("x")  # simlint: disable=unguarded-obs-call
     """) == []
 
 

@@ -95,26 +95,33 @@ class TestContendingTrains:
 
 class TestEndToEndEquivalence:
     @pytest.fixture
-    def _flip_default(self, monkeypatch):
+    def _flip_links(self, monkeypatch):
+        """Set ``fast_path`` on every link the benchmark builds."""
+        init = linkmod.Link.__init__
+
         def flip(value):
-            monkeypatch.setattr(linkmod, "FAST_PATH_DEFAULT", value)
+            def build(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                self.fast_path = value
+
+            monkeypatch.setattr(linkmod.Link, "__init__", build)
 
         return flip
 
-    def test_raw_rtt_identical(self, _flip_default):
+    def test_raw_rtt_identical(self, _flip_links):
         from repro.bench import raw_rtt
 
-        _flip_default(True)
+        _flip_links(True)
         fast = raw_rtt(1024, n=4).mean_us
-        _flip_default(False)
+        _flip_links(False)
         slow = raw_rtt(1024, n=4).mean_us
         assert fast == slow
 
-    def test_raw_bandwidth_identical(self, _flip_default):
+    def test_raw_bandwidth_identical(self, _flip_links):
         from repro.bench import raw_bandwidth
 
-        _flip_default(True)
+        _flip_links(True)
         fast = raw_bandwidth(2048).bytes_per_second
-        _flip_default(False)
+        _flip_links(False)
         slow = raw_bandwidth(2048).bytes_per_second
         assert fast == slow

@@ -32,7 +32,6 @@ import json
 from repro import obs
 from repro.analysis import sanitize
 from repro.bench import raw_rtt
-from repro.obs import metrics
 from repro.sim import Simulator, engine
 
 raw_rtt(32, n=4)
@@ -40,7 +39,6 @@ print(json.dumps({
     "monitor_factory": engine._monitor_factory is None,
     "access_hook": engine.access_hook is None,
     "obs": obs.active is None,
-    "metrics": metrics.active is None,
     "sanitize": not sanitize.enabled(),
     "calendar_core": type(Simulator()) is Simulator,
 }))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.bench.ip import build_unet_pair
 from repro.core.errors import UNetError
 from repro.ip.bufpool import SegmentBufferPool
@@ -138,3 +139,17 @@ class TestTcpZeroCopyRetransmit:
         env = hold["conn"].env
         assert env.zero_copy_retransmits == 0
         assert env._pool.available == env._pool.total
+
+    def test_collector_counts_every_drop_cause_and_retransmit(self):
+        # Two lost cells kill one AAL5 PDU: the link's injected loss and
+        # the receiver's CRC failure reach the collector, and the fast
+        # retransmit is counted there like the timer-driven ones.
+        with obs.collecting() as col:
+            hold, data = self._lossy_transfer((300, 302))
+        assert hold["data"] == data
+        conn = hold["conn"]
+        assert conn.fast_retransmits == 1
+        assert conn.retransmits == 19
+        assert col.counters["tcp.retransmits"] == conn.retransmits
+        assert col.counters["link.alice.tx.loss"] == 2
+        assert col.counters["bob.ni.rx_bad_pdu"] == 1

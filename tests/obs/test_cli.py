@@ -71,16 +71,9 @@ def test_fig3_report_has_percentiles_section():
     rtt = pct["rtt_us"]
     assert rtt["p50"] <= rtt["p99"] <= rtt["p999"]
     assert set(pct["layers_us"]) == set(doc["attribution"]["layers_us"])
-    assert doc["tracer_records_dropped"] == 0
-    # the metrics registry rode along: exact-percentile RTT histogram
-    assert "rtt_us" in doc["metrics"]["histograms"]
-
-
-def test_report_warns_on_tracer_records_dropped():
-    from repro.obs import report as report_mod
-
-    doc, _ = report_mod.run_fig3(n=4)
-    assert "WARNING" not in report_mod.format_report(doc)
-    doc["tracer_records_dropped"] = 7
-    out = report_mod.format_report(doc)
-    assert "WARNING" in out and "7" in out
+    # one counters map beside the gauges and histograms, engine apart
+    assert {"counters", "gauges", "histograms", "engine_profile"} <= set(doc)
+    assert "engine" not in doc["counters"]
+    assert doc["counters"]["aal5.pdus_reassembled"] == 2 * 4
+    assert doc["gauges"]["switch.asx200.buffer_high_water"] >= 1
+    assert doc["histograms"]["rtt_us"]["count"] == 4

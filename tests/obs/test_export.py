@@ -23,7 +23,7 @@ def _sample_collector():
     col.begin(0.0, "never_ended", "host", host="bob")  # must be skipped
     col.sample(3.0, "ring.send.depth", 2, host="alice")
     col.sample(5.0, "ring.send.depth", 1, host="alice")
-    col.bump("aal5.pdus_reassembled", 4)
+    col.count("aal5.pdus_reassembled", 4)
     return col
 
 
@@ -77,7 +77,7 @@ def test_write_trace_is_loadable_json(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["traceEvents"]) == n
     assert doc["otherData"]["generator"] == "repro.obs"
-    assert doc["otherData"]["counters"]["counters"] == {
+    assert doc["otherData"]["counters"] == {
         "aal5.pdus_reassembled": 4
     }
 

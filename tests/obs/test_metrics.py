@@ -1,9 +1,9 @@
-"""The metrics substrate: histograms, registry, off-guard, merge."""
+"""Histograms and the span collector's counters, gauges and histograms."""
 
 import pytest
 
-from repro.obs import metrics
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
+from repro.obs.spans import SpanCollector
 
 
 # -- histogram ------------------------------------------------------------
@@ -59,17 +59,18 @@ def test_histogram_summary_keys():
     assert set(s) == {"count", "sum", "min", "max", "mean", "p50", "p99", "p999"}
 
 
-# -- registry -------------------------------------------------------------
+# -- collector metrics ----------------------------------------------------
 
 def test_registry_counters_gauges_histograms():
-    reg = MetricsRegistry()
-    reg.count("drops")
-    reg.count("drops", 2)
-    reg.count("busy_us", 1.5)
-    reg.gauge_max("depth", 3)
-    reg.gauge_max("depth", 1)
-    reg.observe("lat", 2.0)
-    snap = reg.snapshot()
+    col = SpanCollector()
+    col.count("drops")
+    col.count("drops", 2)
+    col.count("busy_us", 1.5)
+    col.gauge_max("depth", 3)
+    col.gauge_max("depth", 1)
+    col.observe("lat", 2.0)
+    snap = col.snapshot()
+    assert set(snap) == {"counters", "gauges", "histograms"}
     assert snap["counters"]["drops"] == 3
     assert snap["counters"]["busy_us"] == 1.5
     assert snap["gauges"]["depth"] == 3
@@ -77,46 +78,8 @@ def test_registry_counters_gauges_histograms():
 
 
 def test_registry_histogram_lookup_unknown_key_raises():
-    reg = MetricsRegistry()
-    reg.observe("known", 1.0)
-    reg.histogram("known")
+    col = SpanCollector()
+    col.observe("known", 1.0)
+    col.histogram("known")
     with pytest.raises(KeyError, match="known"):
-        reg.histogram("missing")
-
-
-# -- module arming --------------------------------------------------------
-
-def test_metrics_off_by_default():
-    assert metrics.active is None
-    assert not metrics.enabled()
-
-
-def test_collecting_scopes_the_registry():
-    assert metrics.active is None
-    with metrics.collecting() as reg:
-        assert metrics.active is reg
-        reg.count("x")
-    assert metrics.active is None
-    assert reg.counters["x"] == 1
-
-
-def test_enable_disable_roundtrip():
-    assert metrics.active is None
-    reg = metrics.enable()
-    try:
-        assert metrics.active is reg
-        assert metrics.enable() is reg  # idempotent
-    finally:
-        metrics.disable()
-    assert metrics.active is None
-
-
-def test_obs_collecting_arms_metrics():
-    from repro import obs
-
-    with obs.collecting() as col:
-        assert metrics.active is not None
-        assert col.metrics is metrics.active
-        metrics.active.count("seen")
-    assert metrics.active is None
-    assert col.metrics.counters["seen"] == 1
+        col.histogram("missing")

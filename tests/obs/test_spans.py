@@ -209,21 +209,6 @@ def test_enable_disable_roundtrip():
     assert _engine._monitor_factory is None
 
 
-def test_wall_profile_populates_wall_by_kind():
-    with obs.collecting(profile_wall=True) as col:
-        sim = Simulator()
-
-        def proc():
-            for _ in range(50):
-                yield sim.timeout(1.0)
-
-        sim.process(proc())
-        sim.run()
-    wall = col.engine_profile()["wall_s_by_kind"]
-    assert set(wall) == {"callback", "event", "timer"}
-    assert wall["event"] >= 0.0
-
-
 def test_timer_entries_counted_separately():
     with obs.collecting() as col:
         sim = Simulator()

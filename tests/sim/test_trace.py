@@ -1,42 +1,8 @@
-"""Unit tests for tracing and statistics."""
+"""Unit tests for sample statistics."""
 
 import pytest
 
-from repro.sim import StatSeries, Tracer
-
-
-class TestTracer:
-    def test_disabled_by_default(self):
-        tracer = Tracer()
-        tracer.log(1.0, "cat", "hello")
-        assert tracer.records == []
-
-    def test_enabled_records(self):
-        tracer = Tracer(enabled=True)
-        tracer.log(1.0, "cat", "hello", vci=7)
-        assert len(tracer.records) == 1
-        assert tracer.records[0].data == {"vci": 7}
-        assert "hello" in str(tracer.records[0])
-
-    def test_category_filter(self):
-        tracer = Tracer(enabled=True, categories={"keep"})
-        tracer.log(1.0, "keep", "yes")
-        tracer.log(2.0, "drop", "no")
-        assert [r.message for r in tracer.records] == ["yes"]
-
-    def test_counters(self):
-        tracer = Tracer()
-        tracer.count("drops")
-        tracer.count("drops", 4)
-        assert tracer["drops"] == 5
-        assert tracer["never"] == 0
-
-    def test_dump(self):
-        tracer = Tracer(enabled=True)
-        tracer.log(1.0, "a", "one")
-        tracer.log(2.0, "b", "two")
-        dump = tracer.dump()
-        assert "one" in dump and "two" in dump
+from repro.sim import StatSeries
 
 
 class TestStatSeries:
@@ -83,39 +49,6 @@ class TestStatSeries:
         assert len(s) == 0
         s.add(1.0)
         assert len(s) == 1
-
-
-class TestTracerRing:
-    def test_max_records_bounds_buffer(self):
-        tracer = Tracer(enabled=True, max_records=3)
-        for i in range(5):
-            tracer.log(float(i), "cat", f"m{i}")
-        assert len(tracer.records) == 3
-        assert [r.message for r in tracer.records] == ["m2", "m3", "m4"]
-        assert tracer.records_dropped == 2
-
-    def test_unbounded_by_default(self):
-        tracer = Tracer(enabled=True)
-        for i in range(100):
-            tracer.log(float(i), "cat", "m")
-        assert len(tracer.records) == 100
-        assert tracer.records_dropped == 0
-
-    def test_max_records_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_records"):
-            Tracer(max_records=0)
-        with pytest.raises(ValueError, match="max_records"):
-            Tracer(max_records=-1)
-
-    def test_snapshot_is_plain_dict(self):
-        tracer = Tracer()
-        tracer.count("drops", 2)
-        tracer.count("sends")
-        snap = tracer.snapshot()
-        assert snap == {"drops": 2, "sends": 1}
-        assert type(snap) is dict
-        snap["drops"] = 99  # a copy: mutating it leaves the tracer alone
-        assert tracer["drops"] == 2
 
 
 class TestStatSeriesEmpty:
