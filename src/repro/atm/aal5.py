@@ -122,6 +122,9 @@ class Reassembler:
             # Runaway PDU (lost last-cell marker): drop accumulated state.
             self.overflows += 1
             self._partial[cell.vci] = []
+            _o = obs.active
+            if _o is not None:
+                _o.count("aal5.overflows")
             return None
         if not cell.last:
             return None

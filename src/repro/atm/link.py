@@ -184,11 +184,21 @@ class Link:
         """Enqueue a cell for transmission.
 
         Returns False if the transmit queue overflowed (cell dropped).
-        This is the per-cell path of every switch output, so the prune
-        and the schedule are inlined around the shared claim.
+        """
+        return self.send_at(cell, self.sim._now)
+
+    def send_at(self, cell: Cell, now: float) -> bool:
+        """:meth:`send` as of the instant ``now`` (no earlier than the
+        current time).
+
+        The link state is a function of the claims in order, so a
+        producer whose claims are made in the order of their instants
+        (the switch, which claims at crossbar entry for the exit
+        instant) may claim ahead of time.  This is the per-cell path of
+        every switch output, so the prune and the schedule are inlined
+        around the shared claim.
         """
         sim = self.sim
-        now = sim._now
         starts = self._starts
         while starts and starts[0] <= now:
             starts.popleft()

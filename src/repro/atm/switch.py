@@ -3,9 +3,11 @@
 Each port is a full-duplex fiber attachment: cells arriving on a port's
 input are looked up in a per-(port, VCI) routing table, relabelled with
 the outgoing VCI, and forwarded after a fixed switching latency to the
-output link of the destination port.  Output contention is absorbed by
-the (finite) output link queue; overflow drops cells, which downstream
-turns into AAL5 CRC failures -- the paper's §7.8 cell-loss discussion.
+output link of the destination port; the output slot is claimed, as of
+the exit instant, when the cell enters the crossbar.  Output contention
+is absorbed by the (finite) output link queue; overflow drops cells,
+which downstream turns into AAL5 CRC failures -- the paper's §7.8
+cell-loss discussion.
 """
 
 from __future__ import annotations
@@ -126,12 +128,21 @@ class Switch:
             if _o is not None:
                 _o.count(self._k_unrouted)
             return
+        # Every cell waits the same switching latency and only this
+        # switch claims its output links, so claims made at crossbar
+        # entry, as of the exit instant, happen in exit order: the output
+        # slot is claimed here, with no second entry for the exit.
+        now = self.sim._now
+        exit_us = now + self.switching_latency_us
         if _o is not None:
-            now = self.sim._now
-            _o.add_complete(
-                now, now + self.switching_latency_us, "xbar", "switch", host=self.name
-            )
-        self.sim.schedule_callback(self.switching_latency_us, self._forward, route, cell)
+            _o.add_complete(now, exit_us, "xbar", "switch", host=self.name)
+        self.cells_switched += 1
+        link = self.output_links[route.out_port]
+        link.send_at(cell.with_vci(route.out_vci), exit_us)
+        if _o is not None:
+            # Output contention lives in the per-port link queues; the
+            # switch-level high-water gauge is the max across all ports.
+            _o.gauge_max(self._k_buf, len(link._starts))
 
     def _receive_train(self, port: int, train: CellTrain) -> None:
         # Fires at the first cell's arrival time; later cells are still
@@ -144,16 +155,6 @@ class Switch:
         self._receive(port, cells[0])
         for i in range(1, len(cells)):
             schedule_at(arrivals[i], self._receive, port, cells[i])
-
-    def _forward(self, route: SwitchRoute, cell: Cell) -> None:
-        self.cells_switched += 1
-        link = self.output_links[route.out_port]
-        link.send(cell.with_vci(route.out_vci))
-        _o = obs.active
-        if _o is not None:
-            # Output contention lives in the per-port link queues; the
-            # switch-level high-water gauge is the max across all ports.
-            _o.gauge_max(self._k_buf, len(link._starts))
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.n_ports:

@@ -70,45 +70,18 @@ class DirectAccessNI(Sba200UNet):
         return HEADER.pack(TYPE_BASE, 0) + body
 
     # -- receive: strip framing, dispatch -----------------------------------
-    def _rx_firmware(self):
-        costs = self.costs
-        while True:
-            cell = yield self.input_fifo.get()
-            yield from self.i960.use(costs.i960_rx_per_cell_us)
-            first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
-            framed = self.reassembler.push(cell)
-            if framed is None:
-                if cell.last:
-                    _o = obs.active
-                    if _o is not None:
-                        _o.count(self._k_rx_bad_pdu)
-                continue
-            channel = self.mux.demux(cell.vci)
-            if channel is None:
-                _o = obs.active
-                if _o is not None:
-                    _o.count(self._k_rx_unmatched)
-                continue
-            msg_type, offset = HEADER.unpack(framed[: HEADER.size])
-            payload = framed[HEADER.size :]
-            if msg_type == TYPE_DIRECT:
-                yield from self.i960.use(self.i960_rx_direct_us)
-                self._deposit_direct(channel, offset, payload)
-            elif (
-                self.single_cell_optimization
-                and first_of_pdu
-                and cell.last
-                and len(payload) <= 40 - HEADER.size
-            ):
-                yield from self.i960.use(costs.i960_rx_single_us)
-                if self._deliver_inline(channel, payload):
-                    self.pdus_received += 1
-            else:
-                yield from self.i960.use(costs.i960_rx_packet_us)
-                if self._deliver_buffered(channel, payload):
-                    self.pdus_received += 1
+    def _rx_dispatch(self, channel, pdu: bytes, single: bool) -> tuple:
+        msg_type, offset = HEADER.unpack_from(pdu)
+        payload = pdu[HEADER.size :]
+        if msg_type == TYPE_DIRECT:
+            return (
+                self.i960_rx_direct_us,
+                self._deposit_direct,
+                (channel, offset, payload),
+            )
+        return super()._rx_dispatch(channel, payload, single)
 
-    def _deposit_direct(self, channel, offset: int, payload: bytes) -> None:
+    def _deposit_direct(self, channel, offset: int, payload: bytes) -> bool:
         endpoint = channel.endpoint
         try:
             endpoint.segment.check_range(offset, len(payload))
@@ -118,7 +91,7 @@ class DirectAccessNI(Sba200UNet):
             _o = obs.active
             if _o is not None:
                 _o.count(self._k_direct_range_error)
-            return
+            return False
         endpoint.segment.write(offset, payload)
         self.direct_deposits += 1
         notification = RecvDescriptor(
@@ -127,8 +100,8 @@ class DirectAccessNI(Sba200UNet):
             bufs=((offset, len(payload)),),
         )
         if endpoint.deliver(notification):
-            self.pdus_received += 1
-        else:
-            _o = obs.active
-            if _o is not None:
-                _o.count(self._k_rx_ring_full)
+            return True
+        _o = obs.active
+        if _o is not None:
+            _o.count(self._k_rx_ring_full)
+        return False

@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro import obs
 from repro.atm.aal5 import Reassembler, cells_for_pdu, segment_pdu
+from repro.atm.cell import Cell
 from repro.atm.network import NetworkPort
 from repro.core.descriptors import SINGLE_CELL_MAX, SendDescriptor
 from repro.core.endpoint import Endpoint
@@ -30,6 +31,7 @@ from repro.core.ni.base import NetworkInterface
 from repro.core.ni.costs import Sba200Costs
 from repro.host import Workstation
 from repro.sim import Resource
+from repro.sim import engine as _engine
 
 
 class Sba200UNet(NetworkInterface):
@@ -49,6 +51,7 @@ class Sba200UNet(NetworkInterface):
         "_k_tx_badchannel",
         "_k_rx_bad_pdu",
         "_k_rx_unmatched",
+        "_rx_busy",
     )
 
     def __init__(
@@ -73,7 +76,9 @@ class Sba200UNet(NetworkInterface):
         self._k_tx_badchannel = f"{self.name}.tx_badchannel"
         self._k_rx_bad_pdu = f"{self.name}.rx_bad_pdu"
         self._k_rx_unmatched = f"{self.name}.rx_unmatched"
-        self.sim.process(self._rx_firmware(), name=f"{self.name}.rx")
+        #: True from the moment a cell reaches the receive firmware until
+        #: the FIFO is found empty after it.
+        self._rx_busy = False
 
     # -- transmit ---------------------------------------------------------
     def _on_attach(self, endpoint: Endpoint) -> None:
@@ -153,49 +158,85 @@ class Sba200UNet(NetworkInterface):
             self.pdus_sent += 1
 
     # -- receive ------------------------------------------------------------
-    def _rx_firmware(self):
-        """The i960 polls the network input FIFO (§4.2.2)."""
-        costs = self.costs
-        while True:
-            cell = yield self.input_fifo.get()
-            _o = obs.active
-            _sp = (
-                _o.begin(self.sim.now, "rx_cell", "ni_rx", host=self.host.name)
-                if _o is not None
-                else None
-            )
-            try:
-                yield from self.i960.use(costs.i960_rx_per_cell_us)
-                first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
-                payload = self.reassembler.push(cell)
-                if payload is None:
-                    if cell.last and _o is not None:
-                        _o.count(self._k_rx_bad_pdu)
-                    continue
-                single = (
-                    self.single_cell_optimization
-                    and first_of_pdu
-                    and cell.last
-                    and len(payload) <= SINGLE_CELL_MAX
-                )
-                channel = self.mux.demux(cell.vci)
-                if channel is None:
-                    if _o is not None:
-                        _o.count(self._k_rx_unmatched)
-                    continue
-                if _sp is not None:
-                    _sp.name = "rx_single" if single else "rx_packet"
-                    _o.annotate(
-                        _sp, bytes=len(payload), firmware=self.obs_firmware
-                    )
-                if single:
-                    yield from self.i960.use(costs.i960_rx_single_us)
-                    if self._deliver_inline(channel, payload):
-                        self.pdus_received += 1
-                else:
-                    yield from self.i960.use(costs.i960_rx_packet_us)
-                    if self._deliver_buffered(channel, payload):
-                        self.pdus_received += 1
-            finally:
-                if _sp is not None:
-                    _o.end(_sp, self.sim.now)
+    # The i960 polls the network input FIFO (§4.2.2).  The loop runs as
+    # a callback state machine, one step per i960 hold: every step sits
+    # in the (when, seq) slot where a poll-loop process would resume, so
+    # the i960 stays shared with the generator-based _tx_firmware.
+    def _rx_sink(self, cell: Cell) -> None:
+        if self._rx_busy:
+            NetworkInterface._rx_sink(self, cell)
+            return
+        # An idle firmware takes the cell at once, in the zero-delay
+        # slot a blocked input_fifo.get() would wake up in; the FIFO
+        # itself stays empty.
+        self._rx_busy = True
+        fifo = self.input_fifo
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(fifo), f"store:{fifo.name}", "w")
+        self.sim.schedule_callback(0.0, self._rx_cell, cell)
+        _o = obs.active
+        if _o is not None:
+            _o.sample(self.sim._now, self._k_rxfifo_depth, 0, host=self.host.name)
+
+    def _rx_cell(self, cell: Cell) -> None:
+        """Start one cell: the fixed per-cell i960 cost."""
+        _o = obs.active
+        _sp = (
+            _o.begin(self.sim._now, "rx_cell", "ni_rx", host=self.host.name)
+            if _o is not None
+            else None
+        )
+        self.i960.hold(
+            self.costs.i960_rx_per_cell_us, self._rx_reassemble, cell, _o, _sp
+        )
+
+    def _rx_reassemble(self, cell: Cell, _o, _sp) -> None:
+        """Push the cell into AAL5 reassembly; a completed PDU gets a
+        second i960 hold and is then delivered."""
+        first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
+        pdu = self.reassembler.push(cell)
+        if pdu is None:
+            if cell.last and _o is not None:
+                _o.count(self._k_rx_bad_pdu)
+            self._rx_next(_o, _sp)
+            return
+        single = (
+            self.single_cell_optimization
+            and first_of_pdu
+            and cell.last
+            and len(pdu) <= SINGLE_CELL_MAX
+        )
+        channel = self.mux.demux(cell.vci)
+        if channel is None:
+            if _o is not None:
+                _o.count(self._k_rx_unmatched)
+            self._rx_next(_o, _sp)
+            return
+        if _sp is not None:
+            _sp.name = "rx_single" if single else "rx_packet"
+            _o.annotate(_sp, bytes=len(pdu), firmware=self.obs_firmware)
+        cost, deliver, args = self._rx_dispatch(channel, pdu, single)
+        self.i960.hold(cost, self._rx_deliver, deliver, args, _o, _sp)
+
+    def _rx_dispatch(self, channel, pdu: bytes, single: bool) -> tuple:
+        """Choose the i960 cost and the delivery call for a reassembled
+        PDU: ``(cost_us, deliver, args)``, where ``deliver(*args)``
+        returns True once the message is queued for the endpoint."""
+        if single:
+            return self.costs.i960_rx_single_us, self._deliver_inline, (channel, pdu)
+        return self.costs.i960_rx_packet_us, self._deliver_buffered, (channel, pdu)
+
+    def _rx_deliver(self, deliver, args: tuple, _o, _sp) -> None:
+        if deliver(*args):
+            self.pdus_received += 1
+        self._rx_next(_o, _sp)
+
+    def _rx_next(self, _o, _sp) -> None:
+        """Finish a cell and poll the FIFO for the next one."""
+        if _sp is not None:
+            _o.end(_sp, self.sim._now)
+        cell = self.input_fifo.try_get()
+        if cell is None:
+            self._rx_busy = False
+        else:
+            self.sim.schedule_callback(0.0, self._rx_cell, cell)

@@ -120,7 +120,8 @@ class Resource:
         finally:
             resource.release(req)
 
-    or, for a plain timed hold, ``yield from resource.use(cost)``.
+    or, for a plain timed hold, ``yield from resource.use(cost)``;
+    callback-driven models use ``resource.hold(cost, fn, *args)``.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_queue", "_seq")
@@ -132,8 +133,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        # heap of (priority, seq, event, duration); duration is None for
-        # a request() waiter and the hold time for a use() waiter
+        # heap of (priority, seq, grant, duration); duration is None for
+        # a request() waiter and the hold time for a use() or hold()
+        # waiter, whose grant is an Event or a _HoldGrant
         self._queue: List[tuple] = []
         self._seq = 0
 
@@ -226,3 +228,47 @@ class Resource:
                 heapq.heapify(self._queue)
             raise
         self._release_held()
+
+    def hold(self, duration: float, fn, *args: Any) -> None:
+        """Callback form of :meth:`use`: hold for ``duration``, release,
+        then call ``fn(*args)``.
+
+        A free resource is taken at once and one callback, at the end of
+        the hold, is the only scheduled occurrence -- the slot a
+        ``use`` caller's timeout takes.  A contended one queues a grant
+        like a ``use`` waiter's, so ``_release_held`` hands it over in
+        the same zero-delay slot and then the hold ends in the slot the
+        waiter's resume would take."""
+        if duration < 0:
+            raise ValueError(f"negative hold duration: {duration}")
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(self), f"res:{self.name}", "w")
+        if self._in_use < self.capacity and not self._queue:
+            self._in_use += 1
+            self.sim.schedule_callback(duration, self._end_hold, fn, args)
+            return
+        self._seq += 1
+        heapq.heappush(
+            self._queue, (0, self._seq, _HoldGrant(self, fn, args), duration)
+        )
+
+    def _end_hold(self, fn, args: tuple) -> None:
+        self._release_held()
+        fn(*args)
+
+
+class _HoldGrant:
+    """A queued :meth:`Resource.hold`: granted through the same
+    ``succeed(None, duration)`` call as a ``use`` waiter's event, it
+    schedules the end of the hold as a bare callback."""
+
+    __slots__ = ("res", "fn", "args")
+
+    def __init__(self, res: Resource, fn, args: tuple):
+        self.res = res
+        self.fn = fn
+        self.args = args
+
+    def succeed(self, _value: None, duration: float) -> None:
+        res = self.res
+        res.sim.schedule_callback(duration, res._end_hold, self.fn, self.args)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.atm.aal5 import (
     AAL5Error,
     Reassembler,
@@ -163,6 +164,19 @@ class TestReassembler:
         assert result is None  # merged with garbage -> CRC failure
         assert r.crc_errors == 1
         assert r.pending_cells(1) == 0
+
+    def test_overflow_counted_under_obs(self):
+        # Overflow is a receive-path drop cause like a CRC failure, so an
+        # armed collector counts it beside aal5.crc_errors.
+        r = Reassembler(max_cells=4)
+        cells = segment_pdu(bytes(400), vci=1)
+        with obs.collecting() as col:
+            for cell in cells:
+                r.push(cell)
+        assert r.overflows == 1
+        assert r.crc_errors == 1  # the 4-cell tail fails its CRC
+        assert col.counters["aal5.overflows"] == 1
+        assert col.counters["aal5.crc_errors"] == 1
 
     def test_pending_cells(self):
         r = Reassembler()

@@ -119,3 +119,71 @@ class TestContention:
         sim.run()
         cell_us = 53 * 8 / 140e6 * 1e6
         assert arrivals == [pytest.approx(10.0 + cell_us)]
+
+
+class TestCrossbarTiming:
+    """Exact timings against the two-hop model: a cell received at ``t``
+    leaves the crossbar at ``t + switching_latency_us`` and claims the
+    output link then, in the order the cells were received."""
+
+    CELL_US = 53 * 8 / 140e6 * 1e6
+
+    def _switch(self, sim, queue_cells=256):
+        sw = Switch(
+            sim,
+            n_ports=3,
+            switching_latency_us=2.0,
+            output_queue_cells=queue_cells,
+            propagation_us=0.3,
+        )
+        sw.add_route(0, 10, 2, 20)
+        sw.add_route(1, 11, 2, 21)
+        got = []
+        sw.output_links[2].connect(lambda c: got.append((sim.now, c.vci)))
+        for p in (0, 1):
+            sw.output_links[p].connect(lambda c: got.append(("wrong", c)))
+        return sw, got
+
+    def test_two_inputs_one_output_full_queue(self):
+        sim = Simulator()
+        sw, got = self._switch(sim, queue_cells=2)
+        in0, in1 = sw.input_sink(0), sw.input_sink(1)
+        at = sim.schedule_callback_at
+        # Five same-instant arrivals, alternating input ports.
+        for i, (sink, vci) in enumerate(
+            [(in0, 10), (in1, 11), (in0, 10), (in1, 11), (in0, 10)]
+        ):
+            at(0.0, sink, make_cell(vci, seq=i))
+        # One later arrival, exiting after the first cell has finished.
+        at(self.CELL_US + 0.5, in1, make_cell(11, seq=5))
+        sim.run()
+        # All five exit at 2.0 in arrival order.  The first starts at
+        # once and is in service; the next two fill the 2-cell queue; the
+        # last two overflow.  The late cell exits at CELL_US + 2.5, when
+        # the first has started serializing, so it fits.
+        c = self.CELL_US
+        f1 = 2.0 + c
+        f2 = f1 + c
+        f3 = f2 + c
+        f4 = f3 + c
+        assert got == [
+            (f1 + 0.3, 20),
+            (f2 + 0.3, 21),
+            (f3 + 0.3, 20),
+            (f4 + 0.3, 21),
+        ]
+        assert sw.output_links[2].cells_dropped == 2
+        assert sw.cells_switched == 6
+        assert sw.cells_unrouted == 0
+
+    def test_route_removed_after_arrival_still_forwards(self):
+        sim = Simulator()
+        sw, got = self._switch(sim)
+        sim.schedule_callback_at(0.0, sw.input_sink(0), make_cell(10))
+        # Torn down while the first cell is inside the crossbar.
+        sim.schedule_callback_at(1.0, sw.remove_route, 0, 10)
+        sim.schedule_callback_at(1.5, sw.input_sink(0), make_cell(10))
+        sim.run()
+        assert got == [(2.0 + self.CELL_US + 0.3, 20)]
+        assert sw.cells_switched == 1
+        assert sw.cells_unrouted == 1

@@ -238,18 +238,35 @@ def reference_use(res, duration, priority=0):
             res.release(request)
 
 
-def _contention_log(use, seed, capacity):
+def _contention_log(use, seed, capacity, holders=None):
     """Workers with tied arrival times and durations, some using
     ``use(...)`` and some ``request(priority=-1)``, plus observers that
     log the resource state at every instant a hold can start or end.
     Same-instant entries log in (when, seq) order, so equal logs mean
-    equal grant order and equal tie order."""
+    equal grant order and equal tie order.
+
+    With ``holders`` set to ``"hold"``, about half of the priority-0
+    ``use`` workers call ``Resource.hold`` instead; with ``"use"`` the
+    same workers are written as ``use`` generators."""
     import random
 
     rng = random.Random(seed)
     sim = Simulator()
     res = Resource(sim, capacity=capacity)
     log = []
+
+    def done(tag):
+        # The state shows that the hold is released before fn runs.
+        log.append((sim.now, tag, "done", res.in_use, res.queued))
+
+    def holder(tag, arrive, duration):
+        yield sim.timeout(arrive)
+        log.append((sim.now, tag, "arrive"))
+        if holders == "hold":
+            res.hold(duration, done, tag)
+        else:
+            yield from res.use(duration)
+            done(tag)
 
     def user(tag, arrive, duration, priority):
         yield sim.timeout(arrive)
@@ -276,7 +293,11 @@ def _contention_log(use, seed, capacity):
         if rng.random() < 0.25:
             sim.process(requester(f"r{i}", arrive, duration))
         else:
-            sim.process(user(f"u{i}", arrive, duration, rng.choice([0, 0, 1])))
+            priority = rng.choice([0, 0, 1])
+            if holders is not None and priority == 0 and rng.random() < 0.5:
+                sim.process(holder(f"h{i}", arrive, duration))
+            else:
+                sim.process(user(f"u{i}", arrive, duration, priority))
         sim.process(observer(f"o{i}", float(rng.randrange(12))))
     sim.run()
     return log, sim.now, sim.events_processed
@@ -402,3 +423,42 @@ class TestContendedUse:
         sim.process(bad())
         with pytest.raises(ValueError):
             sim.run()
+
+
+class TestHold:
+    @pytest.mark.parametrize("capacity", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_use_generators(self, seed, capacity):
+        """``hold`` callers take the (when, seq) slots of ``use``
+        generators: same log and same number of entries, in a queue
+        mixing them with ``use`` and ``request(priority=-1)`` waiters."""
+
+        def use(res, duration, priority):
+            return res.use(duration, priority)
+
+        got = _contention_log(use, seed, capacity, holders="hold")
+        assert any(entry[1][0] == "h" for entry in got[0])
+        assert got == _contention_log(use, seed, capacity, holders="use")
+
+    def test_free_resource_schedules_one_entry(self):
+        sim = Simulator()
+        res = Resource(sim)
+        done = []
+        res.hold(3.0, done.append, "x")
+        assert (res.in_use, res.queued) == (1, 0)
+        sim.run()
+        assert done == ["x"]
+        assert sim.now == 3.0
+        assert sim.events_processed == 1
+        assert (res.in_use, res.queued) == (0, 0)
+
+    def test_negative_duration_rejected(self):
+        sim = Simulator()
+        res = Resource(sim)
+        with pytest.raises(ValueError):
+            res.hold(-1.0, lambda: None)
+        assert (res.in_use, res.queued) == (0, 0)
+        res.hold(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            res.hold(-1.0, lambda: None)
+        assert (res.in_use, res.queued) == (1, 0)
