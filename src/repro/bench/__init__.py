@@ -15,14 +15,12 @@ from repro.bench.micro import (
     sba100_cost_breakup,
 )
 from repro.bench.parallel import parallel_map, sweep_workers
-from repro.bench.report import Series, Table, format_bandwidth, format_us
+from repro.bench.report import Series, Table
 
 __all__ = [
     "Series",
     "Table",
     "fore_interface_stats",
-    "format_bandwidth",
-    "format_us",
     "parallel_map",
     "raw_bandwidth",
     "raw_rtt",

@@ -8,18 +8,12 @@ fans them out across a ``ProcessPoolExecutor`` while preserving input
 order, which keeps results bit-identical to a serial run regardless of
 worker count.
 
-Two layers sit in front of the raw fan-out:
-
-* a **content-addressed result cache** (:mod:`repro.bench.cache`):
-  points whose (function, parameters, source tree) triple has been
-  computed before are served from disk and never re-simulated;
-* **chunked work-stealing dispatch**: cache misses are split into
-  chunks of a few points each and submitted individually, so idle
-  workers pull the next pending chunk instead of being handed a fixed
-  slice up front.  Sweep points vary wildly in cost (a 4 KB
-  bandwidth point simulates far more cells than a 32 B one), and
-  static partitioning leaves the pool waiting on whichever worker
-  drew the expensive half.
+The points are cut into chunks of a few points each and every chunk is
+submitted on its own, so an idle worker pulls the next pending chunk
+instead of being handed a fixed slice up front.  Sweep points vary
+wildly in cost (a 4 KB bandwidth point simulates far more cells than a
+32 B one), and static partitioning leaves the pool waiting on whichever
+worker drew the expensive half.
 
 Worker count resolution (first match wins):
 
@@ -27,17 +21,17 @@ Worker count resolution (first match wins):
 2. the ``REPRO_BENCH_PROCS`` environment variable (``1`` forces serial);
 3. ``min(os.cpu_count(), 8)``.
 
-Any failure to stand up or keep the pool (sandboxes without semaphores,
-a worker OOM-killed) falls back to computing serially in-process, so
-benchmarks always complete.
+If the pool itself cannot be stood up or kept (sandboxes without
+semaphores, a worker OOM-killed), the sweep is computed serially
+in-process instead, so benchmarks always complete.  An exception raised
+by a sweep point is not a pool failure: it propagates once, and no
+point is computed twice.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
-
-from repro.bench import cache
+from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -69,35 +63,53 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
     return [fn(item) for item in chunk]
 
 
-def _dispatch(
+def _pool_map(
     fn: Callable[[T], R], items: Sequence[T], workers: int
-) -> List[R]:
-    """Compute ``fn`` over ``items`` in order; parallel when it can be.
+) -> Optional[List[R]]:
+    """``fn`` over ``items`` on a process pool; None if the pool fails.
 
     Work is cut into ``~CHUNKS_PER_WORKER`` chunks per worker and each
     chunk is submitted separately: a worker that finishes early steals
     the next pending chunk from the queue.  Results are reassembled in
-    input order, so the output is identical to a serial loop.
+    input order.  An exception from ``fn`` cancels the chunks not yet
+    started and propagates.
     """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
     try:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except (OSError, ImportError, NotImplementedError):
+        return None  # no fork or semaphores here (restricted sandbox)
+    try:
         chunk_size = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
             futures = [
                 pool.submit(_run_chunk, fn, items[i : i + chunk_size])
                 for i in range(0, len(items), chunk_size)
             ]
-            results: List[R] = []
+        except (OSError, BrokenProcessPool):
+            return None  # workers could not be started
+        results: List[R] = []
+        try:
             for future in futures:
                 results.extend(future.result())
+        except BrokenProcessPool:
+            return None  # a worker died under us
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _dispatch(
+    fn: Callable[[T], R], items: Sequence[T], workers: int
+) -> List[R]:
+    """Compute ``fn`` over ``items`` in order; parallel when it can be."""
+    if workers > 1 and len(items) > 1:
+        results = _pool_map(fn, items, workers)
+        if results is not None:
             return results
-    except (OSError, ImportError, RuntimeError):
-        # No fork/semaphores here (restricted sandbox) or the pool died
-        # under us: the serial path always works.
-        return [fn(item) for item in items]
+    return [fn(item) for item in items]
 
 
 def parallel_map(
@@ -108,31 +120,12 @@ def parallel_map(
     """Map ``fn`` over ``items`` across processes, preserving order.
 
     ``fn`` must be picklable (a module-level function); each call should
-    be an independent simulation.  With one worker (or one item) this is
-    a plain in-process loop.  Previously-computed points are served from
-    the content-addressed cache (see :mod:`repro.bench.cache`); only the
-    misses are dispatched.
+    be an independent simulation.  ``workers`` defaults to
+    :func:`sweep_workers`.  With one worker or one item, or when no
+    process pool can be kept, this is a plain in-process loop; the
+    result is the same list either way.
     """
     items = list(items)
     if workers is None:
         workers = sweep_workers()
-    workers = min(workers, len(items))
-    if not cache.enabled():
-        return _dispatch(fn, items, workers)
-    results: List[Optional[R]] = [None] * len(items)
-    pending: List[Tuple[int, T, str]] = []
-    for index, item in enumerate(items):
-        key = cache.cache_key(fn, item)
-        hit, value = cache.lookup(key)
-        if hit:
-            results[index] = value
-        else:
-            pending.append((index, item, key))
-    if pending:
-        computed = _dispatch(
-            fn, [item for _, item, _ in pending], min(workers, len(pending))
-        )
-        for (index, _, key), value in zip(pending, computed):
-            results[index] = value
-            cache.store(key, value)
-    return results  # type: ignore[return-value]
+    return _dispatch(fn, items, min(workers, len(items)))

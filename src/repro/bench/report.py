@@ -3,17 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
-
-
-def format_us(value: float) -> str:
-    return f"{value:8.1f} us"
-
-
-def format_bandwidth(bytes_per_second: float) -> str:
-    mbytes = bytes_per_second / 1e6
-    mbits = bytes_per_second * 8 / 1e6
-    return f"{mbytes:6.2f} MB/s ({mbits:6.1f} Mbit/s)"
+from typing import Any, List, Sequence
 
 
 @dataclass

@@ -3,10 +3,11 @@ benchmark packages.
 
 Every benchmark child process pays for importing the model and bench
 packages before its first simulation, so the import chain is part of a
-figure's set-up time.  None of them needs process pools, numpy or any
-engine module beyond the single scheduler at import time.  A default
-run, with no ``REPRO_*`` switch set, must also leave every
-instrumentation hook unarmed, so none of it costs time when off.
+figure's set-up time.  None of them needs process pools, numpy,
+hashing, pickling or any engine module beyond the single scheduler at
+import time.  A default run, with no ``REPRO_*`` switch set, must also
+leave every instrumentation hook unarmed, so none of it costs time
+when off.
 """
 
 import json
@@ -57,7 +58,9 @@ def _run_probe(code):
 
 def test_model_and_bench_imports_stay_lean():
     loaded = set(_run_probe(PROBE))
-    heavy = {m.split(".")[0] for m in loaded} & {"multiprocessing", "numpy"}
+    heavy = {m.split(".")[0] for m in loaded} & {
+        "hashlib", "multiprocessing", "numpy", "pickle",
+    }
     assert not heavy, sorted(heavy)
     sim = {m for m in loaded if m.startswith("repro.sim.")}
     assert sim <= SIM_MODULES, sorted(sim - SIM_MODULES)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.report import Series, Table, format_bandwidth, format_us, print_figure
+from repro.bench.report import Series, Table, print_figure
 
 
 class TestTable:
@@ -51,16 +51,6 @@ class TestSeries:
         s.add(1, 2)
         out = print_figure("Fig", [s], "x", "y")
         assert "Fig" in out and "c1" in out
-
-
-class TestFormatters:
-    def test_format_us(self):
-        assert "us" in format_us(12.345)
-
-    def test_format_bandwidth(self):
-        text = format_bandwidth(15_000_000)
-        assert "15.00 MB/s" in text
-        assert "120.0 Mbit/s" in text
 
 
 class TestAsciiChart:
