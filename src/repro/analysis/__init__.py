@@ -7,11 +7,11 @@ Three sub-systems:
   once; the simlint rules (:mod:`repro.analysis.linter`,
   :mod:`repro.analysis.rules`) check each file: simulated time only,
   seeded randomness, no ``x or Default()`` collaborator fallbacks,
-  engine yield discipline, ``schedule_callback`` arity, deterministic
-  iteration, ``__slots__`` on hot paths, no silent exception drops.
-  The simflow checks (:mod:`repro.analysis.flow`) then run over the
-  whole-repo call graph: U-Net API typestate on every path and
-  interprocedural determinism.
+  deterministic iteration, no shared mutable defaults or zero-delay
+  shared-state callbacks, ``__slots__`` on hot paths, no silent
+  exception drops, no ``print()`` or private ``heapq`` in model code.
+  The simflow typestate check (:mod:`repro.analysis.flow`) then proves
+  the U-Net API protocols on every path of every function.
 * **sanitizers** (:mod:`repro.analysis.sanitize`) -- runtime ownership
   and queue-invariant checking for communication segments and
   descriptor rings, armed by ``REPRO_SANITIZE=1``.
@@ -28,13 +28,10 @@ loads lazily on first attribute access.
 
 from __future__ import annotations
 
-import os as _os
-
+from repro import env_flag as _env_flag
 from repro.analysis import sanitize  # noqa: F401  (light: stdlib + errors)
 
-if _os.environ.get("REPRO_RACE", "").strip().lower() not in (
-    "", "0", "false", "off", "no",
-):
+if _env_flag("REPRO_RACE"):
     # Arm the schedule-order race detector for every simulator created
     # from here on (REPRO_RACE=1).  This runs at repro.analysis import
     # time, which every data-path module reaches before building a

@@ -1,6 +1,6 @@
 """``python -m repro.analysis``: the one static-analysis pass (every
-simlint rule plus the simflow typestate and determinism checks), or the
-tie-break race check.
+simlint rule plus the simflow typestate check), or the tie-break race
+check.
 
 Exit codes: 0 clean, 1 violations (or a CONFIRMED race), 2 usage or
 infrastructure errors (unknown check, unreadable path, syntax error).
@@ -16,12 +16,19 @@ from typing import List, Optional
 from repro.analysis.linter import LintError
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
             "repo-specific static analysis for the U-Net simulator "
-            "(simlint rules + simflow typestate/determinism), plus the "
+            "(simlint rules + simflow typestate), plus the "
             "tie-break race check"
         ),
     )
@@ -41,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="CHECKS",
         help=(
-            "comma-separated rule names and/or flow checks (typestate, "
-            "determinism) to run (default: all)"
+            "comma-separated rule names and/or the flow check typestate "
+            "to run (default: all)"
         ),
     )
     parser.add_argument(
@@ -62,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--race-orders",
-        type=int,
+        type=_non_negative,
         default=2,
         metavar="N",
         help="number of seeded-random orders for --race-check (default: 2)",
@@ -78,18 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_race_check(args) -> int:
     from repro.analysis.perturb import check_all, scenario_names
 
+    known = scenario_names()
     if args.race_check == "all":
-        names = scenario_names()
+        names = known
     else:
         names = [n.strip() for n in args.race_check.split(",") if n.strip()]
-        unknown = [n for n in names if n not in scenario_names()]
-        if unknown:
-            print(
-                f"race-check: unknown scenario(s) {', '.join(unknown)} "
-                f"(known: {', '.join(scenario_names())})",
-                file=sys.stderr,
-            )
-            return 2
+    unknown = [n for n in names if n not in known]
+    if unknown or not names:
+        problem = (
+            f"unknown scenario(s) {', '.join(unknown)}" if unknown
+            else "no scenario named"
+        )
+        print(
+            f"race-check: {problem} (known: {', '.join(known)})",
+            file=sys.stderr,
+        )
+        return 2
     verdicts = check_all(names, random_orders=args.race_orders)
     failed = False
     for verdict in verdicts:

@@ -1,33 +1,26 @@
-"""simflow: interprocedural typestate + determinism verification, and
-the one static-analysis pass that runs it alongside simlint.
+"""simflow: interprocedural typestate verification, and the one
+static-analysis pass that runs it alongside simlint.
 
 Where a simlint rule (:mod:`repro.analysis.rules`) inspects one file
 at a time, simflow builds a whole-repo view:
 
-* a module-level **call graph** (:mod:`.callgraph`) with alias-aware
-  resolution of ``self`` methods, imported functions, and
-  ``schedule_callback`` / ``schedule_timer`` / ``process`` targets;
+* a module-level **index** (:mod:`.callgraph`) with alias-aware
+  resolution of ``self`` methods, imported functions, and callback
+  references;
 * per-function **control-flow graphs** (:mod:`.cfg`) with exception
   edges, so error paths are first-class;
 * a **worklist dataflow engine** (:mod:`.dataflow`);
 
-and two clients on top:
-
-* **typestate checking** (:mod:`.typestate` / :mod:`.specs`): the
-  alloc→write→post→free protocols of the U-Net API (communication
-  segment buffers, receive descriptors, endpoints, timer handles),
-  proven on *all* paths — including the exception edges the runtime
-  sanitizers only see when a scenario happens to take them;
-* **determinism inference** (:mod:`.purity`): a purity lattice
-  (sim-pure < seeded-stochastic < nondeterministic) seeded from the
-  wall-clock / unseeded-random / unordered-iter rules and propagated
-  over the call graph, reporting only the interprocedural sites those
-  rules cannot see.
+and one client on top, **typestate checking** (:mod:`.typestate` /
+:mod:`.specs`): the alloc→write→post→free protocols of the U-Net API
+(communication segment buffers, receive descriptors, endpoints, timer
+handles), proven on *all* paths — including the exception edges the
+runtime sanitizers only see when a scenario happens to take them.
 
 :func:`analyze_paths` is the whole pass behind ``python -m
 repro.analysis``: every file is parsed once into the :class:`Program`,
-each rule runs on each file's context, then the two clients run over
-the graph.  Rules and clients share one :class:`Violation` record and
+each rule runs on each file's context, then typestate runs over the
+program.  Rules and typestate share one :class:`Violation` record and
 the ``# simlint: disable[-file]=<name>`` comments.
 """
 
@@ -39,16 +32,12 @@ from repro.analysis.flow.callgraph import Program
 from repro.analysis.linter import Violation, check_context
 from repro.analysis.rules import all_rules, get_rules
 
-#: the flow client checks, in report order, with their descriptions.
+#: the flow checks, with their descriptions.
 CHECKS = {
     "typestate": (
         "U-Net API protocols (segment buffers, receive descriptors, "
         "endpoints, timer handles) hold on every path, exception edges "
         "included"
-    ),
-    "determinism": (
-        "event-callback-reachable code must not call (transitively) "
-        "nondeterministic functions"
     ),
 }
 
@@ -63,7 +52,7 @@ def analyze_program(
 ) -> List[Violation]:
     """Run the selected rules and flow checks (default: all) over an
     indexed :class:`Program`; unknown names raise KeyError."""
-    from repro.analysis.flow import purity, typestate
+    from repro.analysis.flow import typestate
 
     known = check_names()
     selected = list(names) if names else known
@@ -76,15 +65,13 @@ def analyze_program(
     found: List[Violation] = []
     for index in program.indexes:
         found.extend(check_context(index.ctx, rules))
-    flow: List[Violation] = []
     if "typestate" in selected:
-        flow.extend(typestate.check_program(program))
-    if "determinism" in selected:
-        flow.extend(purity.check_program(program))
-    contexts = {index.ctx.path: index.ctx for index in program.indexes}
-    found.extend(
-        f for f in flow if not contexts[f.path].is_disabled(f.rule, f.line)
-    )
+        contexts = {index.ctx.path: index.ctx for index in program.indexes}
+        found.extend(
+            f
+            for f in typestate.check_program(program)
+            if not contexts[f.path].is_disabled(f.rule, f.line)
+        )
     found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return found
 

@@ -1,4 +1,4 @@
-"""Module-level call graph with alias-aware resolution.
+"""Module index and whole-program call resolution.
 
 Two layers:
 
@@ -8,21 +8,19 @@ Two layers:
   ``self.x = ClassName(...)`` / annotated parameters, and resolution
   of callback references (``self.method``, nested functions, module
   functions, aliases).  Each file gets one index
-  (``FileContext.index``), shared by the flow checks and the simlint
-  rule ``schedule-shared-state``, which runs on this layer alone and
-  keeps its per-file semantics.
+  (``FileContext.index``), shared by typestate and the simlint rule
+  ``schedule-shared-state``, which runs on this layer alone and keeps
+  its per-file semantics.
 
-* :class:`Program` — the whole-repo graph: ModuleIndexes for every
-  file, cross-module import resolution, call edges (plain calls and
-  ``schedule_callback`` / ``schedule_timer`` / ``process`` targets,
-  which become the event-callback roots), and reachability queries.
+* :class:`Program` — every ModuleIndex of the analyzed tree plus
+  cross-module resolution of one call site at a time
+  (:meth:`Program.resolver`): imported names, constructors, ``self``
+  methods through in-repo base classes in other modules, and
+  attribute receivers with inferred types.
 
-Resolution is deliberately conservative: an edge is only added when
-the callee is identified (self methods through the class and its
-in-repo bases, attribute receivers with inferred types, imported
-names, local function aliases).  Unresolvable calls get no edge —
-clients treat missing edges as "unknown", never as "safe to assume
-pure", except where documented (see DESIGN.md §9 known unsoundness).
+Resolution is deliberately conservative: a call resolves only when the
+callee is identified.  Unresolvable calls return None, and typestate
+treats them as unknown (see DESIGN.md §9 known unsoundness).
 """
 
 from __future__ import annotations
@@ -32,9 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.linter import FileContext, iter_python_files, read_context
-
-#: scheduling entry points whose second argument is an event callback.
-SCHEDULERS = ("schedule_callback", "schedule_callback_at", "schedule_timer")
 
 
 @dataclass
@@ -48,7 +43,6 @@ class FunctionInfo:
     ctx: FileContext
     cls: Optional[str] = None  # owning class bare name, if a method
     parent: Optional[str] = None  # qualname of lexically enclosing function
-    is_generator: bool = False
 
     @property
     def args(self) -> ast.arguments:
@@ -74,15 +68,6 @@ class ClassInfo:
     #: attribute name -> class reference string (from ``self.x = Cls(...)``
     #: or ``self.x = param`` with an annotated parameter).
     attr_types: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CallSite:
-    caller: str
-    callee: str
-    line: int
-    col: int
-    kind: str  # "call" | "scheduled"
 
 
 def own_nodes(scope: ast.AST) -> Iterable[ast.AST]:
@@ -177,10 +162,6 @@ class ModuleIndex:
                     ctx=self.ctx,
                     cls=cls,
                     parent=parent,
-                    is_generator=any(
-                        isinstance(n, (ast.Yield, ast.YieldFrom))
-                        for n in own_nodes(stmt)
-                    ),
                 )
                 self.functions[qual] = info
                 self.by_node[id(stmt)] = info
@@ -372,7 +353,8 @@ class ModuleIndex:
 
 
 class Program:
-    """The whole-repo view: every ModuleIndex plus cross-module edges."""
+    """The whole-repo view: every ModuleIndex plus cross-module call
+    resolution."""
 
     def __init__(self, indexes: Sequence[ModuleIndex]):
         self.indexes: List[ModuleIndex] = list(indexes)
@@ -387,69 +369,11 @@ class Program:
         for idx in self.indexes:
             for info in idx.classes.values():
                 self._classes_by_name.setdefault(info.name, []).append(info)
-        self.edges: List[CallSite] = []
-        self.edges_from: Dict[str, List[CallSite]] = {}
-        #: qualnames used as scheduled callbacks / generator processes.
-        self.callback_roots: Set[str] = set()
-        self._build_edges()
 
     # -- construction -----------------------------------------------------
     @classmethod
     def from_paths(cls, paths: Iterable[str]) -> "Program":
         return cls([read_context(path).index for path in iter_python_files(paths)])
-
-    def _build_edges(self) -> None:
-        for idx in self.indexes:
-            for fn in idx.functions.values():
-                self._edges_for_function(idx, fn)
-
-    def _edges_for_function(self, idx: ModuleIndex, fn: FunctionInfo) -> None:
-        local_types = self._local_types(idx, fn)
-        for node in own_nodes(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = self._resolve_call(idx, fn, node, local_types)
-            if callee is not None:
-                self._add_edge(fn, callee, node, "call")
-            self._scheduled_targets(idx, fn, node)
-
-    def _add_edge(
-        self, fn: FunctionInfo, callee: FunctionInfo, node: ast.AST, kind: str
-    ) -> None:
-        site = CallSite(
-            caller=fn.qualname,
-            callee=callee.qualname,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            kind=kind,
-        )
-        self.edges.append(site)
-        self.edges_from.setdefault(fn.qualname, []).append(site)
-
-    def _scheduled_targets(
-        self, idx: ModuleIndex, fn: FunctionInfo, node: ast.Call
-    ) -> None:
-        func = node.func
-        attr = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        target_expr: Optional[ast.AST] = None
-        if attr in SCHEDULERS and len(node.args) >= 2:
-            target_expr = node.args[1]
-        elif attr == "process" and node.args:
-            gen = node.args[0]
-            if isinstance(gen, ast.Call):  # sim.process(self._rx_proc())
-                target_expr = gen.func
-            else:
-                target_expr = gen
-        if target_expr is None:
-            return
-        target = idx.resolve_callback(target_expr, fn)
-        if target is None and isinstance(target_expr, (ast.Name, ast.Attribute)):
-            target = self._resolve_imported(idx, target_expr)
-        if target is not None:
-            self._add_edge(fn, target, node, "scheduled")
-            self.callback_roots.add(target.qualname)
 
     def _local_types(self, idx: ModuleIndex, fn: FunctionInfo) -> Dict[str, str]:
         """name -> class reference for annotated params and
@@ -601,8 +525,7 @@ class Program:
     # -- queries ----------------------------------------------------------
     def resolver(self, fn: FunctionInfo):
         """A per-function closure mapping an ``ast.Call`` inside ``fn``
-        to its resolved callee (or None) — the same resolution used to
-        build the edges, exposed for the flow clients."""
+        to its resolved callee (or None)."""
         idx = self.by_module.get(fn.module)
         if idx is None:  # pragma: no cover - fn always comes from an index
             return lambda call: None
@@ -612,22 +535,3 @@ class Program:
             return self._resolve_call(idx, fn, call, local_types)
 
         return resolve
-
-    def reachable_from(self, roots: Iterable[str]) -> Set[str]:
-        """Qualnames reachable over call edges from ``roots``."""
-        seen: Set[str] = set()
-        stack = [r for r in roots if r in self.functions]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for site in self.edges_from.get(cur, ()):
-                if site.callee not in seen:
-                    stack.append(site.callee)
-        return seen
-
-    def reachable_from_callbacks(self) -> Set[str]:
-        """Everything reachable from an event callback or a simulated
-        process — the code whose determinism the engine depends on."""
-        return self.reachable_from(self.callback_roots)

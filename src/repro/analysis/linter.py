@@ -2,7 +2,7 @@
 
 The linter is AST-based and repo-specific: every rule encodes one
 invariant the simulator's results depend on (simulated time only,
-seeded randomness, deterministic ordering, engine yield discipline).
+seeded randomness, deterministic ordering, one event queue).
 Rules live in :mod:`repro.analysis.rules`; this module supplies the
 shared machinery:
 
@@ -98,9 +98,6 @@ class FileContext:
         self.imports: Dict[str, str] = {}
         self._build_import_table()
         self._index = None
-        #: rule name -> its violations here, so a rule run for the
-        #: report and again as flow evidence is computed once.
-        self._found: Dict[str, List[Violation]] = {}
 
     @property
     def index(self):
@@ -206,16 +203,12 @@ def read_context(path: str) -> FileContext:
 
 def check_context(ctx: FileContext, rules: Sequence) -> List[Violation]:
     """Run ``rules`` over one parsed file; honours the disable comments."""
-    found: List[Violation] = []
-    for rule in rules:
-        if rule.name not in ctx._found:
-            ctx._found[rule.name] = [
-                violation
-                for violation in rule.check(ctx)
-                if not ctx.is_disabled(violation.rule, violation.line)
-            ]
-        found.extend(ctx._found[rule.name])
-    return found
+    return [
+        violation
+        for rule in rules
+        for violation in rule.check(ctx)
+        if not ctx.is_disabled(violation.rule, violation.line)
+    ]
 
 
 def lint_file(path: str, rules: Sequence, source: Optional[str] = None) -> List[Violation]:

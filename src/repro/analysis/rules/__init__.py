@@ -63,7 +63,6 @@ def get_rules(names: Iterable[str]) -> List[Rule]:
 
 # Built-in rules: importing each module triggers its @register.
 from repro.analysis.rules import (  # noqa: E402,F401
-    callback_arity,
     data_path_print,
     direct_heapq,
     mutable_default,
@@ -71,9 +70,7 @@ from repro.analysis.rules import (  # noqa: E402,F401
     schedule_shared_state,
     silent_except,
     slots_hot_path,
-    unguarded_obs_call,
     unordered_iter,
     unseeded_random,
     wall_clock,
-    yield_event,
 )

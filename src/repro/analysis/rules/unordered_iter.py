@@ -15,9 +15,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
+from repro.analysis.flow.callgraph import own_nodes
 from repro.analysis.linter import FileContext, Violation
 from repro.analysis.rules import Rule, register
-from repro.analysis.rules.yield_event import _walk_own
 
 #: set-returning methods (set algebra).
 SET_METHODS = frozenset(
@@ -60,7 +60,7 @@ def _set_bound_names(scope: ast.AST) -> Set[str]:
     """Names in ``scope`` that are only ever assigned set expressions."""
     assigned_set: Set[str] = set()
     assigned_other: Set[str] = set()
-    for node in _walk_own(scope):
+    for node in own_nodes(scope):
         targets: List[ast.AST] = []
         value = None
         if isinstance(node, ast.Assign):
@@ -108,8 +108,8 @@ class UnorderedIterRule(Rule):
         ]
         for scope in scopes:
             set_names = _set_bound_names(scope)
-            for node in _walk_own(scope):
-                if node is not scope and isinstance(node, (ast.For, ast.AsyncFor)):
+            for node in own_nodes(scope):
+                if isinstance(node, (ast.For, ast.AsyncFor)):
                     if _is_set_expr(node.iter, set_names):
                         yield self._flag(ctx, node.iter)
                 elif isinstance(node, _COMP_NODES) and id(node) not in exempt:

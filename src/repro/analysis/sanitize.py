@@ -24,21 +24,14 @@ the static-analysis machinery.
 
 from __future__ import annotations
 
-import os
 import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from repro import env_flag
 from repro.core.errors import QueueInvariantError, SegmentOwnershipError
 
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() not in (
-        "", "0", "false", "off", "no",
-    )
-
-
-_STATE = {"enabled": _env_enabled()}
+_STATE = {"enabled": env_flag("REPRO_SANITIZE")}
 
 #: Weak references to every SegmentSanitizer created while enabled, in
 #: creation order, so a fixture can assert leak-freedom at teardown.

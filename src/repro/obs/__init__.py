@@ -31,10 +31,10 @@ arming defers silently).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Optional
 
+from repro import env_flag
 from repro.obs.spans import ObsMonitor, Span, SpanCollector
 
 __all__ = [
@@ -124,9 +124,7 @@ def collecting():
         _engine.set_instrumentation(prev_factory, prev_access)
 
 
-_env_flag = os.environ.get("REPRO_OBS", "")
-_race_flag = os.environ.get("REPRO_RACE", "").strip().lower()
-if _env_flag not in ("", "0") and _race_flag in ("", "0", "false", "off", "no"):
+if env_flag("REPRO_OBS") and not env_flag("REPRO_RACE"):
     # The REPRO_RACE guard cannot rely on import order: model modules
     # import repro.obs, so this block can run before repro.analysis has
     # armed the race detector.  Checking the environment directly keeps
@@ -136,4 +134,3 @@ if _env_flag not in ("", "0") and _race_flag in ("", "0", "false", "off", "no"):
     except RuntimeError:
         # REPRO_RACE armed first; the race detector keeps the slot.
         pass
-del _env_flag, _race_flag

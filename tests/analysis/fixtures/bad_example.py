@@ -4,7 +4,7 @@ that applies outside data-path modules.
 Never imported -- this file exists to be *linted* by the acceptance
 tests (``tests/analysis/test_cli.py``), which expect simlint to exit
 non-zero here with one ``file:line:rule`` report per rule.  The
-data-path-only rules fire in ``repro/core/bad_obs_calls.py``.
+data-path-only rule fires in ``repro/core/bad_data_path.py``.
 """
 
 import heapq  # one direct-heapq violation
@@ -32,14 +32,6 @@ def bad_unseeded():
 
 def bad_or_default(config):
     return config or Widget()  # one or-default violation
-
-
-def bad_yield():
-    yield (1, 2)  # one yield-event violation
-
-
-def bad_arity(sim: Simulator):
-    sim.schedule_callback(1.0, bad_wall_clock, 1, 2)  # one callback-arity violation
 
 
 def bad_set_iter():

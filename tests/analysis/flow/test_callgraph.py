@@ -1,4 +1,4 @@
-"""Call-graph construction on the tricky shapes from the real tree."""
+"""Call resolution on the tricky shapes from the real tree."""
 
 import ast
 import textwrap
@@ -8,8 +8,30 @@ from repro.analysis.flow.callgraph import own_nodes
 from tests.analysis.flow.conftest import make_program
 
 
-def edge_pairs(program):
-    return {(site.caller, site.callee, site.kind) for site in program.edges}
+def resolved(program, caller):
+    """Callee qualnames of every call inside ``caller``, as
+    ``Program.resolver`` resolves them (None when unresolved)."""
+    fn = program.functions[caller]
+    resolve = program.resolver(fn)
+    return [
+        getattr(resolve(node), "qualname", None)
+        for node in own_nodes(fn.node)
+        if isinstance(node, ast.Call)
+    ]
+
+
+def scheduled_target(program, caller):
+    """The function the one ``schedule_callback`` in ``caller`` names,
+    resolved through the module index's callback-reference resolution."""
+    fn = program.functions[caller]
+    call = next(
+        node
+        for node in own_nodes(fn.node)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", "") == "schedule_callback"
+    )
+    target = program.by_module[fn.module].resolve_callback(call.args[1], fn)
+    return target.qualname if target is not None else None
 
 
 class TestResolution:
@@ -23,9 +45,7 @@ class TestResolution:
                 return helper()
             """
         )
-        assert ("repro.mod.caller", "repro.mod.helper", "call") in edge_pairs(
-            program
-        )
+        assert resolved(program, "repro.mod.caller") == ["repro.mod.helper"]
 
     def test_self_method_through_imported_base(self):
         program = make_program(
@@ -42,11 +62,9 @@ class TestResolution:
                     self.start()
             """,
         )
-        assert (
-            "repro.derived.AtmDevice.boot",
-            "repro.base.Device.start",
-            "call",
-        ) in edge_pairs(program)
+        assert resolved(program, "repro.derived.AtmDevice.boot") == [
+            "repro.base.Device.start"
+        ]
 
     def test_imported_function_cross_module(self):
         program = make_program(
@@ -61,11 +79,7 @@ class TestResolution:
                 return checksum(data)
             """,
         )
-        assert (
-            "repro.net.deliver",
-            "repro.util.checksum",
-            "call",
-        ) in edge_pairs(program)
+        assert resolved(program, "repro.net.deliver") == ["repro.util.checksum"]
 
     def test_decorated_function_still_resolves(self):
         program = make_program(
@@ -77,16 +91,11 @@ class TestResolution:
             def handler():
                 pass
 
-            def boot(sim):
-                sim.schedule_callback(0.0, handler)
+            def boot():
+                handler()
             """
         )
-        assert (
-            "repro.mod.boot",
-            "repro.mod.handler",
-            "scheduled",
-        ) in edge_pairs(program)
-        assert "repro.mod.handler" in program.callback_roots
+        assert resolved(program, "repro.mod.boot") == ["repro.mod.handler"]
 
     def test_attribute_receiver_with_inferred_type(self):
         program = make_program(
@@ -103,11 +112,9 @@ class TestResolution:
                     self.pool.drain()
             """
         )
-        assert (
-            "repro.mod.Owner.stop",
-            "repro.mod.Pool.drain",
-            "call",
-        ) in edge_pairs(program)
+        assert resolved(program, "repro.mod.Owner.stop") == [
+            "repro.mod.Pool.drain"
+        ]
 
 
 class TestScheduledTargets:
@@ -120,7 +127,7 @@ class TestScheduledTargets:
                 sim.schedule_callback(1.0, on_fire)
             """
         )
-        assert "repro.mod.boot.on_fire" in program.callback_roots
+        assert scheduled_target(program, "repro.mod.boot") == "repro.mod.boot.on_fire"
 
     def test_schedule_callback_lambda(self):
         program = make_program(
@@ -129,7 +136,7 @@ class TestScheduledTargets:
                 sim.schedule_callback(1.0, lambda: None)
             """
         )
-        assert any("<lambda>" in q for q in program.callback_roots)
+        assert "<lambda>" in scheduled_target(program, "repro.mod.boot")
 
     def test_schedule_callback_single_assignment_alias(self):
         program = make_program(
@@ -142,7 +149,7 @@ class TestScheduledTargets:
                 sim.schedule_callback(0.0, cb)
             """
         )
-        assert "repro.mod.handler" in program.callback_roots
+        assert scheduled_target(program, "repro.mod.boot") == "repro.mod.handler"
 
     def test_generator_process_target(self):
         program = make_program(
@@ -155,47 +162,9 @@ class TestScheduledTargets:
                     yield 1
             """
         )
-        assert "repro.mod.Device._rx_proc" in program.callback_roots
-        rx = program.functions["repro.mod.Device._rx_proc"]
-        assert rx.is_generator
-
-    def test_schedule_timer_target_is_a_root(self):
-        program = make_program(
-            mod="""
-            def on_timeout():
-                pass
-
-            def arm(sim):
-                return sim.schedule_timer(5.0, on_timeout)
-            """
+        assert "repro.mod.Device._rx_proc" in resolved(
+            program, "repro.mod.Device.start"
         )
-        assert "repro.mod.on_timeout" in program.callback_roots
-
-
-class TestReachability:
-    def test_reachable_from_callbacks_is_transitive(self):
-        program = make_program(
-            mod="""
-            def leaf():
-                pass
-
-            def middle():
-                leaf()
-
-            def tick():
-                middle()
-
-            def unrelated():
-                pass
-
-            def boot(sim):
-                sim.schedule_callback(0.0, tick)
-            """
-        )
-        reachable = program.reachable_from_callbacks()
-        assert {"repro.mod.tick", "repro.mod.middle", "repro.mod.leaf"} <= reachable
-        assert "repro.mod.unrelated" not in reachable
-        assert "repro.mod.boot" not in reachable
 
 
 class TestOwnNodes:

@@ -1,5 +1,5 @@
-"""Acceptance tests for the simflow checks (``typestate``,
-``determinism``) as run by the one ``python -m repro.analysis`` pass."""
+"""Acceptance tests for the simflow ``typestate`` check as run by the
+one ``python -m repro.analysis`` pass."""
 
 import json
 import os
@@ -11,7 +11,7 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 BAD = FIXTURES / "typestate_bad.py"
-FLOW_CHECKS = "typestate,determinism"
+FLOW_CHECKS = "typestate"
 
 
 def run_cli(*args):
@@ -37,7 +37,7 @@ class TestFlowCli:
         assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert payload["count"] == len(payload["violations"]) > 0
-        assert payload["checks"] == ["typestate", "determinism"]
+        assert payload["checks"] == ["typestate"]
         for violation in payload["violations"]:
             assert violation["rule"].startswith("flow-")
             assert {"path", "line", "col", "rule", "message", "function", "witness"} \

@@ -1,5 +1,5 @@
 """Acceptance tests for ``python -m repro.analysis``: one pass running
-every simlint rule plus the simflow typestate and determinism checks."""
+every simlint rule plus the simflow typestate check."""
 
 import json
 import os
@@ -11,25 +11,22 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 HERE = Path(__file__).resolve().parent
 FIXTURE = HERE / "fixtures" / "bad_example.py"
-#: unguarded-obs-call and data-path-print only fire in data-path module
-#: paths, so their violations live in a fixture under repro/core/.
-FIXTURE_HOT = HERE / "fixtures" / "repro" / "core" / "bad_obs_calls.py"
+#: data-path-print only fires in data-path module paths, so its
+#: violation lives in a fixture under repro/core/.
+FIXTURE_HOT = HERE / "fixtures" / "repro" / "core" / "bad_data_path.py"
 FLOW_FIXTURES = HERE / "flow" / "fixtures"
-#: every seeded fixture: one site per rule, the typestate protocol
-#: breaches, and the interprocedural determinism case.
+#: every seeded fixture: one site per rule and the typestate protocol
+#: breaches.
 SEEDED = (
     str(FIXTURE),
     str(FIXTURE_HOT),
     str(FLOW_FIXTURES / "typestate_bad.py"),
-    str(FLOW_FIXTURES / "determinism_bad.py"),
 )
 
 ALL_RULES = {
     "wall-clock",
     "unseeded-random",
     "or-default",
-    "yield-event",
-    "callback-arity",
     "unordered-iter",
     "slots-hot-path",
     "silent-except",
@@ -37,9 +34,8 @@ ALL_RULES = {
     "schedule-shared-state",
     "data-path-print",
     "direct-heapq",
-    "unguarded-obs-call",
 }
-FLOW_CHECKS = ("typestate", "determinism")
+FLOW_CHECKS = ("typestate",)
 TYPESTATE_RULES = {
     "flow-segment-leak",
     "flow-use-after-free",
@@ -93,7 +89,6 @@ def test_seeded_fixtures_report_every_check():
     rules = set(reported_rules(result.stdout))
     assert ALL_RULES <= rules
     assert rules & TYPESTATE_RULES
-    assert "flow-nondet-call" in rules
     assert "witness path:" in result.stdout
     assert "violation(s)" in result.stderr
 
@@ -105,7 +100,7 @@ def test_json_output():
     assert payload["count"] == len(payload["violations"])
     assert payload["checks"] == sorted(ALL_RULES) + list(FLOW_CHECKS)
     rules = {v["rule"] for v in payload["violations"]}
-    assert ALL_RULES | {"flow-nondet-call"} <= rules
+    assert ALL_RULES <= rules
     for violation in payload["violations"]:
         assert violation["line"] > 0
         assert {"path", "col", "message", "function", "witness"} <= set(violation)
@@ -131,6 +126,26 @@ def test_select_unknown_rule_is_usage_error():
     assert result.returncode == 2
     assert "no-such-rule" in result.stderr
     assert "typestate" in result.stderr
+
+
+def test_select_determinism_is_usage_error():
+    """The interprocedural determinism check was removed; selecting it
+    is an unknown check like any other."""
+    result = run_cli("--select", "determinism", str(FIXTURE))
+    assert result.returncode == 2
+    assert "determinism" in result.stderr
+
+
+def test_race_check_without_scenarios_is_usage_error():
+    result = run_cli("--race-check", ",")
+    assert result.returncode == 2
+    assert "no scenario" in result.stderr
+
+
+def test_race_check_negative_orders_is_usage_error():
+    result = run_cli("--race-check", "fig3", "--race-orders", "-3")
+    assert result.returncode == 2
+    assert "--race-orders" in result.stderr
 
 
 def test_list_rules():

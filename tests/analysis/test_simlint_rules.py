@@ -22,8 +22,6 @@ def test_registry_has_all_rules():
         "wall-clock",
         "unseeded-random",
         "or-default",
-        "yield-event",
-        "callback-arity",
         "unordered-iter",
         "slots-hot-path",
         "silent-except",
@@ -31,7 +29,6 @@ def test_registry_has_all_rules():
         "schedule-shared-state",
         "data-path-print",
         "direct-heapq",
-        "unguarded-obs-call",
     }
 
 
@@ -124,128 +121,6 @@ def test_or_default_ignores_lowercase_calls():
     assert run_rule("or-default", """
         def f(x):
             return x or make()
-    """) == []
-
-
-# -- yield-event ----------------------------------------------------------
-
-def test_yield_event_flags_tuple_yield():
-    violations = run_rule("yield-event", """
-        def proc(sim):
-            yield (sim, 1)
-    """)
-    assert len(violations) == 1
-    assert "Tuple" in violations[0].message
-
-
-def test_yield_event_flags_bare_yield_mid_body():
-    violations = run_rule("yield-event", """
-        def proc(sim):
-            x = 1
-            yield
-    """)
-    assert len(violations) == 1
-
-
-def test_yield_event_allows_bare_yield_after_return():
-    assert run_rule("yield-event", """
-        def callback(uam, ch, msg):
-            uam.count += 1
-            return
-            yield
-    """) == []
-
-
-def test_yield_event_after_return_in_nested_function():
-    # Regression: yields inside a nested def must be judged against the
-    # nested function's own statement list, not the enclosing one.
-    assert run_rule("yield-event", """
-        def outer():
-            def callback(uam, ch, msg):
-                uam.count += 1
-                return
-                yield
-            return callback
-    """) == []
-
-
-def test_yield_event_no_duplicate_reports_in_try_block():
-    violations = run_rule("yield-event", """
-        def proc(sim):
-            try:
-                yield 1
-            finally:
-                pass
-    """)
-    assert len(violations) == 1
-
-
-def test_yield_event_exempts_contextmanager():
-    assert run_rule("yield-event", """
-        from contextlib import contextmanager
-
-        @contextmanager
-        def scope():
-            yield
-    """) == []
-
-
-def test_yield_event_allows_event_yields():
-    assert run_rule("yield-event", """
-        def proc(sim, ring):
-            yield sim.timeout(1.0)
-            desc = yield ring.wait_nonempty()
-            yield from other(sim)
-    """) == []
-
-
-# -- callback-arity -------------------------------------------------------
-
-def test_callback_arity_flags_module_function_mismatch():
-    violations = run_rule("callback-arity", """
-        def fire(a, b):
-            return a + b
-
-        def f(sim):
-            sim.schedule_callback(1.0, fire, 1, 2, 3)
-    """)
-    assert len(violations) == 1
-    assert "takes 2..2" in violations[0].message
-
-
-def test_callback_arity_flags_self_method_mismatch():
-    violations = run_rule("callback-arity", """
-        class NI:
-            def deliver(self, cell):
-                pass
-
-            def f(self, sim):
-                sim.schedule_callback_at(9.0, self.deliver)
-    """)
-    assert len(violations) == 1
-
-
-def test_callback_arity_allows_matching_calls():
-    assert run_rule("callback-arity", """
-        def fire(a, b=0):
-            return a + b
-
-        class NI:
-            def deliver(self, cell):
-                pass
-
-            def f(self, sim):
-                sim.schedule_callback(1.0, fire, 1)
-                sim.schedule_callback(1.0, fire, 1, 2)
-                sim.schedule_callback(2.0, self.deliver, "cell")
-                sim.schedule_callback(3.0, lambda: None)
-    """) == []
-
-
-def test_callback_arity_skips_unresolvable_callees():
-    assert run_rule("callback-arity", """
-        def f(sim, handler):
-            sim.schedule_callback(1.0, handler, 1, 2, 3)
     """) == []
 
 
@@ -603,76 +478,6 @@ def test_data_path_print_disable_comment():
         get_rules(["data-path-print"]),
         source=source,
     ) == []
-
-
-# -- unguarded-obs-call ---------------------------------------------------
-
-def _lint_hot(rule_name, source):
-    """Lint a snippet as if it lived in a data-path module."""
-    return linter.lint_file(
-        "repro/core/snippet.py",
-        get_rules([rule_name]),
-        source=textwrap.dedent(source),
-    )
-
-
-def test_unguarded_obs_call_flags_span_and_metric_calls():
-    violations = _lint_hot("unguarded-obs-call", """
-        from repro import obs
-
-        def push(ring, now):
-            obs.active.begin(now, "push", "host")
-            obs.active.observe("ring.depth", len(ring))
-    """)
-    assert len(violations) == 2
-    assert all(v.rule == "unguarded-obs-call" for v in violations)
-    assert "off-guard" in violations[0].message
-
-
-def test_unguarded_obs_call_resolves_import_aliases():
-    violations = _lint_hot("unguarded-obs-call", """
-        from repro import obs as _obs
-
-        def pop(ring):
-            _obs.active.count("ring.pops")
-    """)
-    assert len(violations) == 1
-
-
-def test_unguarded_obs_call_allows_the_guarded_discipline():
-    assert _lint_hot("unguarded-obs-call", """
-        from repro import obs
-
-        def push(ring):
-            _o = obs.active
-            if _o is not None:
-                _o.count("ring.rejected")
-                _o.observe("ring.depth", len(ring))
-    """) == []
-
-
-def test_unguarded_obs_call_ignores_cold_modules():
-    source = """
-        from repro import obs
-
-        def report():
-            obs.active.count("report.runs")
-    """
-    for path in ("snippet.py", "repro/obs/snippet.py",
-                 "repro/bench/snippet.py", "repro/analysis/snippet.py"):
-        assert linter.lint_file(
-            path, get_rules(["unguarded-obs-call"]),
-            source=textwrap.dedent(source),
-        ) == []
-
-
-def test_unguarded_obs_call_disable_comment():
-    assert _lint_hot("unguarded-obs-call", """
-        from repro import obs
-
-        def push():
-            obs.active.count("x")  # simlint: disable=unguarded-obs-call
-    """) == []
 
 
 # -- direct-heapq ---------------------------------------------------------

@@ -227,7 +227,7 @@ def test_timer_entries_counted_separately():
 def test_env_precedence_race_wins_either_import_order():
     """With REPRO_OBS and REPRO_RACE both set, the race detector keeps
     the engine slot and obs stays off -- regardless of which package the
-    interpreter happens to import first."""
+    interpreter happens to import first.  REPRO_OBS=off arms nothing."""
     import os
     import subprocess
     import sys
@@ -243,16 +243,24 @@ def test_env_precedence_race_wins_either_import_order():
         "assert not obs.enabled(), 'obs must defer to REPRO_RACE'\n"
         "assert type(m).__name__ == 'RaceTracker', type(m).__name__\n"
     )
-    for order in (check, check.replace(
+    swapped = check.replace(
         "import repro.analysis.race as race\nfrom repro import obs",
         "from repro import obs\nimport repro.analysis.race as race",
-    )):
+    )
+    off = (
+        "from repro import obs\n"
+        "from repro.sim import engine\n"
+        "assert not obs.enabled(), 'REPRO_OBS=off must leave obs off'\n"
+        "assert engine._monitor_factory is None\n"
+    )
+    both = {"REPRO_OBS": "1", "REPRO_RACE": "1"}
+    for flags, script in ((both, check), (both, swapped), ({"REPRO_OBS": "off"}, off)):
         env = dict(os.environ)
+        env.pop("REPRO_RACE", None)
+        env.update(flags)
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_OBS"] = "1"
-        env["REPRO_RACE"] = "1"
         result = subprocess.run(
-            [sys.executable, "-c", order],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, check=False,
         )
         assert result.returncode == 0, result.stderr

@@ -234,7 +234,7 @@ class TestProcesses:
         sim = Simulator()
 
         def bad():
-            yield 5  # simlint: disable=yield-event
+            yield 5
 
         sim.process(bad())
         with pytest.raises(SimulationError):
