@@ -15,15 +15,4 @@ Subpackages:
 * :mod:`repro.bench` -- table/figure harness shared by benchmarks/.
 """
 
-import os as _os
-
 __version__ = "1.0.0"
-
-
-def env_flag(name: str) -> bool:
-    """Whether the environment switch ``name`` (``REPRO_OBS``,
-    ``REPRO_RACE``, ``REPRO_SANITIZE``) is on.  Unset, empty, ``0``,
-    ``false``, ``off`` and ``no`` (any case) are off; anything else is
-    on."""
-    value = _os.environ.get(name, "").strip().lower()
-    return value not in ("", "0", "false", "off", "no")

@@ -19,7 +19,8 @@ Three sub-systems:
   :mod:`repro.analysis.perturb`) -- the dynamic schedule-order race
   detector, and a harness that re-runs figure scenarios under other
   same-timestamp tie orders and another ``PYTHONHASHSEED`` and diffs
-  the results (``python -m repro.analysis --race-check NAMES``).
+  the results (``python -m repro.analysis --race-check NAMES``).  The
+  detector is armed only inside ``race.detected()``.
 
 This ``__init__`` stays import-light: the core data path imports
 :mod:`repro.analysis.sanitize` through here, so the linter machinery
@@ -28,17 +29,7 @@ loads lazily on first attribute access.
 
 from __future__ import annotations
 
-from repro import env_flag as _env_flag
 from repro.analysis import sanitize  # noqa: F401  (light: stdlib + errors)
-
-if _env_flag("REPRO_RACE"):
-    # Arm the schedule-order race detector for every simulator created
-    # from here on (REPRO_RACE=1).  This runs at repro.analysis import
-    # time, which every data-path module reaches before building a
-    # Simulator; the programmatic equivalent is race.detected().
-    from repro.analysis import race as _race
-
-    _race.enable()
 
 _LAZY = {
     "FileContext": "repro.analysis.linter",

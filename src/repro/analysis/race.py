@@ -11,7 +11,7 @@ instant* whose relative order the model never pinned down.
 This module provides the dynamic half of the detector:
 
 * :class:`RaceTracker` -- the ShadowScheduler.  Installed through
-  :func:`repro.sim.engine.set_instrumentation`, it tags every heap
+  :func:`repro.sim.engine.monitored`, it tags every heap
   entry with a globally unique id, the schedule site (the model source
   line that scheduled it), and the entry that scheduled it (the
   *schedule edge*).  State objects (communication segments, descriptor
@@ -33,9 +33,8 @@ This module provides the dynamic half of the detector:
 
 Zero overhead when off: unmonitored simulators carry ``_mon = None``
 and state objects see ``engine.access_hook is None``; nothing else is
-paid.  Arm with ``REPRO_RACE=1`` in the environment (takes effect when
-:mod:`repro.analysis` is imported, which every data-path module does)
-or the :func:`detected` context manager.
+paid.  Arm with the :func:`detected` context manager, the one way in;
+it refuses to nest inside another engine monitor (``obs.collecting()``).
 
 Memory stays bounded by analyzing each timestamp group eagerly: when
 the clock advances, the group's conflicting access pairs are turned
@@ -47,8 +46,11 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.sim import engine
 
 #: Recognised same-timestamp tie-break orders.
 TIE_ORDERS = ("fifo", "lifo", "random")
@@ -318,38 +320,9 @@ class RaceTracker:
         )
 
 
-#: The installed tracker, if any (mirrors the engine-side hooks).
-_TRACKER: Optional[RaceTracker] = None
-
-
-def current() -> Optional[RaceTracker]:
-    """The armed tracker, or None."""
-    return _TRACKER
-
-
-def enable(tie: str = "fifo", seed: Optional[int] = None) -> RaceTracker:
-    """Arm race detection for simulators created from now on."""
-    global _TRACKER
-    from repro.sim import engine
-
-    tracker = RaceTracker(tie=tie, seed=seed)
-    engine.set_instrumentation(lambda: tracker, tracker.on_access)
-    _TRACKER = tracker
-    return tracker
-
-
-def disable() -> None:
-    """Disarm race detection (already-created monitored simulators keep
-    their monitor; new ones are created clean)."""
-    global _TRACKER
-    from repro.sim import engine
-
-    engine.set_instrumentation(None, None)
-    _TRACKER = None
-
-
-class detected:
-    """Context manager: arm the ShadowScheduler for the block.
+@contextmanager
+def detected(tie: str = "fifo", seed: Optional[int] = None) -> Iterator[RaceTracker]:
+    """Arm the ShadowScheduler for the block.
 
     >>> with race.detected() as tracker:     # doctest: +SKIP
     ...     run_scenario()
@@ -357,24 +330,8 @@ class detected:
 
     ``tie``/``seed`` select the same-timestamp order, so the same
     context manager drives both detection and perturbation replays.
+    Raises ``RuntimeError`` if another engine monitor is armed.
     """
-
-    def __init__(self, tie: str = "fifo", seed: Optional[int] = None):
-        self.tie = tie
-        self.seed = seed
-        self.tracker: Optional[RaceTracker] = None
-        self._previous: Optional[tuple] = None
-
-    def __enter__(self) -> RaceTracker:
-        from repro.sim import engine
-
-        self._previous = (engine._monitor_factory, engine.access_hook)
-        self.tracker = enable(tie=self.tie, seed=self.seed)
-        return self.tracker
-
-    def __exit__(self, *exc_info) -> None:
-        global _TRACKER
-        from repro.sim import engine
-
-        engine.set_instrumentation(*self._previous)
-        _TRACKER = None
+    tracker = RaceTracker(tie=tie, seed=seed)
+    with engine.monitored(tracker, tracker.on_access):
+        yield tracker

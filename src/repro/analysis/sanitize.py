@@ -24,14 +24,23 @@ the static-analysis machinery.
 
 from __future__ import annotations
 
+import os
 import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from repro import env_flag
 from repro.core.errors import QueueInvariantError, SegmentOwnershipError
 
-_STATE = {"enabled": env_flag("REPRO_SANITIZE")}
+
+def _env_flag(name: str) -> bool:
+    """Whether the environment switch ``name`` is on.  Unset, empty,
+    ``0``, ``false``, ``off`` and ``no`` (any case) are off; anything
+    else is on."""
+    value = os.environ.get(name, "").strip().lower()
+    return value not in ("", "0", "false", "off", "no")
+
+
+_STATE = {"enabled": _env_flag("REPRO_SANITIZE")}
 
 #: Weak references to every SegmentSanitizer created while enabled, in
 #: creation order, so a fixture can assert leak-freedom at teardown.

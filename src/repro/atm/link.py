@@ -55,10 +55,6 @@ class CellTrain:
     def __len__(self) -> int:
         return len(self.cells)
 
-    @property
-    def first_us(self) -> float:
-        return self.arrivals_us[0]
-
 
 class Link:
     """Unidirectional serialized link delivering cells to a sink callable."""

@@ -26,10 +26,6 @@ class MbufChain:
     smalls: int
 
     @property
-    def mbuf_count(self) -> int:
-        return self.clusters + self.smalls
-
-    @property
     def wasted_bytes(self) -> int:
         """Allocated but unused buffer space."""
         cap = self.clusters * MBUF_CLUSTER_BYTES + self.smalls * MBUF_SMALL_BYTES

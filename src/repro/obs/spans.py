@@ -194,12 +194,6 @@ class SpanCollector:
         self.samples.append((now, track, host, value))
 
     # -- reporting ------------------------------------------------------
-    def spans_by_layer(self) -> Dict[str, List[Span]]:
-        out: Dict[str, List[Span]] = {}
-        for span in self.spans:
-            out.setdefault(span.layer, []).append(span)
-        return out
-
     def engine_profile(self) -> Dict[str, Any]:
         """Engine self-profiling summary for the obs reports and exports."""
         return {
@@ -232,9 +226,9 @@ class SpanCollector:
 class ObsMonitor:
     """Engine monitor propagating span context along schedule edges.
 
-    Installed through ``engine.set_instrumentation`` (the same single
-    slot the race detector uses — REPRO_OBS and REPRO_RACE are mutually
-    exclusive).  ``on_schedule`` stamps each heap entry with a globally
+    Installed by ``obs.collecting()`` through ``engine.monitored`` (the
+    same single slot the race detector uses, so the two cannot be armed
+    together).  ``on_schedule`` stamps each heap entry with a globally
     unique, monotonically increasing id (preserving the engine's FIFO
     tie-break order bit-for-bit) and remembers the span that was current
     at schedule time; ``on_execute`` restores that span before the entry

@@ -39,10 +39,13 @@ handle whose ``cancel()`` is O(1) (a flag write — no tombstone event,
 no heap surgery); the entry is discarded and the handle recycled when
 its timestamp is reached.
 
-Instrumentation (REPRO_RACE / REPRO_OBS monitors) is the one place a
-plain binary heap remains: :class:`_MonitoredSimulator` keeps every
-entry in a single totally ordered heap so a monitor can see each push
-and pop and replace the tie-break key.  It fires entries with the same
+Instrumentation is the one place a plain binary heap remains.
+:func:`monitored` arms the engine's single instrumentation slot for a
+block (``race.detected()`` and ``obs.collecting()`` both go through
+it); every ``Simulator()`` built inside the block is a
+:class:`_MonitoredSimulator`, which keeps every entry in a single
+totally ordered heap so the monitor can see each push and pop and
+replace the tie-break key.  It fires entries with the same
 dispatch rules and the same ``(time, seq)`` order as the calendar core,
 which ``tests/sim/test_core_equivalence.py`` checks entry by entry.
 """
@@ -50,31 +53,42 @@ which ``tests/sim/test_core_equivalence.py`` checks entry by entry.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional
 
 _INF = float("inf")
 
-#: Schedule-order instrumentation (installed by :mod:`repro.analysis.race`).
-#: ``_monitor_factory`` builds one ShadowScheduler monitor per Simulator
-#: created while armed; ``access_hook`` is called by state objects
-#: (segments, rings, resources, links) on reads/writes so the race
-#: detector can attribute accesses to the executing heap entry.  Both are
-#: ``None`` in normal operation: unmonitored simulators carry ``self._mon
-#: = None`` and the hot run loop is entirely untouched.
-_monitor_factory: Optional[Callable[[], Any]] = None
+#: The engine's single instrumentation slot, armed only inside
+#: :func:`monitored`.  ``_monitor`` is the one monitor shared by every
+#: Simulator built while armed; ``access_hook`` is called by state
+#: objects (segments, rings, resources, links) on reads/writes so the
+#: race detector can attribute accesses to the executing heap entry.
+#: Both are ``None`` in normal operation: unmonitored simulators carry
+#: ``self._mon = None`` and the hot run loop is entirely untouched.
+_monitor: Any = None
 access_hook: Optional[Callable[[int, str, str], None]] = None
 
 
-def set_instrumentation(
-    monitor_factory: Optional[Callable[[], Any]],
-    access: Optional[Callable[[int, str, str], None]] = None,
-) -> None:
-    """Install (or clear, with ``None``) the schedule-order monitor
-    factory and the state-access hook.  Only simulators constructed
-    while a factory is installed are monitored."""
-    global _monitor_factory, access_hook
-    _monitor_factory = monitor_factory
-    access_hook = access
+@contextmanager
+def monitored(
+    monitor: Any, access: Optional[Callable[[int, str, str], None]] = None
+) -> Iterator[None]:
+    """Install ``monitor`` (and the state-access hook ``access``) for
+    the block.  Only simulators constructed inside the block are
+    monitored.  Raises ``RuntimeError`` if the slot is already armed:
+    two monitors cannot share one schedule."""
+    global _monitor, access_hook
+    if _monitor is not None:
+        raise RuntimeError(
+            f"engine instrumentation already armed by "
+            f"{type(_monitor).__name__}; monitors cannot nest"
+        )
+    previous = (_monitor, access_hook)
+    _monitor, access_hook = monitor, access
+    try:
+        yield
+    finally:
+        _monitor, access_hook = previous
 
 
 class SimulationError(RuntimeError):
@@ -854,8 +868,8 @@ class Simulator:
     def __new__(cls) -> "Simulator":
         # When instrumentation is armed, construction routes to the
         # monitored subclass so the base class never pays a per-schedule
-        # ``_mon`` check: REPRO_RACE off keeps the exact hot path.
-        if cls is Simulator and _monitor_factory is not None:
+        # ``_mon`` check: unarmed keeps the exact hot path.
+        if cls is Simulator and _monitor is not None:
             return object.__new__(_MonitoredSimulator)
         return object.__new__(cls)
 
@@ -904,8 +918,8 @@ class Simulator:
 class _MonitoredSimulator(Simulator):
     """Simulator variant built while instrumentation is armed.
 
-    ``Simulator()`` constructs this subclass (via ``__new__``) whenever
-    ``_monitor_factory`` is set, so the ShadowScheduler sees every heap
+    ``Simulator()`` constructs this subclass (via ``__new__``) inside
+    :func:`monitored`, so the ShadowScheduler sees every heap
     push and pop without the base class carrying any per-event checks.
     The monitor may replace the tie-break key (``on_schedule``) to
     perturb same-timestamp ordering; pops are reported via
@@ -923,21 +937,23 @@ class _MonitoredSimulator(Simulator):
         self._seq = 0
         self.events_processed = 0
         self._timer_pool: List[TimerHandle] = []
-        self._mon = _monitor_factory()
+        self._mon = _monitor
+
+    def _push(self, when: float, target: Any, kind: Any, a: Any, b: Any) -> None:
+        """Push one entry under the monitor's tie-break key."""
+        self._seq += 1
+        seq = self._mon.on_schedule(self._seq, when, target)
+        heapq.heappush(self._heap, (when, seq, kind, a, b))
 
     # Negative delays cannot reach ``_schedule``: Timeout.__init__ and
     # Event.succeed/fail validate before calling.
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        seq = self._mon.on_schedule(self._seq, self._now + delay, event)
-        heapq.heappush(self._heap, (self._now + delay, seq, event, None, None))
+        self._push(self._now + delay, event, event, None, None)
 
     def schedule_callback(self, delay: float, fn: Callable, *args: Any) -> None:
         if delay < 0:
             raise ValueError(f"negative callback delay: {delay}")
-        self._seq += 1
-        seq = self._mon.on_schedule(self._seq, self._now + delay, fn)
-        heapq.heappush(self._heap, (self._now + delay, seq, None, fn, args))
+        self._push(self._now + delay, fn, None, fn, args)
 
     def schedule_callback_at(self, when: float, fn: Callable, *args: Any) -> None:
         if when < self._now:
@@ -945,9 +961,7 @@ class _MonitoredSimulator(Simulator):
                 f"callback time {when} lies in the past (now={self._now}): "
                 f"causality violation"
             )
-        self._seq += 1
-        seq = self._mon.on_schedule(self._seq, when, fn)
-        heapq.heappush(self._heap, (when, seq, None, fn, args))
+        self._push(when, fn, None, fn, args)
 
     def _schedule_event_at(self, event: Event, when: float) -> None:
         if when < self._now:
@@ -955,23 +969,19 @@ class _MonitoredSimulator(Simulator):
                 f"event time {when} lies in the past (now={self._now}): "
                 f"causality violation"
             )
-        self._seq += 1
-        seq = self._mon.on_schedule(self._seq, when, event)
-        heapq.heappush(self._heap, (when, seq, event, None, None))
+        self._push(when, event, event, None, None)
 
     def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
         if delay < 0:
             raise ValueError(f"negative timer delay: {delay}")
         pool = self._timer_pool
         h = pool.pop() if pool else TimerHandle()
-        self._seq += 1
         when = self._now + delay
         h._when = when
         h._fn = fn
         h._args = args
         h._alive = True
-        seq = self._mon.on_schedule(self._seq, when, fn)
-        heapq.heappush(self._heap, (when, seq, False, h, None))
+        self._push(when, fn, False, h, None)
         return h
 
     def step(self) -> None:

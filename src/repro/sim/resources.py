@@ -1,4 +1,4 @@
-"""Blocking FIFO stores and counted resources for simulated processes."""
+"""FIFO stores and counted resources for simulated processes."""
 
 from __future__ import annotations
 
@@ -13,14 +13,13 @@ from repro.sim.engine import Event, SimulationError, Simulator, Timeout
 class Store:
     """A FIFO channel between processes.
 
-    ``put`` blocks while the store is at ``capacity``; ``get`` blocks while
-    it is empty.  Both return events to be yielded from a process.  The
-    non-blocking variants ``try_put``/``try_get`` never block and report
-    success explicitly; they are what NI hardware models use for queues
-    that *drop* on overflow instead of exerting back-pressure.
+    Producers call ``try_put``, which never blocks and reports success
+    explicitly: NI hardware and kernel queues *drop* on overflow instead
+    of exerting back-pressure.  Consumers either ``yield store.get()``
+    (blocks while the store is empty) or poll with ``try_get``.
     """
 
-    __slots__ = ("sim", "capacity", "name", "items", "_getters", "_putters")
+    __slots__ = ("sim", "capacity", "name", "items", "_getters")
 
     def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = ""):
         if capacity <= 0:
@@ -30,7 +29,6 @@ class Store:
         self.name = name
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -39,33 +37,12 @@ class Store:
     def is_full(self) -> bool:
         return len(self.items) >= self.capacity
 
-    def put(self, item: Any) -> Event:
-        if _engine.access_hook is not None:
-            _engine.access_hook(id(self), f"store:{self.name}", "w")
-        event = Event(self.sim)
-        if self._getters:
-            # Hand the item straight to the longest-waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif len(self.items) < self.capacity:
-            self.items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
     def get(self) -> Event:
         if _engine.access_hook is not None:
             _engine.access_hook(id(self), f"store:{self.name}", "w")
         event = Event(self.sim)
         if self.items:
             event.succeed(self.items.popleft())
-            self._drain_putters()
-        elif self._putters:
-            putter, item = self._putters.popleft()
-            putter.succeed()
-            event.succeed(item)
         else:
             self._getters.append(event)
         return event
@@ -88,24 +65,11 @@ class Store:
         """Non-blocking get; returns None when empty."""
         if _engine.access_hook is not None:
             _engine.access_hook(
-                id(self), f"store:{self.name}",
-                "w" if (self.items or self._putters) else "r",
+                id(self), f"store:{self.name}", "w" if self.items else "r"
             )
         if self.items:
-            item = self.items.popleft()
-            self._drain_putters()
-            return item
-        if self._putters:
-            putter, item = self._putters.popleft()
-            putter.succeed()
-            return item
+            return self.items.popleft()
         return None
-
-    def _drain_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            putter, item = self._putters.popleft()
-            self.items.append(item)
-            putter.succeed()
 
 
 class Resource:

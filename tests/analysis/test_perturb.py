@@ -231,6 +231,6 @@ def test_run_scenario_restores_instrumentation(monkeypatch):
     from repro.sim import engine
 
     name = _scenario(monkeypatch, _stable_metric)
-    previous = (engine._monitor_factory, engine.access_hook)
+    previous = (engine._monitor, engine.access_hook)
     perturb.run_scenario(name)
-    assert (engine._monitor_factory, engine.access_hook) == previous
+    assert (engine._monitor, engine.access_hook) == previous

@@ -1,24 +1,11 @@
 """ShadowScheduler unit tests: detection, happens-before, tie orders."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
+from repro import obs
 from repro.analysis import race
 from repro.sim import Simulator, Store
 from repro.sim import engine
-
-
-@pytest.fixture
-def race_off():
-    """Force the detector off around a test (suite may run REPRO_RACE=1)."""
-    previous = (engine._monitor_factory, engine.access_hook)
-    engine.set_instrumentation(None, None)
-    yield
-    engine.set_instrumentation(*previous)
 
 
 def _two_writer_sim():
@@ -37,7 +24,7 @@ def _two_writer_sim():
 
 
 class TestDetection:
-    def test_unordered_same_time_writers_flagged(self, race_off):
+    def test_unordered_same_time_writers_flagged(self):
         with race.detected() as tracker:
             _two_writer_sim()
         report = tracker.report()
@@ -51,7 +38,7 @@ class TestDetection:
         assert any("test_race.py" in path for path, _, _ in finding.b_site)
         assert "insertion-sequence accident" in finding.format()
 
-    def test_schedule_edge_orders_same_time_chain(self, race_off):
+    def test_schedule_edge_orders_same_time_chain(self):
         """A scheduling B at zero delay creates a happens-before edge:
         not a race even though both write at the same instant."""
         with race.detected() as tracker:
@@ -69,7 +56,7 @@ class TestDetection:
             sim.run()
         assert tracker.report().findings == []
 
-    def test_distinct_timestamps_never_race(self, race_off):
+    def test_distinct_timestamps_never_race(self):
         with race.detected() as tracker:
             sim = Simulator()
             store = Store(sim, name="timed")
@@ -78,7 +65,7 @@ class TestDetection:
             sim.run()
         assert tracker.report().findings == []
 
-    def test_concurrent_reads_not_flagged(self, race_off):
+    def test_concurrent_reads_not_flagged(self):
         with race.detected() as tracker:
             sim = Simulator()
             store = Store(sim, name="readers")
@@ -91,7 +78,7 @@ class TestDetection:
             sim.run()
         assert tracker.report().findings == []
 
-    def test_duplicate_pairs_deduplicate_with_count(self, race_off):
+    def test_duplicate_pairs_deduplicate_with_count(self):
         with race.detected() as tracker:
             sim = Simulator()
             store = Store(sim, name="hot")
@@ -103,7 +90,7 @@ class TestDetection:
         assert len(findings) == 1
         assert findings[0].count == 3
 
-    def test_construction_accesses_ignored(self, race_off):
+    def test_construction_accesses_ignored(self):
         """Accesses outside the event loop (setup/teardown) cannot race."""
         with race.detected() as tracker:
             sim = Simulator()
@@ -116,7 +103,7 @@ class TestDetection:
 
 
 class TestTieOrders:
-    def test_fifo_matches_unmonitored_order(self, race_off):
+    def test_fifo_matches_unmonitored_order(self):
         def run(tie, seed=None):
             order = []
             with race.detected(tie=tie, seed=seed):
@@ -136,7 +123,7 @@ class TestTieOrders:
         with pytest.raises(ValueError):
             race.RaceTracker(tie="sorted")
 
-    def test_trace_records_when_and_label(self, race_off):
+    def test_trace_records_when_and_label(self):
         with race.detected() as tracker:
             sim = Simulator()
             sim.schedule_callback(2.0, lambda: None)
@@ -148,43 +135,49 @@ class TestTieOrders:
 
 
 class TestInstallation:
-    def test_off_by_default_zero_state(self, race_off):
+    def test_off_by_default_zero_state(self):
         sim = Simulator()
         assert sim._mon is None
-        assert engine._monitor_factory is None
+        assert engine._monitor is None
         assert engine.access_hook is None
 
-    def test_context_manager_restores_previous_hooks(self, race_off):
-        with race.detected():
-            assert race.current() is not None
-            assert engine._monitor_factory is not None
-        assert race.current() is None
-        assert engine._monitor_factory is None
-
-    def test_enable_disable(self, race_off):
-        tracker = race.enable()
-        try:
-            assert race.current() is tracker
+    def test_context_manager_restores_previous_hooks(self):
+        with race.detected() as tracker:
+            assert engine._monitor is tracker
+            assert engine.access_hook == tracker.on_access
             assert Simulator()._mon is tracker
-        finally:
-            race.disable()
-        assert race.current() is None
+        assert engine._monitor is None
+        assert engine.access_hook is None
 
-    def test_repro_race_env_arms_on_import(self):
-        repo_src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo_src) + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_RACE"] = "1"
-        code = (
-            "import repro.analysis, repro.analysis.race as r;"
-            "assert r.current() is not None"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [(race.detected, obs.collecting), (obs.collecting, race.detected)],
+        ids=["obs_inside_race", "race_inside_obs"],
+    )
+    def test_nested_monitor_refused(self, outer, inner):
+        """One engine slot: arming a second monitor inside the first
+        raises instead of silently blinding the outer one."""
+        with outer():
+            with pytest.raises(RuntimeError, match="already armed"):
+                with inner():
+                    pass
 
-    def test_report_summary_mentions_totals(self, race_off):
+    def test_refused_nesting_keeps_outer_tracker_armed(self):
+        with race.detected() as tracker:
+            with pytest.raises(RuntimeError):
+                with obs.collecting():
+                    pass
+            assert engine._monitor is tracker
+            assert engine.access_hook == tracker.on_access
+            assert obs.active is None
+            _two_writer_sim()
+        report = tracker.report()
+        assert report.entries == 2
+        assert len(report.findings) == 1
+        assert engine._monitor is None
+        assert engine.access_hook is None
+
+    def test_report_summary_mentions_totals(self):
         with race.detected() as tracker:
             _two_writer_sim()
         report = tracker.report()

@@ -37,7 +37,7 @@ from repro.sim import Simulator, engine
 
 raw_rtt(32, n=4)
 print(json.dumps({
-    "monitor_factory": engine._monitor_factory is None,
+    "monitor": engine._monitor is None,
     "access_hook": engine.access_hook is None,
     "obs": obs.active is None,
     "sanitize": not sanitize.enabled(),

@@ -13,8 +13,6 @@ SRC = REPO_ROOT / "src"
 def run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_OBS", None)
-    env.pop("REPRO_RACE", None)
     return subprocess.run(
         [sys.executable, "-m", "repro.obs", *args],
         capture_output=True,

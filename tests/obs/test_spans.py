@@ -10,7 +10,7 @@ from repro.sim import engine as _engine
 
 def test_off_by_default():
     assert obs.active is None
-    assert not obs.enabled()
+    assert _engine._monitor is None
 
 
 def test_begin_end_nesting_and_parents():
@@ -180,33 +180,20 @@ def test_same_time_tiebreak_order_matches_uninstrumented():
 
 def test_collecting_restores_previous_state():
     assert obs.active is None
-    factory_before = _engine._monitor_factory
     with obs.collecting() as col:
         assert obs.active is col
-        assert _engine._monitor_factory is not None
+        assert isinstance(_engine._monitor, obs.ObsMonitor)
     assert obs.active is None
-    assert _engine._monitor_factory is factory_before
+    assert _engine._monitor is None
 
 
 def test_enable_refuses_when_monitor_slot_taken():
-    _engine.set_instrumentation(lambda: object(), None)
-    try:
-        with pytest.raises(RuntimeError, match="mutually exclusive"):
-            obs.enable()
-    finally:
-        _engine.set_instrumentation(None, None)
-    assert obs.active is None
-
-
-def test_enable_disable_roundtrip():
-    col = obs.enable()
-    try:
-        assert obs.active is col
-        assert obs.enable() is col  # idempotent
-    finally:
-        obs.disable()
-    assert obs.active is None
-    assert _engine._monitor_factory is None
+    with _engine.monitored(object()):
+        with pytest.raises(RuntimeError, match="already armed"):
+            with obs.collecting():
+                pass
+        assert obs.active is None
+    assert _engine._monitor is None
 
 
 def test_timer_entries_counted_separately():
@@ -222,45 +209,3 @@ def test_timer_entries_counted_separately():
     # one as a no-op pop); neither is misclassified as an event
     assert col.executed_timers == 2
     assert col.executed_events == 0
-
-
-def test_env_precedence_race_wins_either_import_order():
-    """With REPRO_OBS and REPRO_RACE both set, the race detector keeps
-    the engine slot and obs stays off -- regardless of which package the
-    interpreter happens to import first.  REPRO_OBS=off arms nothing."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[2] / "src"
-    check = (
-        "import repro.analysis.race as race\n"
-        "from repro import obs\n"
-        "from repro.sim import engine\n"
-        "m = engine._monitor_factory() if engine._monitor_factory else None\n"
-        "assert race.current() is not None, 'race should be armed'\n"
-        "assert not obs.enabled(), 'obs must defer to REPRO_RACE'\n"
-        "assert type(m).__name__ == 'RaceTracker', type(m).__name__\n"
-    )
-    swapped = check.replace(
-        "import repro.analysis.race as race\nfrom repro import obs",
-        "from repro import obs\nimport repro.analysis.race as race",
-    )
-    off = (
-        "from repro import obs\n"
-        "from repro.sim import engine\n"
-        "assert not obs.enabled(), 'REPRO_OBS=off must leave obs off'\n"
-        "assert engine._monitor_factory is None\n"
-    )
-    both = {"REPRO_OBS": "1", "REPRO_RACE": "1"}
-    for flags, script in ((both, check), (both, swapped), ({"REPRO_OBS": "off"}, off)):
-        env = dict(os.environ)
-        env.pop("REPRO_RACE", None)
-        env.update(flags)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert result.returncode == 0, result.stderr

@@ -1,7 +1,7 @@
 """A/B: the calendar core against the monitored heap scheduler.
 
 The unmonitored calendar core and ``_MonitoredSimulator`` (built while
-a monitor is installed with ``engine.set_instrumentation``) are two
+a monitor is installed with ``engine.monitored``) are two
 schedulers behind one contract.  Running the monitored one under a
 no-op FIFO monitor must reproduce the calendar core bit for bit.
 Three layers of evidence, strongest first:

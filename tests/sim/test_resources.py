@@ -11,7 +11,7 @@ class TestStore:
         store = Store(sim)
 
         def proc():
-            yield store.put("x")
+            store.try_put("x")
             item = yield store.get()
             return item
 
@@ -29,47 +29,25 @@ class TestStore:
 
         def putter():
             yield sim.timeout(30.0)
-            yield store.put("late")
+            store.try_put("late")
 
         p = sim.process(getter())
         sim.process(putter())
         sim.run()
         assert p.value == (30.0, "late")
 
-    def test_put_blocks_when_full(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-
-        def producer():
-            yield store.put(1)
-            t_before = sim.now
-            yield store.put(2)  # blocks until the consumer takes item 1
-            return (t_before, sim.now)
-
-        def consumer():
-            yield sim.timeout(20.0)
-            yield store.get()
-
-        p = sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert p.value == (0.0, 20.0)
-
     def test_fifo_order(self):
         sim = Simulator()
         store = Store(sim)
         got = []
-
-        def producer():
-            for i in range(5):
-                yield store.put(i)
+        for i in range(5):
+            store.try_put(i)
 
         def consumer():
             for _ in range(5):
                 item = yield store.get()
                 got.append(item)
 
-        sim.process(producer())
         sim.process(consumer())
         sim.run()
         assert got == [0, 1, 2, 3, 4]
