@@ -23,7 +23,7 @@ from repro.analysis.rules import Rule, register
 #: module -> classes that must stay slotted (the registered hot paths).
 HOT_PATH_CLASSES = {
     "repro.sim.engine": {
-        "Event", "Timeout", "Process", "AnyOf", "AllOf", "Simulator",
+        "Event", "Timeout", "Process", "AnyOf", "Simulator",
     },
     "repro.atm.cell": {"Cell"},
 }
@@ -36,12 +36,10 @@ HOT_PATH_BASE_QUALNAMES = frozenset(
         "repro.sim.engine.Timeout",
         "repro.sim.engine.Process",
         "repro.sim.engine.AnyOf",
-        "repro.sim.engine.AllOf",
         "repro.sim.Event",
         "repro.sim.Timeout",
         "repro.sim.Process",
         "repro.sim.AnyOf",
-        "repro.sim.AllOf",
         "repro.atm.cell.Cell",
         "repro.atm.Cell",
     }

@@ -12,14 +12,13 @@ Public surface:
 * :class:`Simulator` -- the event loop (``now``, ``run``, ``process``,
   ``timeout``, ``event``).
 * :class:`Event`, :class:`Timeout`, :class:`Process` -- awaitable things.
-* :class:`AnyOf` / :class:`AllOf` -- condition events.
+* :class:`AnyOf` -- the first of several events.
 * :class:`Store` -- FIFO channel with blocking ``get``/``put``.
 * :class:`Resource` -- counted resource with FIFO ``request``/``release``.
 * :class:`StatSeries` -- sample statistics (mean, percentiles).
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     Interrupt,
@@ -32,7 +31,6 @@ from repro.sim.resources import Resource, Store
 from repro.sim.trace import StatSeries
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Interrupt",

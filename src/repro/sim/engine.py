@@ -1,29 +1,22 @@
-"""Core event loop: events, timeouts, processes, and condition events.
+"""Core event loop: events, timeouts, processes, and ``AnyOf``.
 
 Simulated time is a float in microseconds.  All scheduling is
 deterministic: events scheduled for the same instant fire in the order
 they were scheduled (a monotonically increasing sequence number breaks
 ties).
 
-The scheduler is a three-tier calendar queue:
+The scheduler is a two-tier calendar queue:
 
-* **front slot** — the imminent entry is held in plain closure cells
+* **front slot** — one entry held in plain closure cells
   (when/seq/kind/fn/args) outside any container.  Model code dominated
   by schedule-one-pop-one chains (link deliveries, firmware polls)
   never touches the heap at all: scheduling into an empty front slot is
   five cell stores, popping it is five cell reads.
-* **near heap** — entries inside the current horizon window go to a
-  classic ``heapq`` binary heap (C-implemented; at the depths this
-  repo's models produce it beats a bucketed ring, which is why the
-  "ring of time buckets" degenerates to one sorted bucket plus the
-  front slot — see DESIGN.md §5 for the measurements).
-* **far list** — entries at or beyond the horizon are *appended
-  unsorted* (O(1)) to an overflow list and only organized (promoted
-  into the near heap) when simulated time reaches them.  Protocol
-  timers milliseconds out (TCP RTO/delayed-ACK) therefore never churn
-  the near heap.  The horizon window adapts: when a promotion drains
-  the far list entirely the window doubles, so the split tracks the
-  observed event horizon of the workload.
+* **near heap** — every other entry goes to a classic ``heapq`` binary
+  heap (C-implemented; at the depths this repo's models produce it
+  beats a bucketed ring, which is why the "ring of time buckets"
+  degenerates to one sorted bucket plus the front slot — see DESIGN.md
+  §5 for the measurements).
 
 Entries are uniform 5-tuples ``(when, seq, kind, a, b)`` where ``kind``
 discriminates the payload::
@@ -39,7 +32,7 @@ handle whose ``cancel()`` is O(1) (a flag write — no tombstone event,
 no heap surgery); the entry is discarded and the handle recycled when
 its timestamp is reached.
 
-Instrumentation is the one place a plain binary heap remains.
+Instrumentation is the one place the front slot is dropped.
 :func:`monitored` arms the engine's single instrumentation slot for a
 block (``race.detected()`` and ``obs.collecting()`` both go through
 it); every ``Simulator()`` built inside the block is a
@@ -147,7 +140,7 @@ class Event:
         """Trigger the event successfully with ``value``."""
         if self._ok is not None:
             raise SimulationError("event already triggered")
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(
                 f"cannot trigger {delay} us into the past "
                 f"(causality violation at t={self.sim._now})"
@@ -166,7 +159,7 @@ class Event:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(
                 f"cannot trigger {delay} us into the past "
                 f"(causality violation at t={self.sim._now})"
@@ -185,7 +178,7 @@ class Timeout(Event):
     # Field init is flattened (no super().__init__ call): Timeout is the
     # single hottest Event subclass in process-based models.
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not (delay >= 0):
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
         self.callbacks = []
@@ -321,10 +314,11 @@ class Process(Event):
             self.callbacks = None
 
 
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
+class AnyOf(Event):
+    """Triggers when the first of ``events`` triggers (at once if
+    ``events`` is empty); fails with the first failure."""
 
-    __slots__ = ("events", "_count")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -332,7 +326,6 @@ class _Condition(Event):
         for event in self.events:
             if event.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
-        self._count = 0
         for event in self.events:
             if event.callbacks is None:
                 self._check(event)
@@ -341,9 +334,6 @@ class _Condition(Event):
         if not self.events and self._ok is None:
             self.succeed({})
 
-    def _satisfied(self, n_done: int) -> bool:
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
@@ -351,35 +341,15 @@ class _Condition(Event):
             event._defused = True
             self.fail(event._value)
             return
-        self._count += 1
-        if self._satisfied(self._count):
-            # Report only events that actually fired (were processed) by
-            # the time the condition was met.
-            self.succeed(
-                {
-                    e: e._value
-                    for e in self.events
-                    if (e.processed or e is event) and e._ok
-                }
-            )
-
-
-class AnyOf(_Condition):
-    """Triggers when the first of ``events`` triggers."""
-
-    __slots__ = ()
-
-    def _satisfied(self, n_done: int) -> bool:
-        return n_done >= 1
-
-
-class AllOf(_Condition):
-    """Triggers when all of ``events`` have triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self, n_done: int) -> bool:
-        return n_done == len(self.events)
+        # Report only events that actually fired (were processed) by
+        # the time the condition was met.
+        self.succeed(
+            {
+                e: e._value
+                for e in self.events
+                if (e.processed or e is event) and e._ok
+            }
+        )
 
 
 class TimerHandle:
@@ -421,45 +391,12 @@ class TimerHandle:
         self._alive = False
 
 
-def _fire(kind: Any, a: Any, b: Any, pool: List[TimerHandle]) -> None:
-    """Fire one popped schedule entry ``(when, seq, kind, a, b)``.
-
-    Used by the ``step()`` paths; the calendar run loop inlines the same
-    three branches, so an edit here must be mirrored there (the
-    core-equivalence tests compare the two entry by entry)."""
-    if kind is None:
-        if b:
-            a(*b)
-        else:
-            a()
-    elif kind is False:
-        if a._alive:
-            a._alive = False
-            fn = a._fn
-            args = a._args
-            a._fn = None
-            a._args = ()
-            pool.append(a)
-            if args:
-                fn(*args)
-            else:
-                fn()
-        else:
-            pool.append(a)
-    else:
-        callbacks, kind.callbacks = kind.callbacks, None
-        for callback in callbacks:
-            callback(kind)
-        if kind._ok is False and not kind._defused:
-            raise kind._value
-
-
-def _build_calendar_core(sim: Any, width: float) -> tuple:
+def _build_calendar_core(sim: Any) -> tuple:
     """Build one calendar-queue scheduler for ``sim``.
 
     Returns the closures :class:`Simulator` installs as instance
     attributes: ``(schedule_callback, schedule_callback_at, _schedule,
-    _schedule_event_at, schedule_timer, run, step, peek, stats)``.  Only
+    _schedule_event_at, schedule_timer, run, peek, stats)``.  Only
     ``sim._now`` and ``sim.events_processed`` are touched on ``sim``.
 
     The scheduler state lives in closure cells rather than instance
@@ -471,23 +408,21 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
     Front-slot cells: ``fw`` (when; -1.0 = empty), ``fs`` (seq), ``fx``
     (kind: None/False/Event), ``f3``/``f4`` (payload).  Invariants:
 
-    * every near-heap entry has when < horizon; horizon only grows;
-    * far entries are >= the horizon they were inserted under, so
-      far_min >= horizon > every near-heap entry — heap pops never need
-      a far check;
-    * the front slot bypasses the horizon, so the front-pop path alone
-      must check ``far_min <= front`` (a stale front can postdate a far
-      entry scheduled later);
+    * a fill into an empty front does not look at the heap, so the
+      front is not always the earliest entry: every pop compares it
+      with ``heap[0]`` by ``(when, seq)``;
     * while the front is empty (``fw < 0``) the cells ``fx``/``f3``/
       ``f4`` are all None, so each fill path stores only the cells its
-      entry kind uses;
-    * ``far_min`` is +inf whenever the far list is empty.
+      entry kind uses.
+
+    Each time guard is written ``not (x >= bound)`` so that a NaN time
+    or delay fails it: a NaN ``when`` would never pop, and a NaN ``fw``
+    would break the empty-front sentinel for the rest of the run.
     """
     INF = _INF
     push = heapq.heappush
     pop = heapq.heappop
     heap: List[tuple] = []
-    far: List[tuple] = []
     pool: List[TimerHandle] = []
     seq = 0
     fw = -1.0
@@ -495,17 +430,13 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
     fx: Any = None
     f3: Any = None
     f4: Any = None
-    far_min = INF
-    horizon = width
     pushes = 0
-    spills = 0
-    promotions = 0
     pool_hits = 0
     pool_misses = 0
 
     def schedule_callback(delay, fn, *args):
-        nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
-        if delay < 0:
+        nonlocal seq, fw, fs, fx, f3, f4, pushes
+        if not (delay >= 0):
             raise ValueError(f"negative callback delay: {delay}")
         seq += 1
         when = sim._now + delay
@@ -527,18 +458,12 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             f4 = args
         else:
             e = (when, seq, None, fn, args)
-        if e[0] < horizon:
-            pushes += 1
-            push(heap, e)
-        else:
-            spills += 1
-            far.append(e)
-            if e[0] < far_min:
-                far_min = e[0]
+        pushes += 1
+        push(heap, e)
 
     def schedule_callback_at(when, fn, *args):
-        nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
-        if when < sim._now:
+        nonlocal seq, fw, fs, fx, f3, f4, pushes
+        if not (when >= sim._now):
             raise SimulationError(
                 f"callback time {when} lies in the past (now={sim._now}): "
                 f"causality violation"
@@ -560,17 +485,11 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             f4 = args
         else:
             e = (when, seq, None, fn, args)
-        if e[0] < horizon:
-            pushes += 1
-            push(heap, e)
-        else:
-            spills += 1
-            far.append(e)
-            if e[0] < far_min:
-                far_min = e[0]
+        pushes += 1
+        push(heap, e)
 
     def _schedule(event, delay=0.0):
-        nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
+        nonlocal seq, fw, fs, fx, f3, f4, pushes
         seq += 1
         when = sim._now + delay
         w = fw
@@ -588,18 +507,12 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             f4 = None
         else:
             e = (when, seq, event, None, None)
-        if e[0] < horizon:
-            pushes += 1
-            push(heap, e)
-        else:
-            spills += 1
-            far.append(e)
-            if e[0] < far_min:
-                far_min = e[0]
+        pushes += 1
+        push(heap, e)
 
     def _schedule_event_at(event, when):
-        nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
-        if when < sim._now:
+        nonlocal seq, fw, fs, fx, f3, f4, pushes
+        if not (when >= sim._now):
             raise SimulationError(
                 f"event time {when} lies in the past (now={sim._now}): "
                 f"causality violation"
@@ -620,19 +533,12 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             f4 = None
         else:
             e = (when, seq, event, None, None)
-        if e[0] < horizon:
-            pushes += 1
-            push(heap, e)
-        else:
-            spills += 1
-            far.append(e)
-            if e[0] < far_min:
-                far_min = e[0]
+        pushes += 1
+        push(heap, e)
 
     def schedule_timer(delay, fn, *args):
-        nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
-        nonlocal pool_hits, pool_misses
-        if delay < 0:
+        nonlocal seq, fw, fs, fx, f3, f4, pushes, pool_hits, pool_misses
+        if not (delay >= 0):
             raise ValueError(f"negative timer delay: {delay}")
         if pool:
             h = pool.pop()
@@ -662,48 +568,15 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             f4 = None
         else:
             e = (when, seq, False, h, None)
-        if e[0] < horizon:
-            pushes += 1
-            push(heap, e)
-        else:
-            spills += 1
-            far.append(e)
-            if e[0] < far_min:
-                far_min = e[0]
+        pushes += 1
+        push(heap, e)
         return h
-
-    def _promote():
-        # Pull every far entry inside the next horizon window into the
-        # near heap.  Called only when the far list holds the earliest
-        # pending timestamp, so the new window starts at far_min.
-        nonlocal far_min, horizon, width, promotions
-        promotions += 1
-        horizon = far_min + width
-        keep = []
-        for e in far:
-            if e[0] < horizon:
-                push(heap, e)
-            else:
-                keep.append(e)
-        far[:] = keep
-        if keep:
-            m = keep[0][0]
-            for e in keep:
-                if e[0] < m:
-                    m = e[0]
-            far_min = m
-        else:
-            far_min = INF
-            if width < 1048576.0:
-                # The whole overflow fit one window: the window is
-                # narrower than the observed event horizon, so widen it.
-                width *= 2.0
 
     def run(until=None):
         nonlocal fw, fx, f3, f4
         if until is None:
             limit = INF
-        elif until < sim._now:
+        elif not (until >= sim._now):
             raise ValueError(f"until ({until}) lies in the past (now={sim._now})")
         else:
             limit = until
@@ -711,7 +584,7 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
         # counts: entries scheduled during the run plus those pending at
         # its start, minus those still pending at its end.
         seq0 = seq
-        pend0 = (fw >= 0.0) + len(heap) + len(far)
+        pend0 = (fw >= 0.0) + len(heap)
         try:
             while True:
                 # Select the next entry into (w, x, p, a); a stop at the
@@ -720,9 +593,6 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
                 if w >= 0.0 and not (
                     heap and (heap[0][0] < w or (heap[0][0] == w and heap[0][1] < fs))
                 ):
-                    if far_min <= w:
-                        _promote()
-                        continue
                     if w > limit:
                         break
                     fw = -1.0
@@ -734,13 +604,10 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
                     if heap[0][0] > limit:
                         break
                     w, _, x, p, a = pop(heap)
-                elif far_min <= limit and far_min != INF:
-                    _promote()
-                    continue
                 else:
                     break
                 sim._now = w
-                # Dispatch; the same branches as _fire().
+                # Dispatch; the same branches as _MonitoredSimulator.run.
                 if x is None:
                     if a:
                         p(*a)
@@ -769,36 +636,8 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             if until is not None:
                 sim._now = until
         finally:
-            pend1 = (fw >= 0.0) + len(heap) + len(far)
+            pend1 = (fw >= 0.0) + len(heap)
             sim.events_processed += (seq - seq0) + pend0 - pend1
-
-    def step():
-        nonlocal fw, fx, f3, f4
-        while True:
-            w = fw
-            if w >= 0.0:
-                if heap:
-                    h0 = heap[0]
-                    if h0[0] < w or (h0[0] == w and h0[1] < fs):
-                        item = pop(heap)
-                        break
-                if far_min <= w:
-                    _promote()
-                    continue
-                item = (w, fs, fx, f3, f4)
-                fw = -1.0
-                fx = f3 = f4 = None
-                break
-            if heap:
-                item = pop(heap)
-                break
-            if far_min != INF:
-                _promote()
-                continue
-            raise SimulationError("step() on an empty schedule: nothing left to run")
-        sim._now = item[0]
-        sim.events_processed += 1
-        _fire(item[2], item[3], item[4], pool)
 
     def peek():
         m = INF
@@ -806,28 +645,22 @@ def _build_calendar_core(sim: Any, width: float) -> tuple:
             m = fw
         if heap and heap[0][0] < m:
             m = heap[0][0]
-        if far_min < m:
-            m = far_min
         return m
 
     def stats():
         return {
             "core": "calendar",
             "schedules": seq,
-            "front_inserts": seq - pushes - spills,
+            "front_inserts": seq - pushes,
             "near_pushes": pushes,
-            "far_spills": spills,
-            "promotions": promotions,
             "near_depth": len(heap) + (fw >= 0.0),
-            "far_depth": len(far),
-            "near_window_us": width,
             "timer_pool_hits": pool_hits,
             "timer_pool_misses": pool_misses,
             "timer_pool_size": len(pool),
         }
 
     return (schedule_callback, schedule_callback_at, _schedule,
-            _schedule_event_at, schedule_timer, run, step, peek, stats)
+            _schedule_event_at, schedule_timer, run, peek, stats)
 
 
 class Simulator:
@@ -856,14 +689,9 @@ class Simulator:
         "_schedule",
         "_schedule_event_at",
         "run",
-        "step",
         "peek",
         "stats",
     )
-
-    #: Default near-window width (µs) separating the near heap from the
-    #: far overflow list; adapts upward per-instance (DESIGN.md §5).
-    NEAR_WINDOW_US = 4096.0
 
     def __new__(cls) -> "Simulator":
         # When instrumentation is armed, construction routes to the
@@ -888,10 +716,9 @@ class Simulator:
             self._schedule_event_at,
             self.schedule_timer,
             self.run,
-            self.step,
             self.peek,
             self.stats,
-        ) = _build_calendar_core(self, self.NEAR_WINDOW_US)
+        ) = _build_calendar_core(self)
 
     @property
     def now(self) -> float:
@@ -910,9 +737,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
 
 class _MonitoredSimulator(Simulator):
@@ -945,18 +769,18 @@ class _MonitoredSimulator(Simulator):
         seq = self._mon.on_schedule(self._seq, when, target)
         heapq.heappush(self._heap, (when, seq, kind, a, b))
 
-    # Negative delays cannot reach ``_schedule``: Timeout.__init__ and
-    # Event.succeed/fail validate before calling.
+    # Negative and NaN delays cannot reach ``_schedule``:
+    # Timeout.__init__ and Event.succeed/fail validate before calling.
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._push(self._now + delay, event, event, None, None)
 
     def schedule_callback(self, delay: float, fn: Callable, *args: Any) -> None:
-        if delay < 0:
+        if not (delay >= 0):
             raise ValueError(f"negative callback delay: {delay}")
         self._push(self._now + delay, fn, None, fn, args)
 
     def schedule_callback_at(self, when: float, fn: Callable, *args: Any) -> None:
-        if when < self._now:
+        if not (when >= self._now):
             raise SimulationError(
                 f"callback time {when} lies in the past (now={self._now}): "
                 f"causality violation"
@@ -964,7 +788,7 @@ class _MonitoredSimulator(Simulator):
         self._push(when, fn, None, fn, args)
 
     def _schedule_event_at(self, event: Event, when: float) -> None:
-        if when < self._now:
+        if not (when >= self._now):
             raise SimulationError(
                 f"event time {when} lies in the past (now={self._now}): "
                 f"causality violation"
@@ -972,7 +796,7 @@ class _MonitoredSimulator(Simulator):
         self._push(when, event, event, None, None)
 
     def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
-        if delay < 0:
+        if not (delay >= 0):
             raise ValueError(f"negative timer delay: {delay}")
         pool = self._timer_pool
         h = pool.pop() if pool else TimerHandle()
@@ -984,26 +808,50 @@ class _MonitoredSimulator(Simulator):
         self._push(when, fn, False, h, None)
         return h
 
-    def step(self) -> None:
-        """Process the next scheduled heap entry (event, callback, timer)."""
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule: nothing left to run")
-        item = heapq.heappop(self._heap)
-        self._now = item[0]
-        self.events_processed += 1
-        self._mon.on_execute(item)
-        _fire(item[2], item[3], item[4], self._timer_pool)
-
     def run(self, until: Optional[float] = None) -> None:
-        """Monitored runs go through step() so every popped entry is
-        reported to the ShadowScheduler; speed is secondary here."""
-        if until is not None and until < self._now:
+        """Pop, report, fire: every popped entry goes to the monitor's
+        ``on_execute`` before it runs; speed is secondary here."""
+        if until is None:
+            limit = _INF
+        elif not (until >= self._now):
             raise ValueError(f"until ({until}) lies in the past (now={self._now})")
+        else:
+            limit = until
         heap = self._heap
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            self.step()
+        pool = self._timer_pool
+        on_execute = self._mon.on_execute
+        while heap and heap[0][0] <= limit:
+            item = heapq.heappop(heap)
+            self._now = item[0]
+            self.events_processed += 1
+            on_execute(item)
+            # Dispatch; the same branches as the calendar core's run loop.
+            _, _, x, p, a = item
+            if x is None:
+                if a:
+                    p(*a)
+                else:
+                    p()
+            elif x is False:
+                if p._alive:
+                    p._alive = False
+                    fn = p._fn
+                    args = p._args
+                    p._fn = None
+                    p._args = ()
+                    pool.append(p)
+                    if args:
+                        fn(*args)
+                    else:
+                        fn()
+                else:
+                    pool.append(p)
+            else:
+                callbacks, x.callbacks = x.callbacks, None
+                for callback in callbacks:
+                    callback(x)
+                if x._ok is False and not x._defused:
+                    raise x._value
         if until is not None:
             self._now = until
 

@@ -173,7 +173,7 @@ class Resource:
             finally:
                 self._release_held()
             return
-        if duration < 0:
+        if not (duration >= 0):
             raise ValueError(f"negative hold duration: {duration}")
         if _engine.access_hook is not None:
             _engine.access_hook(id(self), f"res:{self.name}", "w")
@@ -203,7 +203,7 @@ class Resource:
         like a ``use`` waiter's, so ``_release_held`` hands it over in
         the same zero-delay slot and then the hold ends in the slot the
         waiter's resume would take."""
-        if duration < 0:
+        if not (duration >= 0):
             raise ValueError(f"negative hold duration: {duration}")
         if _engine.access_hook is not None:
             _engine.access_hook(id(self), f"res:{self.name}", "w")

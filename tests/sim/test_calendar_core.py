@@ -1,16 +1,16 @@
-"""Calendar-core internals: timers, pooling, overflow, the front slot.
+"""Calendar-core internals: timers, pooling, time guards, the front slot.
 
 The observable-contract tests live in ``test_core_equivalence.py``;
 this file pins down the mechanisms — O(1) timer cancellation, handle
-recycling through the pool, far-future spill and promotion, window
-adaptation, and the front-slot ordering edge cases.
+recycling through the pool, rejection of NaN times, and the front-slot
+ordering edge cases.
 """
 
 import contextlib
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 from repro.sim.engine import SimulationError
 
 from tests.sim.monitors import fifo_monitored
@@ -114,39 +114,53 @@ def test_pool_does_not_recycle_in_flight_handles(core):
 
 
 # --------------------------------------------------------------------------
-# Far-future overflow and promotion (calendar core only)
+# Time guards (both schedulers)
+# --------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def _noop():
+    pass
+
+
+NAN_ENTRY_POINTS = {
+    "schedule_callback": lambda sim: sim.schedule_callback(NAN, _noop),
+    "schedule_callback_at": lambda sim: sim.schedule_callback_at(NAN, _noop),
+    "_schedule_event_at": lambda sim: sim._schedule_event_at(sim.event(), NAN),
+    "schedule_timer": lambda sim: sim.schedule_timer(NAN, _noop),
+    "timeout": lambda sim: sim.timeout(NAN),
+    "succeed": lambda sim: sim.event().succeed(delay=NAN),
+    "fail": lambda sim: sim.event().fail(RuntimeError("nan"), delay=NAN),
+    "run_until": lambda sim: sim.run(until=NAN),
+    "resource_hold": lambda sim: Resource(sim).hold(NAN, _noop),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_ENTRY_POINTS))
+def test_nan_time_is_rejected(core, entry):
+    """A NaN time or delay fails every ordered compare, so a guard
+    written ``x < bound`` lets it through and the entry never pops.
+    Each guard must raise instead, and leave the schedule usable."""
+    sim = Simulator()
+    sim.schedule_callback(2.0, _noop)  # occupy the front slot
+    with pytest.raises((ValueError, SimulationError)):
+        NAN_ENTRY_POINTS[entry](sim)
+    fired = []
+    sim.schedule_callback(1.0, fired.append, "after")
+    sim.run()
+    assert fired == ["after"]
+    assert sim.now == 2.0
+
+
+# --------------------------------------------------------------------------
+# Front slot and near heap (calendar core only)
 # --------------------------------------------------------------------------
 
 def _calendar_sim():
     sim = Simulator()
     assert sim.stats()["core"] == "calendar"
     return sim
-
-
-def test_far_future_entries_spill_and_promote():
-    sim = _calendar_sim()
-    order = []
-    sim.schedule_callback(1.0, order.append, "near")
-    far_when = Simulator.NEAR_WINDOW_US * 10
-    for i in range(3):
-        sim.schedule_callback(far_when + i, order.append, f"far{i}")
-    stats = sim.stats()
-    assert stats["far_spills"] == 3
-    assert stats["far_depth"] == 3
-    sim.run()
-    assert order == ["near", "far0", "far1", "far2"]
-    stats = sim.stats()
-    assert stats["promotions"] >= 1
-    assert stats["far_depth"] == 0
-
-
-def test_window_doubles_when_overflow_fits_one_window():
-    sim = _calendar_sim()
-    width0 = sim.stats()["near_window_us"]
-    sim.schedule_callback(1.0, lambda: None)
-    sim.schedule_callback(width0 * 5, lambda: None)  # spills, then promotes
-    sim.run()
-    assert sim.stats()["near_window_us"] == width0 * 2
 
 
 def test_front_insert_accounting():
@@ -160,27 +174,24 @@ def test_front_insert_accounting():
     assert stats["near_depth"] == 2
 
 
-def test_front_pop_defers_to_earlier_far_entry():
-    """Regression: a stale front slot must not fire past a far entry.
-
-    The front bypasses the horizon, so after a displacement parks an
-    entry in the far list a *later* front fill can leave
-    ``far_min < front``; the front-pop path has to promote first.
-    """
+def test_stale_front_yields_to_earlier_heap_entry():
+    """A fill into an empty front does not look at the heap, so the
+    front can be later than the heap top; the pop must take the heap
+    entry first.  Here the displaced front is the earlier entry, and a
+    later fill lands in the emptied front."""
     sim = _calendar_sim()
     order = []
-    late = Simulator.NEAR_WINDOW_US * 12
-    sim.schedule_callback_at(late + 1000.0, order.append, "far")
-    # displaces the far entry out of the front slot:
+    sim.schedule_callback_at(1000.0, order.append, "displaced")
+    # displaces the first entry into the heap, then refills the front:
     sim.schedule_callback_at(
-        late, lambda: sim.schedule_callback(2000.0, order.append, "front")
+        10.0, lambda: sim.schedule_callback(2000.0, order.append, "front")
     )
     sim.run()
-    assert order == ["far", "front"]
-    assert sim.now == late + 2000.0
+    assert order == ["displaced", "front"]
+    assert sim.now == 2010.0
 
 
-def test_peek_sees_all_three_tiers():
+def test_peek_sees_both_tiers():
     sim = _calendar_sim()
     assert sim.peek() == float("inf")
     sim.schedule_callback(50.0, lambda: None)          # front
@@ -189,34 +200,8 @@ def test_peek_sees_all_three_tiers():
     assert sim.peek() == 50.0
     sim.schedule_callback(10.0, lambda: None)          # displaces front
     assert sim.peek() == 10.0
-    far = Simulator.NEAR_WINDOW_US * 20
-    sim2 = _calendar_sim()
-    sim2.schedule_callback(1.0, lambda: None)
-    sim2.schedule_callback(far, lambda: None)          # far list
-    assert sim2.peek() == 1.0
-
-
-def test_step_drains_in_run_order():
-    def build(sim, log):
-        sim.schedule_callback(2.0, log.append, "b")
-        sim.schedule_callback(1.0, log.append, "a")
-        sim.schedule_timer(Simulator.NEAR_WINDOW_US * 8, log.append, "far")
-        sim.schedule_callback(2.0, log.append, "c")  # same-time tie
-
-    ref_sim, ref = _calendar_sim(), []
-    build(ref_sim, ref)
-    ref_sim.run()
-
-    sim, log = _calendar_sim(), []
-    build(sim, log)
-    steps = 0
-    while sim.peek() != float("inf"):
-        sim.step()
-        steps += 1
-    assert log == ref == ["a", "b", "c", "far"]
-    assert steps == sim.events_processed == ref_sim.events_processed
-    with pytest.raises(SimulationError, match="empty schedule"):
-        sim.step()
+    sim.run(until=10.0)                                # pops the front
+    assert sim.peek() == 50.0                          # heap top
 
 
 def test_run_until_pauses_and_resumes():
@@ -237,9 +222,8 @@ def test_stats_report_shape():
     sim = _calendar_sim()
     keys = set(sim.stats())
     assert {
-        "core", "schedules", "front_inserts", "near_pushes", "far_spills",
-        "promotions", "near_depth", "far_depth", "near_window_us",
+        "core", "schedules", "front_inserts", "near_pushes", "near_depth",
         "timer_pool_hits", "timer_pool_misses", "timer_pool_size",
-    } <= keys
+    } == keys
     with fifo_monitored():
         assert Simulator().stats()["core"] == "heap"

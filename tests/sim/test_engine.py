@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Event,
     Interrupt,
@@ -289,30 +288,6 @@ class TestConditions:
         sim.run()
         assert p.value == (5.0, ["fast"])
 
-    def test_all_of_waits_for_all(self):
-        sim = Simulator()
-
-        def proc():
-            a = sim.timeout(5.0, value="a")
-            b = sim.timeout(50.0, value="b")
-            result = yield AllOf(sim, [a, b])
-            return (sim.now, sorted(result.values()))
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == (50.0, ["a", "b"])
-
-    def test_empty_all_of_fires_immediately(self):
-        sim = Simulator()
-
-        def proc():
-            yield AllOf(sim, [])
-            return sim.now
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == 0.0
-
     def test_any_of_helper_method(self):
         sim = Simulator()
 
@@ -413,21 +388,6 @@ class TestScheduleCallback:
         assert fired == [] and sim.now == 5.0
         sim.run()
         assert fired == [True]
-
-
-class TestStepErrors:
-    def test_step_on_empty_schedule_raises_simulation_error(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="empty schedule"):
-            sim.step()
-
-    def test_step_error_is_not_a_bare_index_error(self):
-        sim = Simulator()
-        try:
-            sim.step()
-        except SimulationError:
-            pass  # SimulationError subclasses RuntimeError, not IndexError
-        assert isinstance(SimulationError("x"), RuntimeError)
 
 
 class TestRunLoopSource:
@@ -567,37 +527,6 @@ class TestConditionsOverProcessedEvents:
         when, result = p.value
         assert when == 0.0
         assert result == {early: "early"}
-
-    def test_allof_with_pre_processed_events_waits_for_last(self):
-        sim = Simulator()
-        e1 = sim.timeout(0.0, 1)
-        e2 = sim.timeout(0.0, 2)
-        sim.run()
-        e3 = sim.timeout(7.0, 3)
-
-        def waiter():
-            result = yield sim.all_of([e1, e2, e3])
-            return sim.now, result
-
-        p = sim.process(waiter())
-        sim.run()
-        when, result = p.value
-        assert when == 7.0
-        assert result == {e1: 1, e2: 2, e3: 3}
-
-    def test_allof_entirely_pre_processed(self):
-        sim = Simulator()
-        e1 = sim.timeout(0.0, "a")
-        e2 = sim.timeout(0.0, "b")
-        sim.run()
-
-        def waiter():
-            result = yield sim.all_of([e1, e2])
-            return result
-
-        p = sim.process(waiter())
-        sim.run()
-        assert p.value == {e1: "a", e2: "b"}
 
 
 class TestProcessExit:
