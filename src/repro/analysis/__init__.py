@@ -14,7 +14,8 @@ Three sub-systems:
   the U-Net API protocols on every path of every function.
 * **sanitizers** (:mod:`repro.analysis.sanitize`) -- runtime ownership
   and queue-invariant checking for communication segments and
-  descriptor rings, armed by ``REPRO_SANITIZE=1``.
+  descriptor rings, armed by ``sanitize.enable()`` or inside
+  ``sanitize.sanitized()``.
 * **race check** (:mod:`repro.analysis.race`,
   :mod:`repro.analysis.perturb`) -- the dynamic schedule-order race
   detector, and a harness that re-runs figure scenarios under other

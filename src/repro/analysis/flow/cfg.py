@@ -16,8 +16,8 @@ May-raise model (see DESIGN.md §9 for the soundness discussion):
   (``host.compute(...)``, ``host.copy(...)``, ``host.syscall()``) and
   observability guards, which never raise in practice and would
   otherwise drown real error paths in noise;
-* ``yield`` / ``yield from`` of a non-whitelisted expression (a
-  simulated process can be interrupted or the awaited event can fail).
+* ``yield`` / ``yield from`` of a non-whitelisted expression (the
+  awaited event can fail).
 """
 
 from __future__ import annotations

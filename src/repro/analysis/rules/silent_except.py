@@ -1,7 +1,7 @@
 """silent-except: no bare ``except`` or broad silent drops.
 
 NI firmware models sit in the data path: a bare ``except:`` (which also
-catches the engine's Interrupt and KeyboardInterrupt) or an
+catches ``GeneratorExit`` and ``KeyboardInterrupt``) or an
 ``except Exception: pass`` turns a real protocol bug into a silently
 dropped message and a benchmark that quietly reports wrong numbers.
 Narrow handlers with real fallback bodies stay legal; broad handlers
@@ -55,7 +55,7 @@ class SilentExceptRule(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    "bare `except:` also catches Interrupt and "
+                    "bare `except:` also catches GeneratorExit and "
                     "KeyboardInterrupt; name the exception types",
                 )
             elif _names_broad(node.type) and _is_silent_body(node.body):

@@ -13,9 +13,9 @@ one attribute test that the branch predictor eats):
   exceed capacity, a descriptor object may not be queued twice
   (recycle-before-consume), and free-queue buffers may not overlap.
 
-Enable with ``REPRO_SANITIZE=1`` in the environment, programmatically
-via :func:`enable`, or per-test with the ``sanitized_runtime`` pytest
-fixture (which also asserts leak-freedom at teardown).
+Sanitizers start off.  Arm them with :func:`enable`, or for a block
+with :func:`sanitized` (which also asserts leak-freedom at exit).  The
+core-layer and analysis-layer tests run with them armed.
 
 This module is intentionally dependency-light (stdlib + the error
 types) so the core data-path modules can import it without dragging in
@@ -24,7 +24,6 @@ the static-analysis machinery.
 
 from __future__ import annotations
 
-import os
 import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -32,15 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import QueueInvariantError, SegmentOwnershipError
 
 
-def _env_flag(name: str) -> bool:
-    """Whether the environment switch ``name`` is on.  Unset, empty,
-    ``0``, ``false``, ``off`` and ``no`` (any case) are off; anything
-    else is on."""
-    value = os.environ.get(name, "").strip().lower()
-    return value not in ("", "0", "false", "off", "no")
-
-
-_STATE = {"enabled": _env_flag("REPRO_SANITIZE")}
+_STATE = {"enabled": False}
 
 #: Weak references to every SegmentSanitizer created while enabled, in
 #: creation order, so a fixture can assert leak-freedom at teardown.

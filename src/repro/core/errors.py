@@ -42,4 +42,4 @@ class QueueFullError(UNetError):
 class QueueInvariantError(UNetError):
     """A descriptor ring broke an internal invariant: occupancy above
     capacity, or a descriptor recycled onto the ring before the
-    consumer popped it (detected by the REPRO_SANITIZE=1 sanitizer)."""
+    consumer popped it (detected by the armed ring sanitizer)."""

@@ -16,7 +16,6 @@ from typing import Callable, Generator
 
 from repro.core.endpoint import Endpoint
 from repro.host import Workstation
-from repro.sim import Process
 
 
 class UpcallCondition(enum.Enum):
@@ -42,14 +41,14 @@ class UpcallRegistration:
         self.signal_cost = signal_cost
         self.cancelled = False
         self.invocations = 0
-        self._process: Process = host.sim.process(
+        host.sim.process(
             self._loop(), name=f"upcall.{endpoint.name}.{condition.value}"
         )
 
     def cancel(self) -> None:
+        """Deregister: a handler that has not started never runs; one
+        already running finishes."""
         self.cancelled = True
-        if self._process.is_alive:
-            self._process.interrupt("upcall cancelled")
 
     def _wait_condition(self):
         if self.condition is UpcallCondition.RECV_NONEMPTY:
@@ -57,27 +56,25 @@ class UpcallRegistration:
         return self.endpoint.recv_queue.wait_almost_full()
 
     def _loop(self):
-        from repro.sim import Interrupt
-
-        sim = self.host.sim
-        try:
-            while not self.cancelled:
-                yield self._wait_condition()
+        while not self.cancelled:
+            yield self._wait_condition()
+            if self.cancelled:
+                return
+            # Critical sections: hold the upcall until re-enabled.
+            while not self.endpoint.upcalls_enabled:
+                yield self.endpoint.wait_upcalls_enabled()
                 if self.cancelled:
                     return
-                # Critical sections: hold the upcall until re-enabled.
-                while not self.endpoint.upcalls_enabled:
-                    yield self.endpoint.wait_upcalls_enabled()
-                if self.endpoint.recv_queue.is_empty:
-                    continue  # a poller consumed the messages first
-                if self.signal_cost:
-                    # UNIX signal delivery before the handler runs.
-                    yield from self.host.signal_delivery()
-                self.invocations += 1
-                yield from self.handler(self.endpoint)
-                # Re-arm: loop back and wait for the next batch.
-        except Interrupt:
-            return
+            if self.endpoint.recv_queue.is_empty:
+                continue  # a poller consumed the messages first
+            if self.signal_cost:
+                # UNIX signal delivery before the handler runs.
+                yield from self.host.signal_delivery()
+                if self.cancelled:
+                    return
+            self.invocations += 1
+            yield from self.handler(self.endpoint)
+            # Re-arm: loop back and wait for the next batch.
 
 
 def register_upcall(

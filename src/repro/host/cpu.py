@@ -37,31 +37,17 @@ class CpuModel:
 
         ``priority`` below zero models interrupt-level work (splnet):
         it is served before queued process-level work."""
-        cost = self.scale(us_at_reference)
-        _o = obs.active
-        if _o is not None:
-            _o.charge(cost)
-        request = self.resource.request(priority)
-        yield request
-        try:
-            yield self.sim.timeout(cost)
-            self.busy_us += cost
-            if _o is not None:
-                _o.sample(self.sim.now, f"{self.name}.busy_us", self.busy_us)
-        finally:
-            self.resource.release(request)
+        return self._hold(self.scale(us_at_reference), priority)
 
     def compute_raw(self, us: float):
         """Generator: occupy the CPU for an *unscaled* duration."""
+        return self._hold(us, 0)
+
+    def _hold(self, us: float, priority: int):
         _o = obs.active
         if _o is not None:
             _o.charge(us)
-        request = self.resource.request()
-        yield request
-        try:
-            yield self.sim.timeout(us)
-            self.busy_us += us
-            if _o is not None:
-                _o.sample(self.sim.now, f"{self.name}.busy_us", self.busy_us)
-        finally:
-            self.resource.release(request)
+        yield from self.resource.use(us, priority)
+        self.busy_us += us
+        if _o is not None:
+            _o.sample(self.sim.now, f"{self.name}.busy_us", self.busy_us)

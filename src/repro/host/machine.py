@@ -26,18 +26,11 @@ class HostCosts:
     copy_setup_us: float = 0.4
     #: Internet checksum: "1 us per 100 bytes on a SPARCstation-20" (§7.6).
     checksum_us_per_byte: float = 0.01
-    #: Software AAL5 CRC-32 (SBA-100 path, Table 1 discussion: 33%/40% of
-    #: the 7/5 us AAL5 send/receive overheads for a 48-byte cell).
-    crc_us_per_byte: float = 0.048
-    #: Hand-crafted fast trap into the kernel (§4.1: 28/43 instructions).
-    fast_trap_us: float = 1.5
     #: A full SunOS system call.
     syscall_us: float = 15.0
     #: UNIX signal delivery ("adds approximately another 30 us on each
     #: end", §4.2.3).
     signal_us: float = 30.0
-    #: Process context switch.
-    context_switch_us: float = 25.0
     #: select()-style blocking wakeup overhead.
     select_wakeup_us: float = 20.0
 
@@ -48,9 +41,6 @@ class HostCosts:
 
     def checksum_us(self, nbytes: int) -> float:
         return nbytes * self.checksum_us_per_byte
-
-    def crc_us(self, nbytes: int) -> float:
-        return nbytes * self.crc_us_per_byte
 
 
 class Workstation:
@@ -83,12 +73,6 @@ class Workstation:
 
     def checksum(self, nbytes: int):
         return self.cpu.compute(self.costs.checksum_us(nbytes))
-
-    def crc(self, nbytes: int):
-        return self.cpu.compute(self.costs.crc_us(nbytes))
-
-    def fast_trap(self):
-        return self.cpu.compute(self.costs.fast_trap_us)
 
     def syscall(self):
         return self.cpu.compute(self.costs.syscall_us)

@@ -13,15 +13,18 @@ Public surface:
   ``timeout``, ``event``).
 * :class:`Event`, :class:`Timeout`, :class:`Process` -- awaitable things.
 * :class:`AnyOf` -- the first of several events.
-* :class:`Store` -- FIFO channel with blocking ``get``/``put``.
-* :class:`Resource` -- counted resource with FIFO ``request``/``release``.
+* :class:`Store` -- FIFO channel: blocking ``get``, non-blocking
+  ``try_put``/``try_get``.
+* :class:`Resource` -- counted resource with priority-FIFO queueing,
+  held with ``use`` (processes) or ``hold`` (callbacks);
+  ``request``/``release`` are kept as the reference they are tested
+  against.
 * :class:`StatSeries` -- sample statistics (mean, percentiles).
 """
 
 from repro.sim.engine import (
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -33,7 +36,6 @@ from repro.sim.trace import StatSeries
 __all__ = [
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

@@ -88,14 +88,6 @@ class SimulationError(RuntimeError):
     """Raised for illegal uses of the engine (double-trigger, bad yield...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -105,9 +97,6 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")
-
-    #: Class-level default; only :class:`_InterruptEvent` overrides it.
-    _interrupting = False
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -203,14 +192,6 @@ class _Initialize(Event):
         sim._schedule(self, 0.0)
 
 
-class _InterruptEvent(Event):
-    """The failed event delivering an :class:`Interrupt` to a process."""
-
-    __slots__ = ()
-
-    _interrupting = True
-
-
 class Process(Event):
     """A running generator; doubles as the event of its own termination.
 
@@ -219,7 +200,7 @@ class Process(Event):
     exception, if the event failed).
     """
 
-    __slots__ = ("_generator", "name", "_target", "_send", "_throw")
+    __slots__ = ("_generator", "name", "_send", "_throw")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -231,36 +212,13 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         _Initialize(sim, self)
 
     @property
     def is_alive(self) -> bool:
         return self._ok is None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._ok is not None:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        event = _InterruptEvent(self.sim)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.callbacks.append(self._resume)
-        self.sim._schedule(event, 0.0)
-
     def _resume(self, event: Event) -> None:
-        if self._ok is not None:
-            # An interrupt can race with normal termination; it is void
-            # once the process has finished.
-            if event._interrupting:
-                event._defused = True
-            return
-        self._target = None
         try:
             if event._ok:
                 next_event = self._send(event._value)
@@ -285,7 +243,6 @@ class Process(Event):
             except BaseException as exc2:
                 self.fail(exc2)
             return
-        self._target = next_event
         if next_event.callbacks is None:
             # Already processed: resume immediately at the current time.
             stub = Event(self.sim)

@@ -75,17 +75,10 @@ class Store:
 class Resource:
     """A counted resource (CPU, DMA engine, bus) with FIFO queueing.
 
-    Usage from a process::
-
-        req = resource.request()
-        yield req
-        try:
-            yield sim.timeout(cost)
-        finally:
-            resource.release(req)
-
-    or, for a plain timed hold, ``yield from resource.use(cost)``;
+    A process holds it with ``yield from resource.use(cost)``;
     callback-driven models use ``resource.hold(cost, fn, *args)``.
+    The event-based ``request()``/``release()`` pair is the reference
+    that ``use`` and ``hold`` are tested against.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_queue", "_seq")
@@ -130,14 +123,9 @@ class Resource:
         if _engine.access_hook is not None:
             _engine.access_hook(id(self), f"res:{self.name}", "w")
         if not request.triggered:
-            # The request never got the resource; just remove it.
-            entries = [e for e in self._queue if e[2] is not request]
-            if len(entries) == len(self._queue):
-                raise SimulationError("releasing a request that was never made")
-            self._queue = entries
-            heapq.heapify(self._queue)
-            request.succeed()  # unblock any waiter, resource not held
-            return
+            raise SimulationError(
+                f"releasing a request of {self.name!r} that was never granted"
+            )
         self._release_held()
 
     def _release_held(self) -> None:
@@ -162,16 +150,14 @@ class Resource:
 
         A free resource is taken at once and one timeout is the only
         scheduled occurrence.  A contended one queues a grant event that
-        fires at the end of the hold (see ``_release_held``).  An
-        interrupt leaves the queue, or releases a granted hold."""
+        fires at the end of the hold (see ``_release_held``)."""
         if self._in_use < self.capacity and not self._queue:
             if _engine.access_hook is not None:
                 _engine.access_hook(id(self), f"res:{self.name}", "w")
+            timeout = Timeout(self.sim, duration)  # rejects a bad duration
             self._in_use += 1
-            try:
-                yield Timeout(self.sim, duration)
-            finally:
-                self._release_held()
+            yield timeout
+            self._release_held()
             return
         if not (duration >= 0):
             raise ValueError(f"negative hold duration: {duration}")
@@ -179,18 +165,8 @@ class Resource:
             _engine.access_hook(id(self), f"res:{self.name}", "w")
         grant = Event(self.sim)
         self._seq += 1
-        entry = (priority, self._seq, grant, duration)
-        heapq.heappush(self._queue, entry)
-        try:
-            yield grant
-        except BaseException:
-            try:
-                self._queue.remove(entry)
-            except ValueError:
-                self._release_held()  # granted: this waiter holds it
-            else:
-                heapq.heapify(self._queue)
-            raise
+        heapq.heappush(self._queue, (priority, self._seq, grant, duration))
+        yield grant
         self._release_held()
 
     def hold(self, duration: float, fn, *args: Any) -> None:

@@ -18,17 +18,17 @@ def sanitized_runtime():
 
 @pytest.fixture
 def sanitizers_off():
-    """Force the sanitizers off (tests of the zero-overhead path must
-    hold even when the suite runs under REPRO_SANITIZE=1)."""
+    """Force the sanitizers off for one test, overriding the armed
+    default (tests of the zero-overhead path)."""
     previous = sanitize.enable(False)
     yield
     sanitize.enable(previous)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def sanitizers_on():
-    """Arm the sanitizers without the leak check at exit (for tests
-    that deliberately leave allocations behind)."""
+    """Arm the sanitizers for every analysis test, without the leak
+    check at exit (some tests deliberately leave allocations behind)."""
     previous = sanitize.enable(True)
     yield
     sanitize.enable(previous)

@@ -52,7 +52,7 @@ def test_matching_free_still_works():
     assert seg.free_bytes == 256
 
 
-# -- segment sanitizer (REPRO_SANITIZE) -----------------------------------
+# -- segment sanitizer --------------------------------------------------
 
 def test_sanitizer_classifies_double_free(sanitizers_on):
     seg = CommSegment(256, owner="app")

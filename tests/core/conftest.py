@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.analysis import sanitize
 from repro.core import UNetCluster
 from repro.sim import Simulator
+
+
+@pytest.fixture(autouse=True)
+def sanitizers_on():
+    """Arm the runtime sanitizers for every core test, without the leak
+    check at exit (many tests leave allocations behind)."""
+    previous = sanitize.enable(True)
+    yield
+    sanitize.enable(previous)
 
 
 @pytest.fixture

@@ -192,3 +192,45 @@ class TestCancel:
         run(sim, sender())
         sim.run(until=1e9)
         assert got == []
+
+    def test_cancel_while_signal_waits_for_cpu(self):
+        """Cancelled while its signal delivery is queued behind the
+        application on bob's CPU, the upcall never runs its handler and
+        leaves the CPU neither held nor queued."""
+        sim, cluster, sa, sb, ch_a, ch_b = build()
+        bob = cluster.hosts["bob"]
+        cpu = bob.cpu.resource
+        got = []
+
+        def handler(endpoint):
+            got.extend(endpoint.recv_drain("pb"))
+            yield sim.timeout(0)
+
+        reg = register_upcall(bob, sb.endpoint, handler, caller="pb")
+
+        def application():
+            yield from bob.compute(1000.0)
+
+        def sender():
+            yield from sa.send(SendDescriptor(channel=ch_a.ident, inline=b"x"))
+
+        def canceller():
+            while cpu.queued != 1:
+                yield sim.timeout(1.0)
+            reg.cancel()
+
+        sim.process(application())
+        sim.process(sender())
+        sim.process(canceller())
+        sim.run(until=5000.0)
+        assert got == []
+        assert (cpu.in_use, cpu.queued) == (0, 0)
+
+        def later():
+            start = sim.now
+            yield from bob.compute(10.0)
+            return sim.now - start
+
+        (proc,) = run(sim, later())
+        assert proc.value == 10.0
+        assert (cpu.in_use, cpu.queued) == (0, 0)

@@ -75,3 +75,14 @@ class TestCompute:
         sim.process(proc())
         sim.run()
         assert cpu.busy_us == pytest.approx(10.0)
+
+    def test_lone_compute_schedules_two_entries(self):
+        """An uncontended charge is one timeout: the process start and
+        the end of the hold are the only scheduled entries."""
+        sim = Simulator()
+        cpu = CpuModel(sim)
+        sim.process(cpu.compute(10.0))
+        sim.run()
+        assert sim.now == 10.0
+        assert sim.events_processed == 2
+        assert (cpu.resource.in_use, cpu.resource.queued) == (0, 0)

@@ -9,7 +9,6 @@ import pytest
 from repro.sim import (
     AnyOf,
     Event,
-    Interrupt,
     Simulator,
     SimulationError,
     Timeout,
@@ -239,35 +238,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_interrupt(self):
-        sim = Simulator()
-
-        def sleeper():
-            try:
-                yield sim.timeout(1000.0)
-            except Interrupt as intr:
-                return ("interrupted", sim.now, intr.cause)
-
-        def interrupter(target):
-            yield sim.timeout(10.0)
-            target.interrupt("wake up")
-
-        p = sim.process(sleeper())
-        sim.process(interrupter(p))
-        sim.run()
-        assert p.value == ("interrupted", 10.0, "wake up")
-
-    def test_interrupt_dead_process_raises(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        p = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
     def test_requires_generator(self):
         sim = Simulator()
         with pytest.raises(TypeError):
@@ -413,101 +383,6 @@ class TestRunLoopSource:
         assert caller.f_code.co_name == "run"
         line = linecache.getline(caller.f_code.co_filename, lineno)
         assert line.strip() == "p()"
-
-
-class TestInterruptRaces:
-    def test_interrupt_beats_simultaneous_succeed(self):
-        """Interrupting a process whose wait target succeeded in the same
-        instant (but has not yet been processed) delivers the interrupt:
-        interrupt() detaches the victim from its target."""
-        sim = Simulator()
-        gate = Event(sim)
-
-        def victim():
-            try:
-                value = yield gate
-                return value
-            except Interrupt as intr:
-                return ("interrupted", intr.cause)
-
-        p = sim.process(victim())
-
-        def attacker():
-            yield sim.timeout(5.0)
-            gate.succeed("done")
-            p.interrupt("won the race")
-
-        sim.process(attacker())
-        sim.run()
-        assert p.value == ("interrupted", "won the race")
-        assert gate.processed and gate.value == "done"
-
-    def test_interrupt_defused_when_victim_finishes_same_instant(self):
-        """An interrupt scheduled while the victim is alive, but processed
-        after the victim already finished in the same instant, is defused
-        rather than surfacing as an unhandled failure."""
-        sim = Simulator()
-        early = sim.timeout(0.0, "early-value")
-        sim.run()
-
-        def victim():
-            yield sim.timeout(1.0)
-            value = yield early  # already processed: resumes via a stub
-            return value
-
-        p = sim.process(victim())
-
-        def attacker():
-            yield sim.timeout(1.0)
-            # The victim's resume stub is already on the heap ahead of the
-            # interrupt event, so the victim finishes first.
-            p.interrupt("too late")
-
-        sim.process(attacker())
-        sim.run()  # the defused interrupt must not raise
-        assert p.ok and p.value == "early-value"
-
-    def test_interrupt_while_target_already_processed(self):
-        """Interrupting a process whose wait target has already been
-        processed (the stub-event resume window) still delivers."""
-        sim = Simulator()
-        early = sim.timeout(0.0, "early-value")
-        log = []
-
-        def victim():
-            yield sim.timeout(1.0)
-            try:
-                value = yield early  # processed long ago: stub path
-                log.append(value)
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                return ("interrupted", intr.cause)
-            return "never"
-
-        p = sim.process(victim())
-
-        def attacker():
-            yield sim.timeout(1.0)
-            # victim's _target is the already-processed `early` event
-            p.interrupt("now")
-
-        sim.process(attacker())
-        sim.run()
-        assert log == ["early-value"]
-        assert p.value == ("interrupted", "now")
-        # The abandoned timeout(100) still drains from the heap.
-        assert sim.now == 101.0
-
-    def test_interrupt_dead_process_raises(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        p = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
 
 class TestConditionsOverProcessedEvents:

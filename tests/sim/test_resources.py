@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Resource, Simulator, SimulationError, Store
+from repro.sim import Resource, Simulator, SimulationError, Store
 
 
 class TestStore:
@@ -148,6 +148,32 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release(req)
 
+    def test_negative_duration_leaves_resource_free(self):
+        sim = Simulator()
+        res = Resource(sim)
+
+        def bad():
+            yield from res.use(-1.0)
+
+        sim.process(bad())
+        with pytest.raises(ValueError):
+            sim.run()
+        assert (res.in_use, res.queued) == (0, 0)
+
+    def test_release_ungranted_request_raises(self):
+        sim = Simulator()
+        res = Resource(sim)
+        held = res.request()
+        waiting = res.request()
+        with pytest.raises(SimulationError):
+            res.release(waiting)
+        assert (res.in_use, res.queued) == (1, 1)
+        res.release(held)
+        sim.run()
+        assert waiting.processed
+        res.release(waiting)
+        assert (res.in_use, res.queued) == (0, 0)
+
     def test_queued_count(self):
         sim = Simulator()
         res = Resource(sim)
@@ -167,34 +193,6 @@ class TestResource:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Resource(Simulator(), capacity=0)
-
-    def test_use_is_exception_safe(self):
-        """If the holder dies mid-use, the resource is released."""
-        sim = Simulator()
-        res = Resource(sim)
-
-        def dier():
-            try:
-                yield from res.use(10.0)
-            finally:
-                pass
-
-        def killer(target):
-            yield sim.timeout(5.0)
-            target.interrupt()
-
-        def follower():
-            yield sim.timeout(6.0)
-            yield from res.use(1.0)
-            return sim.now
-
-        p = sim.process(dier())
-        sim.process(killer(p))
-        f = sim.process(follower())
-        with pytest.raises(Exception):
-            sim.run()  # the Interrupt escapes dier
-        sim.run()
-        assert f.value == 7.0
 
 
 def reference_use(res, duration, priority=0):
@@ -316,76 +314,6 @@ class TestContendedUse:
         sim.process(user("u2"))
         sim.run()
         assert order == [(5.0, "urgent"), (6.0, "u1"), (7.0, "u2")]
-
-    def test_interrupt_while_queued_leaves_queue(self):
-        sim = Simulator()
-        res = Resource(sim)
-        seen = {}
-
-        def holder():
-            yield from res.use(10.0)
-
-        def waiter():
-            try:
-                yield from res.use(5.0)
-            except Interrupt:
-                seen["queued_after"] = res.queued
-                return "gave up"
-
-        def follower():
-            yield sim.timeout(3.0)
-            yield from res.use(1.0)
-            return sim.now
-
-        sim.process(holder())
-        w = sim.process(waiter())
-
-        def interrupter():
-            yield sim.timeout(2.0)
-            w.interrupt()
-
-        sim.process(interrupter())
-        f = sim.process(follower())
-        sim.run()
-        assert w.value == "gave up"
-        assert seen["queued_after"] == 0
-        assert f.value == 11.0  # served right after the holder
-        assert (res.in_use, res.queued) == (0, 0)
-
-    @pytest.mark.parametrize("at", [10.0, 15.0])
-    def test_interrupt_while_holding_releases(self, at):
-        """Interrupted at the grant instant or mid-hold, a contended
-        waiter releases the resource to the next in line."""
-        sim = Simulator()
-        res = Resource(sim)
-
-        def holder():
-            yield from res.use(10.0)
-
-        def victim():
-            try:
-                yield from res.use(10.0)
-            except Interrupt:
-                return sim.now
-
-        def follower():
-            yield sim.timeout(1.0)
-            yield from res.use(1.0)
-            return sim.now
-
-        sim.process(holder())
-        v = sim.process(victim())
-        f = sim.process(follower())
-
-        def interrupter():
-            yield sim.timeout(at)
-            v.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert v.value == at
-        assert f.value == at + 1.0
-        assert (res.in_use, res.queued) == (0, 0)
 
     def test_negative_contended_duration_rejected(self):
         sim = Simulator()
