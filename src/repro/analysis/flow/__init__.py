@@ -47,13 +47,9 @@ def check_names() -> List[str]:
     return [rule.name for rule in all_rules()] + list(CHECKS)
 
 
-def analyze_program(
-    program: Program, names: Optional[Sequence[str]] = None
-) -> List[Violation]:
-    """Run the selected rules and flow checks (default: all) over an
-    indexed :class:`Program`; unknown names raise KeyError."""
-    from repro.analysis.flow import typestate
-
+def _selected(names: Optional[Sequence[str]]) -> List[str]:
+    """The checks ``names`` selects (default: all); unknown names raise
+    KeyError."""
     known = check_names()
     selected = list(names) if names else known
     unknown = [name for name in selected if name not in known]
@@ -61,6 +57,17 @@ def analyze_program(
         raise KeyError(
             f"unknown check(s) {', '.join(unknown)} (known: {', '.join(known)})"
         )
+    return selected
+
+
+def analyze_program(
+    program: Program, names: Optional[Sequence[str]] = None
+) -> List[Violation]:
+    """Run the selected rules and flow checks (default: all) over an
+    indexed :class:`Program`; unknown names raise KeyError."""
+    from repro.analysis.flow import typestate
+
+    selected = _selected(names)
     rules = get_rules([name for name in selected if name not in CHECKS])
     found: List[Violation] = []
     for index in program.indexes:
@@ -79,5 +86,7 @@ def analyze_program(
 def analyze_paths(
     paths: Iterable[str], names: Optional[Sequence[str]] = None
 ) -> List[Violation]:
-    """Index every python file under ``paths`` and run the pass."""
-    return analyze_program(Program.from_paths(paths), names)
+    """Index every python file under ``paths`` and run the pass.
+    Unknown names raise KeyError before any file is parsed."""
+    selected = _selected(names)
+    return analyze_program(Program.from_paths(paths), selected)

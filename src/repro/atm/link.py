@@ -38,12 +38,12 @@ ETHERNET_10_BPS = 10_000_000.0
 class CellTrain:
     """A back-to-back burst of cells with an analytic arrival schedule.
 
-    Cell ``i`` arrives at ``arrivals_us[i]``.  Train-aware sinks (the
-    switch input, the NI receive FIFO) accept the whole train in one
-    heap entry and expand it themselves; everyone else receives plain
-    per-cell deliveries.  The arrival floats are exactly the ones the
-    per-cell path would schedule, so expansion is bit-identical to
-    per-cell simulation.
+    Cell ``i`` arrives at ``arrivals_us[i]``.  The switch input is the
+    one train-aware sink: it accepts the whole train in one heap entry
+    and forwards it itself.  Every other receiver, the NI receive FIFO
+    included, gets plain per-cell deliveries.  The arrival floats are
+    exactly the ones the per-cell path would schedule, so a train is
+    bit-identical to per-cell simulation.
     """
 
     __slots__ = ("cells", "arrivals_us")
@@ -218,6 +218,62 @@ class Link:
                 finish + self.propagation_us, self._deliver_cell, cell
             )
         return True
+
+    def send_train_at(
+        self,
+        cells: Sequence[Cell],
+        instants: Sequence[float],
+        deliver: Optional[Callable[[int, Cell], None]] = None,
+    ) -> None:
+        """:meth:`send_at` for ``cells[i]`` as of ``instants[i]``, in one
+        pass on the fast path.  Each admitted cell is delivered by
+        ``deliver(i, cell)`` at its arrival; with ``deliver`` None
+        nothing is scheduled (a replay after :meth:`rewind`).
+
+        Claiming ahead is exact only if the instants are in order and
+        no other claim on this link falls before the last of them.  The
+        link must be on its fast path with no loss function.
+        """
+        starts = self._starts
+        capacity = self.capacity
+        claim = self._claim
+        propagation = self.propagation_us
+        schedule_at = self.sim.schedule_callback_at
+        admitted = 0
+        for i, now in enumerate(instants):
+            while starts and starts[0] <= now:
+                starts.popleft()
+            if len(starts) >= capacity:
+                continue
+            finish = claim(cells[i], now)
+            admitted += 1
+            if deliver is not None:
+                schedule_at(finish + propagation, deliver, i, cells[i])
+        self.cells_sent += admitted
+        self.bytes_sent += ATM_CELL_SIZE * admitted
+        self.cells_dropped += len(instants) - admitted
+
+    def claim_state(self) -> tuple:
+        """Everything a claim changes, for :meth:`rewind`."""
+        return (
+            self._busy_until,
+            tuple(self._starts),
+            self.cells_sent,
+            self.bytes_sent,
+            self.cells_dropped,
+        )
+
+    def rewind(self, state: tuple) -> None:
+        """Undo every claim made since :meth:`claim_state` returned
+        ``state``."""
+        (
+            self._busy_until,
+            starts,
+            self.cells_sent,
+            self.bytes_sent,
+            self.cells_dropped,
+        ) = state
+        self._starts = deque(starts)
 
     def put(self, cell: Cell) -> Event:
         """Blocking enqueue: returns an event that triggers once the cell

@@ -4,7 +4,9 @@ Each port is a full-duplex fiber attachment: cells arriving on a port's
 input are looked up in a per-(port, VCI) routing table, relabelled with
 the outgoing VCI, and forwarded after a fixed switching latency to the
 output link of the destination port; the output slot is claimed, as of
-the exit instant, when the cell enters the crossbar.  Output contention
+the exit instant, when the cell enters the crossbar.  A cell train from
+the only port routed to its output has every slot claimed when its
+first cell arrives (:meth:`Switch.input_train_sink`).  Output contention
 is absorbed by the (finite) output link queue; overflow drops cells,
 which downstream turns into AAL5 CRC failures -- the paper's §7.8
 cell-loss discussion.
@@ -12,8 +14,9 @@ cell-loss discussion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.atm.cell import Cell
@@ -28,6 +31,29 @@ class SwitchRoute:
     out_vci: int
 
 
+class _TrainClaim:
+    """A train whose output slots were all claimed at its first arrival,
+    kept until a route change may need to withdraw its later cells.
+
+    ``live`` is the number of leading cells whose deliveries stand;
+    every delivery entry checks its index against it."""
+
+    __slots__ = ("port", "vci", "link", "train", "exits", "link_state", "live")
+
+    def __init__(self, port, vci, link, train, exits, link_state):
+        self.port = port
+        self.vci = vci
+        self.link = link
+        self.train = train
+        self.exits = exits
+        self.link_state = link_state
+        self.live = len(exits)
+
+    def deliver(self, i: int, cell: Cell) -> None:
+        if i < self.live:
+            self.link._deliver_cell(cell)
+
+
 class Switch:
     """An N-port VCI-translating cell switch."""
 
@@ -37,6 +63,8 @@ class Switch:
         "switching_latency_us",
         "name",
         "_routes",
+        "_feeders",
+        "_claims",
         "output_links",
         "cells_switched",
         "cells_unrouted",
@@ -61,6 +89,10 @@ class Switch:
         self.switching_latency_us = switching_latency_us
         self.name = name
         self._routes: Dict[Tuple[int, int], SwitchRoute] = {}
+        # Per output port: input port -> number of routes from it.
+        self._feeders: List[Dict[int, int]] = [{} for _ in range(n_ports)]
+        # Per input port: the last train claimed at its first arrival.
+        self._claims: List[Optional[_TrainClaim]] = [None] * n_ports
         self.output_links = [
             Link(
                 sim,
@@ -86,11 +118,28 @@ class Switch:
         if _engine.access_hook is not None:
             _engine.access_hook(id(self._routes), f"routes:{self.name}", "w")
         self._routes[key] = SwitchRoute(out_port, out_vci)
+        feeders = self._feeders[out_port]
+        feeders[in_port] = feeders.get(in_port, 0) + 1
+        if len(feeders) > 1:
+            # A train claimed while its port was the sole feeder must
+            # now contend cell by cell with the new one.
+            link = self.output_links[out_port]
+            for claim in self._claims:
+                if claim is not None and claim.link is link:
+                    self._withdraw(claim)
 
     def remove_route(self, in_port: int, in_vci: int) -> None:
         if _engine.access_hook is not None:
             _engine.access_hook(id(self._routes), f"routes:{self.name}", "w")
-        del self._routes[(in_port, in_vci)]
+        route = self._routes.pop((in_port, in_vci))
+        feeders = self._feeders[route.out_port]
+        feeders[in_port] -= 1
+        if not feeders[in_port]:
+            del feeders[in_port]
+        claim = self._claims[in_port]
+        if claim is not None and claim.vci == in_vci:
+            # Cells still on the wire meet the route change on arrival.
+            self._withdraw(claim)
 
     def has_route(self, in_port: int, in_vci: int) -> bool:
         return (in_port, in_vci) in self._routes
@@ -107,10 +156,15 @@ class Switch:
     def input_train_sink(self, port: int):
         """Train-aware variant of :meth:`input_sink`.
 
-        A :class:`CellTrain` is expanded here: cell ``i`` of the train is
-        forwarded exactly as if it had arrived individually at
-        ``train.arrival_us(i)``, so output-link contention and FIFO order
-        against other traffic are preserved cell-for-cell."""
+        Cell ``i`` of a :class:`CellTrain` is forwarded exactly as if it
+        had arrived individually at ``train.arrivals_us[i]``.  When
+        ``port`` is the only port routed to the train's output, every
+        cell's output slot is claimed at the first arrival, each as of
+        its own exit instant; a route change before the last arrival
+        withdraws the cells still on the wire and receives them one by
+        one.  Otherwise each cell is received at its own arrival, so
+        output contention and FIFO order against other traffic are
+        preserved cell for cell."""
         self._check_port(port)
 
         def sink(train: CellTrain, _port: int = port) -> None:
@@ -146,15 +200,76 @@ class Switch:
 
     def _receive_train(self, port: int, train: CellTrain) -> None:
         # Fires at the first cell's arrival time; later cells are still
-        # on the wire, so each is received at its own arrival offset.
-        # The route is looked up per cell *at arrival time*: circuits
-        # torn down mid-train drop the tail cells, same as per-cell mode.
+        # on the wire.
+        cells = train.cells
+        vci = cells[0].vci
+        route = self._routes.get((port, vci))
+        if (
+            route is not None
+            and _engine.access_hook is None
+            and obs.active is None
+            and len(self._feeders[route.out_port]) == 1
+        ):
+            link = self.output_links[route.out_port]
+            if (
+                link.fast_path
+                and link.loss_fn is None
+                and len({cell.vci for cell in cells}) == 1
+            ):
+                self._claim_train(port, route, link, train)
+                return
+        self._receive(port, cells[0])
+        self._expand(port, train, 1)
+
+    def _expand(self, port: int, train: CellTrain, first: int) -> None:
+        """Receive cells ``first..`` of ``train`` each at its arrival,
+        where the route is looked up: circuits torn down mid-train drop
+        the tail cells."""
         cells = train.cells
         arrivals = train.arrivals_us
         schedule_at = self.sim.schedule_callback_at
-        self._receive(port, cells[0])
-        for i in range(1, len(cells)):
+        for i in range(first, len(cells)):
             schedule_at(arrivals[i], self._receive, port, cells[i])
+
+    def _claim_train(
+        self, port: int, route: SwitchRoute, link: Link, train: CellTrain
+    ) -> None:
+        """Claim every cell's output slot now, as :meth:`_receive` would
+        at each arrival.  ``port`` is the link's only feeder and its
+        cells arrive in order, so the claims are made in exit order
+        with no other claim between them."""
+        latency = self.switching_latency_us
+        exits = [arrival + latency for arrival in train.arrivals_us]
+        claim = _TrainClaim(
+            port, train.cells[0].vci, link, train, exits, link.claim_state()
+        )
+        self._claims[port] = claim
+        self.cells_switched += len(exits)
+        out_vci = route.out_vci
+        link.send_train_at(
+            [cell.with_vci(out_vci) for cell in train.cells], exits, claim.deliver
+        )
+
+    def _withdraw(self, claim: _TrainClaim) -> None:
+        """Take back the claims of the cells that have not arrived yet
+        and receive those cells one by one instead.
+
+        The train is its link's only feeder, so its claims are the
+        link's last ones: rewinding the link to its state before the
+        train and replaying the arrived cells' claims leaves it exactly
+        as per-cell forwarding would have."""
+        self._claims[claim.port] = None
+        train = claim.train
+        kept = bisect_right(train.arrivals_us, self.sim._now)
+        withdrawn = len(train) - kept
+        if not withdrawn:
+            return
+        claim.live = kept
+        link = claim.link
+        link.rewind(claim.link_state)
+        link.send_train_at(train.cells[:kept], claim.exits[:kept])
+        self.cells_switched -= withdrawn
+        self._expand(claim.port, train, kept)
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.n_ports:

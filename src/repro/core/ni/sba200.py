@@ -159,24 +159,24 @@ class Sba200UNet(NetworkInterface):
 
     # -- receive ------------------------------------------------------------
     # The i960 polls the network input FIFO (§4.2.2).  The loop runs as
-    # a callback state machine, one step per i960 hold: every step sits
-    # in the (when, seq) slot where a poll-loop process would resume, so
-    # the i960 stays shared with the generator-based _tx_firmware.
+    # a callback state machine, one step per i960 hold, so the i960
+    # stays shared with the generator-based _tx_firmware.  A cell starts
+    # its hold in the entry that hands it over (the fiber delivery, or
+    # the end of the previous cell's hold), with no zero-delay hop.
     def _rx_sink(self, cell: Cell) -> None:
         if self._rx_busy:
             NetworkInterface._rx_sink(self, cell)
             return
-        # An idle firmware takes the cell at once, in the zero-delay
-        # slot a blocked input_fifo.get() would wake up in; the FIFO
-        # itself stays empty.
+        # An idle firmware takes the cell at once; the FIFO itself
+        # stays empty.
         self._rx_busy = True
         fifo = self.input_fifo
         if _engine.access_hook is not None:
             _engine.access_hook(id(fifo), f"store:{fifo.name}", "w")
-        self.sim.schedule_callback(0.0, self._rx_cell, cell)
         _o = obs.active
         if _o is not None:
             _o.sample(self.sim._now, self._k_rxfifo_depth, 0, host=self.host.name)
+        self._rx_cell(cell)
 
     def _rx_cell(self, cell: Cell) -> None:
         """Start one cell: the fixed per-cell i960 cost."""
@@ -239,4 +239,4 @@ class Sba200UNet(NetworkInterface):
         if cell is None:
             self._rx_busy = False
         else:
-            self.sim.schedule_callback(0.0, self._rx_cell, cell)
+            self._rx_cell(cell)

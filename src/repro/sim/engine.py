@@ -200,13 +200,12 @@ class Process(Event):
     exception, if the event failed).
     """
 
-    __slots__ = ("_generator", "name", "_send", "_throw")
+    __slots__ = ("name", "_send", "_throw")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
-        self._generator = generator
         # Bound send/throw cached: _resume is the single hottest method
         # in process-based models (one call per resumption).
         self._send = generator.send
@@ -226,22 +225,19 @@ class Process(Event):
                 # Defuse: the waiting process handles the failure.
                 event._defused = True
                 next_event = self._throw(event._value)
+            # A non-event yield gets a SimulationError thrown in; what
+            # the generator yields after catching it is resumed as usual.
+            while not isinstance(next_event, Event):
+                next_event = self._throw(
+                    SimulationError(
+                        f"process {self.name!r} yielded a non-event: {next_event!r}"
+                    )
+                )
         except StopIteration as stop:
             self._exit(stop.value)
             return
         except BaseException as exc:
             self.fail(exc)
-            return
-        if not isinstance(next_event, Event):
-            exc = SimulationError(
-                f"process {self.name!r} yielded a non-event: {next_event!r}"
-            )
-            try:
-                self._throw(exc)
-            except StopIteration as stop:
-                self._exit(stop.value)
-            except BaseException as exc2:
-                self.fail(exc2)
             return
         if next_event.callbacks is None:
             # Already processed: resume immediately at the current time.

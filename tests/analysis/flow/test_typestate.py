@@ -4,7 +4,7 @@ on the real tree."""
 
 import pytest
 
-from repro.analysis.flow import analyze_paths, analyze_program
+from repro.analysis.flow import analyze_program
 from repro.analysis.flow.typestate import check_program
 
 from tests.analysis.flow.conftest import FIXTURES, fixture_program, make_program
@@ -141,10 +141,3 @@ class TestDisables:
             """
         )
         assert analyze_program(program, ["typestate"]) == []
-
-
-def test_real_tree_is_clean():
-    """Satellite 1 regression: the leaks simflow found in the send
-    paths are fixed; the whole tree analyses clean."""
-    findings = analyze_paths(["src", "benchmarks", "examples"])
-    assert findings == [], [f.format() for f in findings]

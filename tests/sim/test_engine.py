@@ -238,6 +238,22 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_caught_non_event_error_resumes(self):
+        sim = Simulator()
+
+        def recovers():
+            try:
+                yield 5
+            except SimulationError:
+                yield sim.timeout(1.0)
+            return "done"
+
+        proc = sim.process(recovers())
+        sim.run()
+        assert not proc.is_alive
+        assert proc.value == "done"
+        assert sim.now == 1.0
+
     def test_requires_generator(self):
         sim = Simulator()
         with pytest.raises(TypeError):
