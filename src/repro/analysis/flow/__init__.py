@@ -13,8 +13,8 @@ at a time, simflow builds a whole-repo view:
 
 and one client on top, **typestate checking** (:mod:`.typestate` /
 :mod:`.specs`): the alloc→write→post→free protocols of the U-Net API
-(communication segment buffers, receive descriptors, endpoints, timer
-handles), proven on *all* paths — including the exception edges the
+(communication segment buffers, receive descriptors, endpoints),
+proven on *all* paths — including the exception edges the
 runtime sanitizers only see when a scenario happens to take them.
 
 :func:`analyze_paths` is the whole pass behind ``python -m
@@ -36,8 +36,7 @@ from repro.analysis.rules import all_rules, get_rules
 CHECKS = {
     "typestate": (
         "U-Net API protocols (segment buffers, receive descriptors, "
-        "endpoints, timer handles) hold on every path, exception edges "
-        "included"
+        "endpoints) hold on every path, exception edges included"
     ),
 }
 

@@ -2,7 +2,7 @@
 
 Each :class:`ProtocolSpec` names the operations that create a tracked
 token (the *resource handle*: a segment offset, a receive descriptor,
-an endpoint, a timer handle), the state machine its operations walk,
+an endpoint), the state machine its operations walk,
 and which states constitute a leak if they survive to a function
 exit.  The checker (:mod:`.typestate`) is generic over these specs —
 adding a protocol is adding data, not code.
@@ -21,8 +21,6 @@ The specs encode §3.1/§3.4 of the paper:
   be reposted to the free queue once, and never read after reposting
   (the NI may have overwritten them: recycle-before-consume).
 * **endpoint** — create → use → destroy; no operation after destroy.
-* **timer-handle** — ``schedule_timer`` → ``cancel`` once; handles
-  are pooled, so a second ``cancel`` may kill an unrelated timer.
 """
 
 from __future__ import annotations
@@ -247,33 +245,10 @@ ENDPOINT = ProtocolSpec(
 )
 
 
-TIMER_HANDLE = ProtocolSpec(
-    name="timer-handle",
-    noun="timer handle",
-    creators=frozenset({"schedule_timer"}),
-    initial="armed",
-    ops={
-        "cancel": OpRule(
-            ok={"armed": "cancelled"},
-            bad={
-                "cancelled": (
-                    "flow-stale-timer",
-                    "cancel() of an already-cancelled timer handle: the "
-                    "engine pools handles, so a stale cancel can disarm an "
-                    "unrelated, newer timer that reused the object",
-                ),
-            },
-            token_role=RECEIVER,
-        ),
-    },
-)
-
-
 ALL_SPECS: Tuple[ProtocolSpec, ...] = (
     SEGMENT_BUFFER,
     RECV_DESCRIPTOR,
     ENDPOINT,
-    TIMER_HANDLE,
 )
 
 #: method name -> [(spec, op rule)] across all specs

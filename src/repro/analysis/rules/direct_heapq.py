@@ -2,14 +2,12 @@
 
 The event core (``repro.sim.engine``) keeps strict invariants on its
 schedule: a unique monotone sequence number per entry for FIFO
-tie-break, a front slot that every pop compares with the heap top,
-and pooled timer entries that are recycled at pop.  Model code that
-imports :mod:`heapq` and maintains its own priority queue next to the
-scheduler tends to re-invent those invariants badly — unordered ties,
-tombstone cancellation, wall-order dependence.  Outside ``repro.sim``,
-schedule through the simulator (``schedule_callback`` /
-``schedule_timer`` / events) or use the ordered containers in
-``repro.sim.resources``.
+tie-break, and a front slot that every pop compares with the heap top.
+Model code that imports :mod:`heapq` and maintains its own priority
+queue next to the scheduler tends to re-invent those invariants badly —
+unordered ties, tombstone cancellation, wall-order dependence.  Outside
+``repro.sim``, schedule through the simulator (``schedule_callback`` /
+events) or use the ordered containers in ``repro.sim.resources``.
 """
 
 from __future__ import annotations
@@ -49,6 +47,6 @@ class DirectHeapqRule(Rule):
                     ctx,
                     node,
                     "direct heapq import outside repro.sim; the scheduler "
-                    "owns the heap — use schedule_callback/schedule_timer "
-                    "or repro.sim.resources",
+                    "owns the heap — use schedule_callback, events or "
+                    "repro.sim.resources",
                 )

@@ -59,10 +59,6 @@ def check_leaks(since: int = 0) -> None:
             sanitizer.check_teardown()
 
 
-def registry_size() -> int:
-    return len(_SEGMENT_REGISTRY)
-
-
 @contextmanager
 def sanitized():
     """Context manager: arm sanitizers, and at exit verify that every

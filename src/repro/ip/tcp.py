@@ -121,8 +121,10 @@ class TcpConnection:
         self._delack_deadline: Optional[float] = None
         self._delack_count = 0
         self._dup_acks = 0
-        #: the armed protocol timer, a cancellable pooled handle (or None)
-        self._timer = None
+        #: fire time of the armed protocol timer (None = disarmed), and
+        #: the arm count that tells its live callback from stale ones
+        self._timer_when: Optional[float] = None
+        self._timer_arm = 0
         self._timer_firing = False
         # events
         self._established = Event(self.sim)
@@ -523,11 +525,9 @@ class TcpConnection:
             self.rttvar_us += (abs(err) - self.rttvar_us) / 4
 
     def _kill_timer(self) -> None:
-        """Drop the armed timer, if any (O(1) — no tombstone event)."""
-        h = self._timer
-        if h is not None:
-            self._timer = None
-            h.cancel()
+        """Disarm the timer, if any: its entry stays scheduled and its
+        callback returns at once."""
+        self._timer_when = None
 
     def _wake_timer(self) -> None:
         """(Re-)arm the protocol timer for the earliest pending deadline.
@@ -535,9 +535,9 @@ class TcpConnection:
         The timer fires on the next granularity boundary at or after the
         deadline, preserving the coarse-tick character of the BSD
         ``pr_slow_timeout`` (§7.8) without a free-running tick chain: an
-        idle connection holds no schedule entry, and clearing the last
-        deadline cancels the armed handle in O(1) instead of letting a
-        stale tick discover it later.  A timer armed *earlier* than the
+        idle connection arms no new entry, and clearing the last
+        deadline disarms the armed one instead of letting a stale tick
+        run an expiry later.  A timer armed *earlier* than the
         current requirement is left in place — its callback finds no
         expired deadline and lazily re-arms, so ACKs that repeatedly
         push the retransmit deadline out cost no cancel/push churn."""
@@ -554,32 +554,32 @@ class TcpConnection:
             deadline = rd
         else:
             deadline = dd
-        h = self._timer
         if deadline is None:
-            if h is not None:
-                self._timer = None
-                h.cancel()
+            self._timer_when = None
             return
         g = self.cfg.timer_granularity_us
         now = self.sim.now
         ticks = max(1.0, -(-(deadline - now) // g))
         delay = ticks * g
-        if h is not None:
-            if h.when <= now + delay:
-                return  # already fires early enough; it will re-arm
-            self._timer = None
-            h.cancel()
-        self._timer = self.sim.schedule_timer(delay, self._timer_cb)
+        when = self._timer_when
+        if when is not None and when <= now + delay:
+            return  # already fires early enough; it will re-arm
+        # The arm count, not the fire time, is the token: a disarmed
+        # entry and its replacement can share one fire time.
+        self._timer_arm += 1
+        self._timer_when = now + delay
+        self.sim.schedule_callback(delay, self._timer_cb, self._timer_arm)
 
-    def _timer_cb(self) -> None:
-        """The armed timer fired (a bare callback, no process).
+    def _timer_cb(self, arm: int) -> None:
+        """A timer entry fired (a bare callback, no process).
 
-        Deadline checks are free; a generator process is spawned only
-        when a deadline actually expired, since the expiry handlers
+        An entry disarmed or superseded since it was armed returns at
+        once.  Deadline checks are free; a generator process is spawned
+        only when a deadline actually expired, since the expiry handlers
         consume simulated time."""
-        # TimerHandle lifetime discipline: the engine recycled the handle
-        # before invoking us -- drop our reference first.
-        self._timer = None
+        if arm != self._timer_arm or self._timer_when is None:
+            return
+        self._timer_when = None
         if not self._alive:
             return
         now = self.sim.now

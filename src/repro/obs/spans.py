@@ -112,7 +112,6 @@ class SpanCollector:
         # -- engine self-profile (fed by ObsMonitor) --------------------
         self.executed_callbacks = 0
         self.executed_events = 0
-        self.executed_timers = 0
         self.entries_scheduled = 0
         self.max_heap_depth = 0
 
@@ -236,7 +235,7 @@ class ObsMonitor:
     process resumes.
 
     The monitor doubles as the engine self-profiler: entry counts by
-    kind (callback, timer, event) and high-water heap depth.
+    kind (callback, event) and high-water heap depth.
     """
 
     def __init__(self, collector: SpanCollector):
@@ -261,13 +260,10 @@ class ObsMonitor:
     def on_execute(self, item: tuple) -> None:
         c = self.collector
         self._pending -= 1
-        # entry shapes: None = bare callback, False = pooled timer
-        # (possibly cancelled), anything else = an Event firing.
-        tag = item[2]
-        if tag is None:
+        # entry shapes: None = bare callback, anything else = an Event
+        # firing.
+        if item[2] is None:
             c.executed_callbacks += 1
-        elif tag is False:
-            c.executed_timers += 1
         else:
             c.executed_events += 1
         c.current = self._ctx.pop(item[1], None)

@@ -22,15 +22,12 @@ Entries are uniform 5-tuples ``(when, seq, kind, a, b)`` where ``kind``
 discriminates the payload::
 
     (when, seq, None,  fn, args)     # a scheduled callback
-    (when, seq, False, handle, None) # a pooled timer (cancellable)
     (when, seq, event, None, None)   # a triggered Event
 
 ``seq`` is unique, so tuple comparison never reaches the third element
-and the shapes coexist safely.  Timers are :class:`TimerHandle` objects
-drawn from a per-simulator free list: ``schedule_timer`` returns a
-handle whose ``cancel()`` is O(1) (a flag write — no tombstone event,
-no heap surgery); the entry is discarded and the handle recycled when
-its timestamp is reached.
+and the shapes coexist safely.  There is no cancellable entry: a model
+that needs to disarm a callback (TCP's protocol timer) passes it a
+token and has it return at once when the token is stale.
 
 Instrumentation is the one place the front slot is dropped.
 :func:`monitored` arms the engine's single instrumentation slot for a
@@ -305,51 +302,12 @@ class AnyOf(Event):
         )
 
 
-class TimerHandle:
-    """A cancellable, pooled timer returned by ``schedule_timer``.
-
-    ``cancel()`` is O(1): it flips a flag and returns — no tombstone
-    event is scheduled and no heap entry is removed.  The dead entry is
-    discarded (and the handle recycled onto the simulator's free list)
-    when simulated time reaches its timestamp.
-
-    **Lifetime discipline**: a handle is only valid until its timer
-    fires or until ``cancel()`` is called.  The engine recycles handles,
-    so a holder must drop its reference when the timer fires (first
-    statement of the callback) or right after cancelling; calling
-    ``cancel()`` on a stale handle may cancel an unrelated, newer timer
-    that reused the object.
-    """
-
-    __slots__ = ("_when", "_fn", "_args", "_alive")
-
-    def __init__(self) -> None:
-        self._when = 0.0
-        self._fn: Optional[Callable] = None
-        self._args: tuple = ()
-        self._alive = False
-
-    @property
-    def when(self) -> float:
-        """Absolute fire time this handle was armed for."""
-        return self._when
-
-    @property
-    def alive(self) -> bool:
-        """True while the timer is armed and not cancelled."""
-        return self._alive
-
-    def cancel(self) -> None:
-        """Disarm the timer.  O(1); idempotent."""
-        self._alive = False
-
-
 def _build_calendar_core(sim: Any) -> tuple:
     """Build one calendar-queue scheduler for ``sim``.
 
     Returns the closures :class:`Simulator` installs as instance
     attributes: ``(schedule_callback, schedule_callback_at, _schedule,
-    _schedule_event_at, schedule_timer, run, peek, stats)``.  Only
+    _schedule_event_at, run, peek, stats)``.  Only
     ``sim._now`` and ``sim.events_processed`` are touched on ``sim``.
 
     The scheduler state lives in closure cells rather than instance
@@ -359,7 +317,7 @@ def _build_calendar_core(sim: Any) -> tuple:
     mid-callback.
 
     Front-slot cells: ``fw`` (when; -1.0 = empty), ``fs`` (seq), ``fx``
-    (kind: None/False/Event), ``f3``/``f4`` (payload).  Invariants:
+    (kind: None/Event), ``f3``/``f4`` (payload).  Invariants:
 
     * a fill into an empty front does not look at the heap, so the
       front is not always the earliest entry: every pop compares it
@@ -376,7 +334,6 @@ def _build_calendar_core(sim: Any) -> tuple:
     push = heapq.heappush
     pop = heapq.heappop
     heap: List[tuple] = []
-    pool: List[TimerHandle] = []
     seq = 0
     fw = -1.0
     fs = 0
@@ -384,8 +341,6 @@ def _build_calendar_core(sim: Any) -> tuple:
     f3: Any = None
     f4: Any = None
     pushes = 0
-    pool_hits = 0
-    pool_misses = 0
 
     def schedule_callback(delay, fn, *args):
         nonlocal seq, fw, fs, fx, f3, f4, pushes
@@ -489,42 +444,6 @@ def _build_calendar_core(sim: Any) -> tuple:
         pushes += 1
         push(heap, e)
 
-    def schedule_timer(delay, fn, *args):
-        nonlocal seq, fw, fs, fx, f3, f4, pushes, pool_hits, pool_misses
-        if not (delay >= 0):
-            raise ValueError(f"negative timer delay: {delay}")
-        if pool:
-            h = pool.pop()
-            pool_hits += 1
-        else:
-            h = TimerHandle()
-            pool_misses += 1
-        seq += 1
-        when = sim._now + delay
-        h._when = when
-        h._fn = fn
-        h._args = args
-        h._alive = True
-        w = fw
-        if w < 0.0:
-            fw = when
-            fs = seq
-            fx = False
-            f3 = h
-            return h
-        if when < w:
-            e = (w, fs, fx, f3, f4)
-            fw = when
-            fs = seq
-            fx = False
-            f3 = h
-            f4 = None
-        else:
-            e = (when, seq, False, h, None)
-        pushes += 1
-        push(heap, e)
-        return h
-
     def run(until=None):
         nonlocal fw, fx, f3, f4
         if until is None:
@@ -566,20 +485,6 @@ def _build_calendar_core(sim: Any) -> tuple:
                         p(*a)
                     else:
                         p()
-                elif x is False:
-                    if p._alive:
-                        p._alive = False
-                        fn = p._fn
-                        args = p._args
-                        p._fn = None
-                        p._args = ()
-                        pool.append(p)
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    else:
-                        pool.append(p)
                 else:
                     callbacks, x.callbacks = x.callbacks, None
                     for callback in callbacks:
@@ -607,13 +512,10 @@ def _build_calendar_core(sim: Any) -> tuple:
             "front_inserts": seq - pushes,
             "near_pushes": pushes,
             "near_depth": len(heap) + (fw >= 0.0),
-            "timer_pool_hits": pool_hits,
-            "timer_pool_misses": pool_misses,
-            "timer_pool_size": len(pool),
         }
 
     return (schedule_callback, schedule_callback_at, _schedule,
-            _schedule_event_at, schedule_timer, run, peek, stats)
+            _schedule_event_at, run, peek, stats)
 
 
 class Simulator:
@@ -638,7 +540,6 @@ class Simulator:
         # instead and never assigns these slots).
         "schedule_callback",
         "schedule_callback_at",
-        "schedule_timer",
         "_schedule",
         "_schedule_event_at",
         "run",
@@ -656,8 +557,8 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        #: Total schedule entries processed (events + callbacks +
-        #: timers, including cancelled timers); perf metric.
+        #: Total schedule entries processed (events + callbacks);
+        #: perf metric.
         self.events_processed = 0
         #: ShadowScheduler monitor; always None here (armed construction
         #: routes to _MonitoredSimulator before this __init__ runs).
@@ -667,7 +568,6 @@ class Simulator:
             self.schedule_callback_at,
             self._schedule,
             self._schedule_event_at,
-            self.schedule_timer,
             self.run,
             self.peek,
             self.stats,
@@ -688,9 +588,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
 
 class _MonitoredSimulator(Simulator):
     """Simulator variant built while instrumentation is armed.
@@ -706,14 +603,13 @@ class _MonitoredSimulator(Simulator):
     calendar core's order exactly.
     """
 
-    __slots__ = ("_heap", "_seq", "_timer_pool")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self):
         self._now = 0.0
         self._heap: List[tuple] = []
         self._seq = 0
         self.events_processed = 0
-        self._timer_pool: List[TimerHandle] = []
         self._mon = _monitor
 
     def _push(self, when: float, target: Any, kind: Any, a: Any, b: Any) -> None:
@@ -748,19 +644,6 @@ class _MonitoredSimulator(Simulator):
             )
         self._push(when, event, event, None, None)
 
-    def schedule_timer(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
-        if not (delay >= 0):
-            raise ValueError(f"negative timer delay: {delay}")
-        pool = self._timer_pool
-        h = pool.pop() if pool else TimerHandle()
-        when = self._now + delay
-        h._when = when
-        h._fn = fn
-        h._args = args
-        h._alive = True
-        self._push(when, fn, False, h, None)
-        return h
-
     def run(self, until: Optional[float] = None) -> None:
         """Pop, report, fire: every popped entry goes to the monitor's
         ``on_execute`` before it runs; speed is secondary here."""
@@ -771,7 +654,6 @@ class _MonitoredSimulator(Simulator):
         else:
             limit = until
         heap = self._heap
-        pool = self._timer_pool
         on_execute = self._mon.on_execute
         while heap and heap[0][0] <= limit:
             item = heapq.heappop(heap)
@@ -785,20 +667,6 @@ class _MonitoredSimulator(Simulator):
                     p(*a)
                 else:
                     p()
-            elif x is False:
-                if p._alive:
-                    p._alive = False
-                    fn = p._fn
-                    args = p._args
-                    p._fn = None
-                    p._args = ()
-                    pool.append(p)
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-                else:
-                    pool.append(p)
             else:
                 callbacks, x.callbacks = x.callbacks, None
                 for callback in callbacks:
@@ -817,5 +685,4 @@ class _MonitoredSimulator(Simulator):
             "core": "heap",
             "schedules": self._seq,
             "near_depth": len(self._heap),
-            "timer_pool_size": len(self._timer_pool),
         }

@@ -49,10 +49,3 @@ def uses_after_destroy(mux, owner):
     ep = mux.create_endpoint()
     mux.destroy_endpoint(ep)
     ep.recv_poll(owner)
-
-
-def cancels_twice(sim, cb):
-    # flow-stale-timer: second cancel may disarm a pooled, reused handle.
-    handle = sim.schedule_timer(5.0, cb)
-    handle.cancel()
-    handle.cancel()

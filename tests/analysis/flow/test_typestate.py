@@ -36,7 +36,6 @@ class TestFixtureViolations:
             "writes_after_free": 1,
             "reads_after_repost": 1,
             "uses_after_destroy": 1,
-            "cancels_twice": 1,
         }
 
     def test_exit_leak(self, bad_findings):
@@ -84,11 +83,6 @@ class TestFixtureViolations:
         (finding,) = findings_in(bad_findings, "uses_after_destroy")
         assert finding.rule == "flow-endpoint-use"
         assert "destroyed endpoint" in finding.message
-
-    def test_stale_timer(self, bad_findings):
-        (finding,) = findings_in(bad_findings, "cancels_twice")
-        assert finding.rule == "flow-stale-timer"
-        assert "already-cancelled" in finding.message
 
 
 class TestCleanIdioms:

@@ -41,7 +41,6 @@ TYPESTATE_RULES = {
     "flow-use-after-free",
     "flow-descriptor-reuse",
     "flow-endpoint-use",
-    "flow-stale-timer",
 }
 
 

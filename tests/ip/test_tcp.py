@@ -1,9 +1,14 @@
 """TCP engine tests over the user-level U-Net stack."""
 
+import contextlib
+
 import pytest
 
 from repro.bench.ip import build_unet_pair
+from repro.ip.headers import FLAG_RST, TcpSegment
 from repro.ip.tcp import TcpConfig
+
+from tests.sim.monitors import fifo_monitored
 
 
 def run(sim, *gens, until=1e9):
@@ -264,3 +269,67 @@ class TestTimers:
         ):
             assert client.rto_us >= 2 * minimum
             assert client.rto_us % minimum == 0
+
+    # The protocol timer is a plain callback: disarming it leaves the
+    # entry scheduled, and the entry returns at once unless its arm
+    # count is current.  Each test runs on the calendar core and on the
+    # monitored heap.
+
+    @pytest.fixture(params=["calendar", "heap"])
+    def core(self, request):
+        context = fifo_monitored if request.param == "heap" else contextlib.nullcontext
+        with context():
+            yield request.param
+
+    @staticmethod
+    def _arm(conn, delay):
+        conn._retx_deadline = conn.sim.now + delay
+        conn._wake_timer()
+
+    def test_rearm_on_a_disarmed_fire_time_expires_once(self, core):
+        """A disarmed entry and its replacement share one fire time; the
+        expiry runs once, from the replacement.  A fire-time token would
+        take the disarmed entry (the earlier one) for the live one."""
+        sim, cluster, client, server = connect_pair()
+        g = client.cfg.timer_granularity_us
+        assert client._retx_deadline is None and client._timer_when is None
+        self._arm(client, 2 * g)
+        fire = client._timer_when
+        client._retx_deadline = None
+        client._wake_timer()
+        assert client._timer_when is None
+        # runs between the two entries at `fire`
+        firing = []
+        sim.schedule_callback_at(fire, lambda: firing.append(client._timer_firing))
+        self._arm(client, 2 * g)
+        assert client._timer_when == fire
+        run(sim, until=10 * g)
+        assert firing == [False]
+        assert client.timeouts == 1
+
+    def test_reset_connection_runs_no_expiry(self, core):
+        sim, cluster, client, server = connect_pair()
+        g = client.cfg.timer_granularity_us
+        self._arm(client, 2 * g)
+        sent = client.segments_sent
+        rst = TcpSegment(
+            src_port=client.dst_port, dst_port=client.src_port,
+            seq=client.rcv_nxt, ack=0, flags=FLAG_RST, window=0,
+        )
+        run(sim, client.handle(rst), until=10 * g)
+        assert client.state == "CLOSED"
+        assert client.timeouts == 0
+        assert client.segments_sent == sent
+
+    def test_closed_listener_runs_no_expiry(self, core):
+        sim, cluster, sa, sb = build_unet_pair()
+        listener = sb.tcp_listen(7000, peer_addr=1)
+        g = listener.cfg.timer_granularity_us
+        self._arm(listener, 2 * g)
+        fire = listener._timer_when
+        listener.close()
+        sim.run()
+        # the disarmed entry still popped at its fire time
+        assert sim.now == fire
+        assert listener.timeouts == 0
+        assert listener.segments_sent == 0

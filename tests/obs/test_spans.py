@@ -194,18 +194,3 @@ def test_enable_refuses_when_monitor_slot_taken():
                 pass
         assert obs.active is None
     assert _engine._monitor is None
-
-
-def test_timer_entries_counted_separately():
-    with obs.collecting() as col:
-        sim = Simulator()
-        fired = []
-        sim.schedule_timer(5.0, fired.append, "t")
-        cancelled = sim.schedule_timer(7.0, fired.append, "dead")
-        cancelled.cancel()
-        sim.run()
-    assert fired == ["t"]
-    # both timer entries reach the heap and are executed (the cancelled
-    # one as a no-op pop); neither is misclassified as an event
-    assert col.executed_timers == 2
-    assert col.executed_events == 0

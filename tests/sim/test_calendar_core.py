@@ -1,9 +1,8 @@
-"""Calendar-core internals: timers, pooling, time guards, the front slot.
+"""Calendar-core internals: time guards and the front slot.
 
 The observable-contract tests live in ``test_core_equivalence.py``;
-this file pins down the mechanisms — O(1) timer cancellation, handle
-recycling through the pool, rejection of NaN times, and the front-slot
-ordering edge cases.
+this file pins down the mechanisms — rejection of NaN times and the
+front-slot ordering edge cases.
 """
 
 import contextlib
@@ -19,98 +18,10 @@ from tests.sim.monitors import fifo_monitored
 @pytest.fixture(params=["calendar", "heap"])
 def core(request):
     """Both schedulers: the calendar core and the monitored heap (built
-    under a no-op FIFO monitor), which keeps its own timer pool."""
+    under a no-op FIFO monitor)."""
     context = fifo_monitored if request.param == "heap" else contextlib.nullcontext
     with context():
         yield request.param
-
-
-# --------------------------------------------------------------------------
-# Timer semantics (both schedulers)
-# --------------------------------------------------------------------------
-
-def test_timer_fires_with_args(core):
-    sim = Simulator()
-    fired = []
-    sim.schedule_timer(5.0, fired.append, "a")
-    sim.schedule_timer(3.0, fired.append, "b")
-    sim.run()
-    assert fired == ["b", "a"]
-    assert sim.now == 5.0
-
-
-def test_cancelled_timer_does_not_fire(core):
-    sim = Simulator()
-    fired = []
-    keep = sim.schedule_timer(4.0, fired.append, "keep")
-    drop = sim.schedule_timer(2.0, fired.append, "drop")
-    drop.cancel()
-    sim.run()
-    assert fired == ["keep"]
-    assert keep.when == 4.0
-
-
-def test_cancel_is_idempotent_and_late_cancel_is_noop(core):
-    sim = Simulator()
-    fired = []
-    h = sim.schedule_timer(1.0, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-    h.cancel()  # already fired: no-op
-    h.cancel()  # and again
-    assert fired == ["x"]
-
-
-def test_cancelled_timer_entry_still_advances_clock(core):
-    """A dead entry is popped as a no-op but its timestamp is still
-    observed — run() drains the schedule, exactly like the seed."""
-    sim = Simulator()
-    sim.schedule_timer(7.0, lambda: None).cancel()
-    sim.run()
-    assert sim.now == 7.0
-
-
-def test_timer_cancel_inside_callback(core):
-    sim = Simulator()
-    fired = []
-    victim = sim.schedule_timer(10.0, fired.append, "victim")
-    sim.schedule_callback(5.0, victim.cancel)
-    sim.run()
-    assert fired == []
-
-
-# --------------------------------------------------------------------------
-# Handle pooling (both schedulers pool; identity proves recycling)
-# --------------------------------------------------------------------------
-
-def test_pool_recycles_handle_after_fire(core):
-    sim = Simulator()
-    first = sim.schedule_timer(1.0, lambda: None)
-    sim.run()
-    second = sim.schedule_timer(1.0, lambda: None)
-    assert second is first
-
-
-def test_pool_recycles_handle_after_cancel(core):
-    sim = Simulator()
-    first = sim.schedule_timer(1.0, lambda: None)
-    first.cancel()
-    sim.run()  # the dead entry pops; the handle returns to the pool
-    second = sim.schedule_timer(1.0, lambda: None)
-    assert second is first
-    fired = []
-    second.cancel()
-    third = sim.schedule_timer(0.5, fired.append, "live")
-    sim.run()
-    assert third is not second  # second's entry is still in flight
-    assert fired == ["live"]
-
-
-def test_pool_does_not_recycle_in_flight_handles(core):
-    sim = Simulator()
-    first = sim.schedule_timer(5.0, lambda: None)
-    second = sim.schedule_timer(6.0, lambda: None)
-    assert second is not first
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +39,6 @@ NAN_ENTRY_POINTS = {
     "schedule_callback": lambda sim: sim.schedule_callback(NAN, _noop),
     "schedule_callback_at": lambda sim: sim.schedule_callback_at(NAN, _noop),
     "_schedule_event_at": lambda sim: sim._schedule_event_at(sim.event(), NAN),
-    "schedule_timer": lambda sim: sim.schedule_timer(NAN, _noop),
     "timeout": lambda sim: sim.timeout(NAN),
     "succeed": lambda sim: sim.event().succeed(delay=NAN),
     "fail": lambda sim: sim.event().fail(RuntimeError("nan"), delay=NAN),
@@ -223,7 +133,6 @@ def test_stats_report_shape():
     keys = set(sim.stats())
     assert {
         "core", "schedules", "front_inserts", "near_pushes", "near_depth",
-        "timer_pool_hits", "timer_pool_misses", "timer_pool_size",
     } == keys
     with fifo_monitored():
         assert Simulator().stats()["core"] == "heap"

@@ -34,20 +34,19 @@ SCHEDULERS = {"calendar": contextlib.nullcontext, "monitored": fifo_monitored}
 # Randomized engine-level workloads
 # --------------------------------------------------------------------------
 
-def _exercise(sim, seed, log, use_timers=True):
+def _exercise(sim, seed, log):
     """Drive one randomized workload; append every execution to ``log``.
 
     The mix covers every scheduling entry point: relative and absolute
     callbacks (with deliberate same-timestamp ties), long delays that
-    sit deep in the heap, generator processes, triggered events,
-    and (optionally) timers with mid-run cancellation.  RNG draws happen
+    sit deep in the heap, generator processes and triggered events.
+    RNG draws happen
     only inside executed entries, so two runs consume the stream
     identically exactly when their execution orders match — any
     divergence shows up as differing logs.
     """
     rng = random.Random(seed)
     counter = [0]
-    live_timers = []
 
     def spawn():
         counter[0] += 1
@@ -68,28 +67,18 @@ def _exercise(sim, seed, log, use_timers=True):
             sim.schedule_callback(round(rng.uniform(5e3, 3e5), 1), cb, tag)
         elif roll < 0.85:
             sim.process(proc(tag))
-        elif roll < 0.95 or not use_timers:
+        else:
             ev = sim.event()
             ev.callbacks.append(lambda e, t=tag: log.append(
                 (sim.now.hex(), "ev", t)
             ))
             ev.succeed(delay=round(rng.uniform(0.0, 20.0), 3))
-        else:
-            h = sim.schedule_timer(
-                round(rng.uniform(0.0, 60.0), 3), timer_cb, tag
-            )
-            live_timers.append(h)
 
     def cb(tag):
         log.append((sim.now.hex(), "cb", tag))
-        if use_timers and live_timers and rng.random() < 0.3:
-            live_timers.pop(rng.randrange(len(live_timers))).cancel()
         for _ in range(rng.randrange(3)):
             if counter[0] < 400:
                 spawn()
-
-    def timer_cb(tag):
-        log.append((sim.now.hex(), "tm", tag))
 
     def proc(tag):
         yield sim.timeout(round(rng.uniform(0.0, 15.0), 3))
@@ -102,11 +91,11 @@ def _exercise(sim, seed, log, use_timers=True):
     sim.run()
 
 
-def _timeline(scheduler, seed, use_timers=True):
+def _timeline(scheduler, seed):
     with SCHEDULERS[scheduler]():
         sim = Simulator()
     log = []
-    _exercise(sim, seed, log, use_timers=use_timers)
+    _exercise(sim, seed, log)
     return log, sim.events_processed, sim.now.hex()
 
 
@@ -151,8 +140,6 @@ class _SeedLoopSimulator(engine._MonitoredSimulator):
     push exactly the seed's ``(when, seq)`` entries).
 
     Both schedulers must behave byte-for-byte like this original.
-    Timers postdate the seed, so seed-comparison workloads exclude
-    them.
     """
 
     __slots__ = ()
@@ -196,7 +183,7 @@ class _SeedLoopSimulator(engine._MonitoredSimulator):
 def test_unmonitored_loops_match_seed_behaviour(seed):
     reference = []
     sim = _SeedLoopSimulator()
-    _exercise(sim, seed, reference, use_timers=False)
+    _exercise(sim, seed, reference)
     expected = (reference, sim.events_processed, sim.now.hex())
     for scheduler in SCHEDULERS:
-        assert _timeline(scheduler, seed, use_timers=False) == expected, scheduler
+        assert _timeline(scheduler, seed) == expected, scheduler

@@ -274,17 +274,6 @@ class TestConditions:
         sim.run()
         assert p.value == (5.0, ["fast"])
 
-    def test_any_of_helper_method(self):
-        sim = Simulator()
-
-        def proc():
-            result = yield sim.any_of([sim.timeout(3.0, "x"), sim.event()])
-            return list(result.values())
-
-        p = sim.process(proc())
-        sim.run(until=10.0)
-        assert p.value == ["x"]
-
 
 class TestDeterminism:
     def test_two_identical_runs_agree(self):
@@ -410,7 +399,7 @@ class TestConditionsOverProcessedEvents:
         late = sim.timeout(50.0, "late")
 
         def waiter():
-            result = yield sim.any_of([early, late])
+            result = yield AnyOf(sim, [early, late])
             return sim.now, result
 
         p = sim.process(waiter())
