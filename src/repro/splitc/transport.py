@@ -1,13 +1,17 @@
 """AM transports for the Split-C runtime.
 
 Both transports move *bytes* produced by the runtime's codec and hand
-them to a per-rank message callback.  The callback runs in the
-receiving rank's context (its CPU time is charged there) and may itself
-send messages.
+them to a per-rank message handler.  As in GAM-style Active Messages
+(§5), a handler runs to completion in the receiving rank's context and
+its only communication is one reply: it returns ``None`` or
+``(reply_bytes, bulk)``, and the transport sends the reply back to the
+source, charging the receiver's CPU for it.  Handlers are plain
+functions; ``attach`` rejects a generator function.
 """
 
 from __future__ import annotations
 
+import inspect
 import struct
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -16,8 +20,16 @@ from repro.sim import AnyOf, Event, Resource, Simulator
 from repro.sim import engine as _engine
 from repro.splitc.machines import MachineSpec
 
-#: message callback: (src_rank, raw_bytes) -> generator
-MessageHandler = Callable[[int, bytes], object]
+#: message handler: (src_rank, raw_bytes) -> None or (reply_bytes, bulk)
+MessageHandler = Callable[[int, bytes], Optional[Tuple[bytes, bool]]]
+
+
+def _check_handler(handler: MessageHandler) -> None:
+    if inspect.isgeneratorfunction(handler):
+        raise TypeError(
+            f"Split-C message handler {handler!r} is a generator function; "
+            "handlers run to completion and return None or (reply, bulk)"
+        )
 
 
 class ModelTransport:
@@ -26,7 +38,9 @@ class ModelTransport:
     Per message: the sender's CPU is busy for ``overhead_us``; the
     sender's NIC serializes bulk data at ``bandwidth_bps``; after the
     one-way wire latency the receiver's CPU is busy for ``overhead_us``
-    and the handler runs.  Message order is preserved per source.
+    and the handler runs; the reply it returns costs the receiver one
+    more overhead and leaves through its NIC like any send.  Message
+    order is preserved per source.
 
     Messages from *different* sources that arrive at the same instant
     are delivered in fixed-priority order (lowest source rank first,
@@ -63,9 +77,10 @@ class ModelTransport:
         self.bulk_bytes = 0
 
     def attach(self, rank: int, handler: MessageHandler) -> None:
+        _check_handler(handler)
         self._handlers[rank] = handler
 
-    # -- sending (generators, called from app/handler context) -----------
+    # -- sending (generators, called from app context) -------------------
     def send(self, src: int, dst: int, data: bytes):
         """Small Active Message: sender busy for one overhead."""
         yield from self.cpus[src].use(self.machine.overhead_us)
@@ -136,16 +151,36 @@ class ModelTransport:
     def _drain(self, dst: int, arrival: float) -> None:
         batch = self._arrivals[dst].pop(arrival)
         batch.sort()
-        self.sim.process(self._deliver_batch(dst, batch))
+        self.sim.schedule_callback(0.0, self._deliver, dst, batch, 0)
 
-    def _deliver_batch(self, dst: int, batch: List[Tuple[int, int, bytes]]):
-        for src, _seq, data in batch:
-            # receive overhead holds the CPU; the handler body runs
-            # outside the hold (its own sends re-acquire the CPU)
-            yield from self.cpus[dst].use(self.machine.overhead_us)
-            handler = self._handlers.get(dst)
-            if handler is not None:
-                yield from handler(src, data)
+    # Delivery is a callback chain over the batch.  Each step takes the
+    # (when, seq) slot a delivery process would take: the zero-delay
+    # callback above takes its start's, and each ``hold`` a ``use``'s.
+    # Same-instant ties, and so the figures, depend on those slots.
+    def _deliver(self, dst: int, batch: List[Tuple[int, int, bytes]], i: int) -> None:
+        # receive overhead holds the CPU; the handler runs at its end
+        if i < len(batch):
+            self.cpus[dst].hold(self.machine.overhead_us, self._handle, dst, batch, i)
+
+    def _handle(self, dst: int, batch: List[Tuple[int, int, bytes]], i: int) -> None:
+        src, _seq, data = batch[i]
+        handler = self._handlers.get(dst)
+        reply = handler(src, data) if handler is not None else None
+        if reply is None:
+            self._deliver(dst, batch, i + 1)
+        else:
+            # the reply's send overhead re-acquires the CPU
+            self.cpus[dst].hold(
+                self.machine.overhead_us, self._replied, dst, batch, i, *reply
+            )
+
+    def _replied(self, dst: int, batch: List[Tuple[int, int, bytes]], i: int,
+                 data: bytes, bulk: bool) -> None:
+        self.messages += 1
+        if bulk:
+            self.bulk_bytes += len(data)
+        self._nic_put(dst, (batch[i][0], data, len(data) if bulk else 0))
+        self._deliver(dst, batch, i + 1)
 
     # -- compute charging for the runtime -------------------------------
     def compute(self, rank: int, cm5_us: float):
@@ -225,27 +260,37 @@ class UNetTransport:
             self.sim.process(self._driver(rank), name=f"splitc.drv{rank}")
 
     def attach(self, rank: int, handler: MessageHandler) -> None:
+        _check_handler(handler)
         self._handlers[rank] = handler
 
     def _install_handlers(self, rank: int) -> None:
         uam = self.uams[rank]
 
+        # UAM handlers are generators; these two run the Split-C
+        # handler to completion and queue its reply for the driver
         def small(uam_obj, channel_id, msg, _rank=rank):
-            src = self._rank_of_channel[_rank].get(channel_id)
-            handler = self._handlers.get(_rank)
-            if src is not None and handler is not None:
-                yield from handler(src, msg.payload)
+            self._run_handler(_rank, channel_id, msg.payload)
+            return
+            yield  # pragma: no cover
 
         def bulk(uam_obj, channel_id, msg, _rank=rank):
-            src = self._rank_of_channel[_rank].get(channel_id)
-            handler = self._handlers.get(_rank)
-            if src is None or handler is None:
-                return
             raw = bytes(uam_obj.memory[msg.base : msg.base + msg.total])
-            yield from handler(src, raw)
+            self._run_handler(_rank, channel_id, raw)
+            return
+            yield  # pragma: no cover
 
         uam.register_handler(self.SMALL_HANDLER, small)
         uam.register_handler(self.BULK_HANDLER, bulk)
+
+    def _run_handler(self, rank: int, channel_id: int, raw: bytes) -> None:
+        src = self._rank_of_channel[rank].get(channel_id)
+        handler = self._handlers.get(rank)
+        if src is None or handler is None:
+            return
+        reply = handler(src, raw)
+        if reply is not None:
+            data, bulk = reply
+            self._enqueue(rank, src, data, bulk=bulk or len(data) > 36)
 
     # -- sending ------------------------------------------------------------
     def send(self, src: int, dst: int, data: bytes):

@@ -184,8 +184,6 @@ def _model_transport_metrics():
 
     def handler(src, data):
         log.append(src)
-        return
-        yield
 
     tp.attach(0, handler)
 

@@ -194,6 +194,20 @@ class TestBarrier:
         assert all(v == 5 for v in counts.values())
 
 
+class TestHandler:
+    def test_unknown_message_kind_raises(self):
+        """A codec slip fails loudly at the receiver instead of leaving
+        the sender's rank stalled."""
+        sim, tp, scs = build(2)
+
+        def bogus():
+            yield from tp.send(0, 1, bytes([0xEE]) + bytes(8))
+
+        sim.process(bogus())
+        with pytest.raises(ValueError, match="rank 1: unknown .* kind 238 from rank 0"):
+            sim.run()
+
+
 class TestAllocation:
     def test_duplicate_name_rejected(self):
         sim, tp, scs = build(1)

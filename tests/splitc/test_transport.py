@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import UNetCluster
-from repro.sim import Simulator
+from repro.sim import Process, Simulator
 from repro.splitc import CM5, MEIKO_CS2, ModelTransport, UNetTransport
 from repro.splitc.machines import MachineSpec
 
@@ -11,8 +11,6 @@ from repro.splitc.machines import MachineSpec
 def collect(sim, transport, rank, hits):
     def handler(src, data):
         hits.append((sim.now, src, data))
-        return
-        yield
 
     transport.attach(rank, handler)
 
@@ -76,12 +74,10 @@ class TestModelTransportTiming:
             times = {}
 
             def echo(src, data):
-                yield from tp.send(1, 0, data)
+                return data, False
 
             def done(src, data):
                 times["t1"] = sim.now
-                return
-                yield
 
             tp.attach(1, echo)
             tp.attach(0, done)
@@ -103,12 +99,10 @@ class TestModelTransportTiming:
         got = {}
 
         def echo(src, data):
-            yield from tp.send(1, src, b"re:" + data)
+            return b"re:" + data, False
 
         def sink(src, data):
             got["reply"] = data
-            return
-            yield
 
         tp.attach(1, echo)
         tp.attach(0, sink)
@@ -173,23 +167,86 @@ class TestUNetTransport:
             UNetTransport(cluster, nprocs=3)
 
 
+def _generator_handler(src, data):
+    yield from ()
+
+
+class TestHandlerContract:
+    """Handlers run to completion and return their reply; a generator
+    function is refused at attach time, on both transports."""
+
+    def test_model_transport_rejects_generator_handler(self):
+        tp = ModelTransport(Simulator(), CM5, 2)
+        with pytest.raises(TypeError, match="generator function"):
+            tp.attach(1, _generator_handler)
+        assert 1 not in tp._handlers
+
+    def test_unet_transport_rejects_generator_handler(self):
+        cluster = UNetCluster.pair(Simulator())
+        tp = UNetTransport(cluster, nprocs=2)
+        with pytest.raises(TypeError, match="generator function"):
+            tp.attach(1, _generator_handler)
+        assert 1 not in tp._handlers
+
+    def test_unet_transport_sends_the_returned_reply(self):
+        sim = Simulator()
+        tp = UNetTransport(UNetCluster.pair(sim), nprocs=2)
+        hits = []
+        tp.attach(1, lambda src, data: (b"re:" + data, False))
+        collect(sim, tp, 0, hits)
+
+        def main():
+            yield from tp.start()
+            yield from tp.send(0, 1, b"hello")
+
+        sim.process(main())
+        sim.run(until=1e6)
+        assert [(src, data) for _, src, data in hits] == [(1, b"re:hello")]
+
+
 class TestModelTransportScheduling:
     def test_fresh_transport_schedules_nothing(self):
         sim = Simulator()
         ModelTransport(sim, CM5, 4)
         assert sim.peek() == float("inf")
 
+    def test_delivery_starts_no_process(self, monkeypatch):
+        """Deliveries and handler replies are callbacks: once the
+        sender is running, the exchange creates no process."""
+        sim = Simulator()
+        tp = ModelTransport(sim, CM5, 2)
+        tp.attach(1, lambda src, data: (data * 2, True))
+        tp.attach(0, lambda src, data: None)
+
+        def sender():
+            yield from tp.send(0, 1, b"ab")
+            yield from tp.send_bulk(0, 1, bytes(1000))
+
+        sim.process(sender())
+        started = []
+        init = Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            started.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        sim.run()
+        assert tp.messages == 4
+        assert started == []
+
     def test_small_exchange_entry_count(self):
         """One small send and one bulk send, and a bulk reply.  The
-        count pins the NIC callbacks and the dropped exits of the
-        delivery processes; a process per message would add entries."""
+        count pins the NIC callbacks and the delivery callback chain,
+        which takes the slots a delivery process would; an entry per
+        handler or per reply would add to it."""
         sim = Simulator()
         tp = ModelTransport(sim, CM5, 2)
         hits = []
         collect(sim, tp, 0, hits)
 
         def reply(src, data):
-            yield from tp.send_bulk(1, 0, data * 2)
+            return data * 2, True
 
         tp.attach(1, reply)
 
