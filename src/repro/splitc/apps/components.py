@@ -31,7 +31,7 @@ def _build_graph(n_total: int, degree: int, seed: int, locality: float = 0.85):
 
 
 def _serial_components(n_total: int, edges) -> np.ndarray:
-    parent = np.arange(n_total)
+    parent = list(range(n_total))
 
     def find(x):
         while parent[x] != x:
@@ -39,11 +39,31 @@ def _serial_components(n_total: int, edges) -> np.ndarray:
             x = parent[x]
         return x
 
-    for a, b in edges:
+    for a, b in edges.tolist():
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     return np.array([find(x) for x in range(n_total)])
+
+
+def _local_sweeps(lab: list, pairs: list) -> int:
+    """Propagate the minimum label across ``pairs`` (local vertex
+    indices) in place until a sweep changes nothing; returns the number
+    of sweeps, the last one included.  Labels only fall, so a sweep that
+    meets an unequal pair always leaves ``lab`` changed."""
+    sweeps = 0
+    moved = True
+    while moved:
+        sweeps += 1
+        moved = False
+        for a, b in pairs:
+            la, lb = lab[a], lab[b]
+            if la != lb:
+                m = la if la < lb else lb
+                lab[a] = m
+                lab[b] = m
+                moved = True
+    return sweeps
 
 
 def connected_components(
@@ -64,28 +84,21 @@ def connected_components(
         (mine[:, 0] >= lo) & (mine[:, 0] < hi)
         & (mine[:, 1] >= lo) & (mine[:, 1] < hi)
     )
-    local_edges = mine[local_mask]
-    cut_edges = mine[~local_mask]
+    local_pairs = (mine[local_mask] - lo).tolist()
+    cut_edges = mine[~local_mask].tolist()
     yield from sc.barrier()
 
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
         changed = False
-        # local sweep to a local fixed point (pure computation)
-        sweeps = 0
-        while True:
-            sweeps += 1
-            before = labels.copy()
-            for a, b in local_edges:
-                la, lb = labels[a - lo], labels[b - lo]
-                if la != lb:
-                    m = min(la, lb)
-                    labels[a - lo] = m
-                    labels[b - lo] = m
-            if np.array_equal(before, labels):
-                break
-        yield from sc.compute(max(1, sweeps) * len(local_edges) * 3 * MEM_OP_US)
+        # local sweep to a local fixed point (pure computation); the
+        # labels go back before the next yield, where remote reads
+        # may look at them
+        lab = labels.tolist()
+        sweeps = _local_sweeps(lab, local_pairs)
+        labels[:] = lab
+        yield from sc.compute(max(1, sweeps) * len(local_pairs) * 3 * MEM_OP_US)
         # cut edges: pipelined split-phase reads of the remote labels
         # (real Split-C overlaps these gets to hide latency)
         batch = []
@@ -94,9 +107,9 @@ def connected_components(
                 local_v, remote_v = a, b
             else:
                 local_v, remote_v = b, a
-            pe = int(remote_v // n_per_proc)
+            pe = remote_v // n_per_proc
             fut = yield from sc.read_async(
-                pe, "labels", int(remote_v - lo_of(pe, n_per_proc))
+                pe, "labels", remote_v - lo_of(pe, n_per_proc)
             )
             batch.append((local_v, fut))
         for local_v, fut in batch:

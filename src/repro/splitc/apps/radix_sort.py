@@ -18,6 +18,15 @@ RADIX_BITS = 8
 RADIX = 1 << RADIX_BITS
 
 
+def _global_positions(sorted_digits: np.ndarray, my_starts: np.ndarray) -> np.ndarray:
+    """Global position of each key, given its digit in stably sorted
+    order: the digit's bucket start for this rank plus the key's offset
+    among the keys with the same digit."""
+    i = np.arange(len(sorted_digits), dtype=np.int64)
+    first = np.searchsorted(sorted_digits, sorted_digits, "left")
+    return my_starts[sorted_digits] + i - first
+
+
 def radix_sort(
     sc, n_per_proc: int = 4096, key_bits: int = 16, bulk: bool = False,
     seed: int = 23,
@@ -72,11 +81,7 @@ def radix_sort(
         yield from sc.compute(len(mine) * KEY_OP_US)
         sorted_keys = mine[order]
         sorted_digits = digits[order]
-        global_pos = np.empty(len(mine), dtype=np.int64)
-        offset_in_digit = np.zeros(RADIX, dtype=np.int64)
-        for i, d in enumerate(sorted_digits):
-            global_pos[i] = my_starts[d] + offset_in_digit[d]
-            offset_in_digit[d] += 1
+        global_pos = _global_positions(sorted_digits, my_starts)
         dest_rank = np.minimum(global_pos // n_per_proc, nprocs - 1)
         dest_idx = global_pos - dest_rank * n_per_proc
         yield from sc.compute(len(mine) * MEM_OP_US)
@@ -97,17 +102,20 @@ def radix_sort(
         else:
             # one (position, value) message per key -- two values packed
             # in a single-cell asynchronous store
-            sent = np.zeros(nprocs, dtype=np.int64)
-            for value, pe, idx in zip(sorted_keys, dest_rank, dest_idx):
+            sent = [0] * nprocs
+            for value, pe, idx in zip(
+                memoryview(sorted_keys), memoryview(dest_rank),
+                memoryview(dest_idx),
+            ):
                 yield from sc.compute(2 * MEM_OP_US)
-                addr = rank * region + int(sent[pe]) * 2
+                addr = rank * region + sent[pe] * 2
                 sent[pe] += 1
                 yield from sc.store_scalar2(
-                    int(pe), "rrecv", addr, int(idx), addr + 1, int(value)
+                    pe, "rrecv", addr, idx, addr + 1, value
                 )
             yield from sc.sync()
             for pe in range(nprocs):
-                yield from sc.write(pe, "rrecv_counts", rank, int(sent[pe]))
+                yield from sc.write(pe, "rrecv_counts", rank, sent[pe])
             yield from sc.sync()
         yield from sc.barrier()
 

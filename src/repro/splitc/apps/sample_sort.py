@@ -81,26 +81,24 @@ def sample_sort(sc, n_per_proc: int = 4096, bulk: bool = False, seed: int = 11):
         yield from sc.sync()
     else:
         # two keys per message, pipelined one-way stores
-        cursors = np.zeros(nprocs, dtype=np.int64)
+        cursors = [0] * nprocs
         pending = {}
-        for value, pe in zip(keys, dest):
+        for value, pe in zip(memoryview(keys), memoryview(dest)):
             yield from sc.compute(2 * MEM_OP_US)
             if pe in pending:
                 idx1, v1 = pending.pop(pe)
                 idx2 = rank * region + cursors[pe]
                 cursors[pe] += 1
-                yield from sc.store_scalar2(
-                    pe, "recv", idx1, v1, idx2, int(value)
-                )
+                yield from sc.store_scalar2(pe, "recv", idx1, v1, idx2, value)
             else:
                 idx = rank * region + cursors[pe]
                 cursors[pe] += 1
-                pending[pe] = (idx, int(value))
+                pending[pe] = (idx, value)
         for pe, (idx, value) in pending.items():
             yield from sc.store_scalar2(pe, "recv", idx, value)
         yield from sc.sync()
         for pe in range(nprocs):
-            yield from sc.write(pe, "recv_counts", rank, int(cursors[pe]))
+            yield from sc.write(pe, "recv_counts", rank, cursors[pe])
         yield from sc.sync()
     yield from sc.barrier()
 

@@ -44,6 +44,27 @@ _BARRIER = struct.Struct(">BI")
 #: values per message during the permutation phase"; 31 bytes = 1 cell.
 _STORE2 = struct.Struct(">BHI8sI8s")
 
+#: struct code of one scalar, by numpy kind and item size
+_SCALAR_CODES = {
+    ("b", 1): "?",
+    ("i", 1): "b", ("i", 2): "h", ("i", 4): "i", ("i", 8): "q",
+    ("u", 1): "B", ("u", 2): "H", ("u", 4): "I", ("u", 8): "Q",
+    ("f", 2): "e", ("f", 4): "f", ("f", 8): "d",
+}
+
+
+def _scalar_codec(dtype) -> struct.Struct:
+    """The struct that carries one ``dtype`` scalar in a message's 8-byte
+    value field: the dtype's byte order, zero-padded, so it packs the
+    bytes ``np.asarray(value, dtype).tobytes()`` gives without a numpy
+    round trip.  It unpacks to a Python ``int``, ``float`` or ``bool``."""
+    dtype = np.dtype(dtype)
+    code = _SCALAR_CODES.get((dtype.kind, dtype.itemsize))
+    if code is None:
+        raise ValueError(f"no 8-byte scalar encoding for dtype {dtype}")
+    order = dtype.byteorder if dtype.byteorder in "<>" else "="
+    return struct.Struct(f"{order}{code}{8 - dtype.itemsize}x")
+
 
 class SplitCTimings:
     """Per-rank execution time breakdown (Figure 5's bars)."""
@@ -71,6 +92,9 @@ class SplitC:
         self.rank = rank
         self.nprocs = transport.nprocs
         self._arrays: List[np.ndarray] = []
+        #: per array: a flat view of it, and its scalar codec
+        self._flats: List[np.ndarray] = []
+        self._codecs: List[struct.Struct] = []
         self._names: Dict[str, int] = {}
         self._futures: Dict[int, Event] = {}
         self._next_req = 1
@@ -90,9 +114,12 @@ class SplitC:
         Must be called in the same order on every rank."""
         if name in self._names:
             raise ValueError(f"array {name!r} already allocated")
+        codec = _scalar_codec(dtype)
         array = np.zeros(shape, dtype=dtype)
         self._names[name] = len(self._arrays)
         self._arrays.append(array)
+        self._flats.append(array.reshape(-1))
+        self._codecs.append(codec)
         return array
 
     def local(self, name: str) -> np.ndarray:
@@ -118,28 +145,30 @@ class SplitC:
 
     # ------------------------------------------------------------ scalar ops
     def read(self, pe: int, name: str, index: int):
-        """Dereference a global pointer: request/reply exchange."""
-        array = self.local(name)
+        """Dereference a global pointer: request/reply exchange.  The
+        value comes back as a Python scalar."""
+        name_id = self._name_id(name)
         if pe == self.rank:
-            return array.flat[index]
+            return self._arrays[name_id].item(index)
         t0 = self.sim.now
         req_id, future = self._new_future()
-        msg = _READ_REQ.pack(K_READ_REQ, req_id, self._name_id(name), index)
+        msg = _READ_REQ.pack(K_READ_REQ, req_id, name_id, index)
         yield from self.transport.send(self.rank, pe, msg)
         raw = yield future
         self._comm(t0)
-        return np.frombuffer(raw, dtype=array.dtype, count=1)[0]
+        return self._codecs[name_id].unpack(raw)[0]
 
     def read_async(self, pe: int, name: str, index: int):
         """Split-phase read: returns a future; resolve with read_wait.
         Pipelining these is how real Split-C hides latency."""
-        array = self.local(name)
+        name_id = self._name_id(name)
         if pe == self.rank:
             future = Event(self.sim)
-            future.succeed(array.flat[index].tobytes())
+            value = self._arrays[name_id].item(index)
+            future.succeed(self._codecs[name_id].pack(value))
             return future
         req_id, future = self._new_future()
-        msg = _READ_REQ.pack(K_READ_REQ, req_id, self._name_id(name), index)
+        msg = _READ_REQ.pack(K_READ_REQ, req_id, name_id, index)
         yield from self.transport.send(self.rank, pe, msg)
         return future
 
@@ -148,19 +177,19 @@ class SplitC:
         t0 = self.sim.now
         raw = yield future
         self._comm(t0)
-        return np.frombuffer(raw, dtype=self.local(name).dtype, count=1)[0]
+        return self._codecs[self._name_id(name)].unpack(raw)[0]
 
     def write(self, pe: int, name: str, index: int, value):
         """Remote scalar write with acknowledgment."""
-        array = self.local(name)
+        name_id = self._name_id(name)
         if pe == self.rank:
-            array.flat[index] = value
+            self._flats[name_id][index] = value
             return
         t0 = self.sim.now
         req_id, future = self._new_future()
-        raw_value = np.asarray(value, dtype=array.dtype).tobytes()
         msg = _WRITE_REQ.pack(
-            K_WRITE_REQ, req_id, self._name_id(name), index, raw_value
+            K_WRITE_REQ, req_id, name_id, index,
+            self._codecs[name_id].pack(value),
         )
         yield from self.transport.send(self.rank, pe, msg)
         yield future
@@ -188,20 +217,18 @@ class SplitC:
     def store_scalar2(self, pe: int, name: str, idx1: int, v1, idx2=None, v2=None):
         """Asynchronous one-way store of one or two scalars (Split-C's
         split-phase := assignment); completion via sync()."""
-        array = self.local(name)
+        name_id = self._name_id(name)
         if pe == self.rank:
-            array.flat[idx1] = v1
+            flat = self._flats[name_id]
+            flat[idx1] = v1
             if idx2 is not None:
-                array.flat[idx2] = v2
+                flat[idx2] = v2
             return
         t0 = self.sim.now
         if idx2 is None:
             idx2, v2 = idx1, v1  # duplicate write is idempotent
-        msg = _STORE2.pack(
-            K_STORE2, self._name_id(name),
-            idx1, np.asarray(v1, dtype=array.dtype).tobytes(),
-            idx2, np.asarray(v2, dtype=array.dtype).tobytes(),
-        )
+        pack = self._codecs[name_id].pack
+        msg = _STORE2.pack(K_STORE2, name_id, idx1, pack(v1), idx2, pack(v2))
         self._puts_outstanding += 1
         yield from self.transport.send(self.rank, pe, msg)
         self._comm(t0)
@@ -307,15 +334,14 @@ class SplitC:
         kind = raw[0]
         if kind == K_READ_REQ:
             _, req_id, name_id, index = _READ_REQ.unpack(raw)
-            value = self._arrays[name_id].flat[index]
-            return _READ_REP.pack(K_READ_REP, req_id, value.tobytes()), False
+            value = self._codecs[name_id].pack(self._arrays[name_id].item(index))
+            return _READ_REP.pack(K_READ_REP, req_id, value), False
         elif kind == K_READ_REP:
             _, req_id, value = _READ_REP.unpack(raw)
             self._resolve(req_id, value)
         elif kind == K_WRITE_REQ:
             _, req_id, name_id, index, raw_value = _WRITE_REQ.unpack(raw)
-            array = self._arrays[name_id]
-            array.flat[index] = np.frombuffer(raw_value, dtype=array.dtype)[0]
+            self._flats[name_id][index] = self._codecs[name_id].unpack(raw_value)[0]
             return _ACK.pack(K_WRITE_ACK, req_id), False
         elif kind == K_WRITE_ACK:
             _, req_id = _ACK.unpack(raw)
@@ -329,15 +355,14 @@ class SplitC:
                     for event in waiters:
                         event.succeed()
         elif kind == K_BULK_PUT:
-            _, req_id, name_id, start = _BULK_PUT.unpack(raw[: _BULK_PUT.size])
-            array = self._arrays[name_id]
-            values = np.frombuffer(raw[_BULK_PUT.size :], dtype=array.dtype)
-            array.reshape(-1)[start : start + values.size] = values
+            _, req_id, name_id, start = _BULK_PUT.unpack_from(raw)
+            flat = self._flats[name_id]
+            values = np.frombuffer(raw, dtype=flat.dtype, offset=_BULK_PUT.size)
+            flat[start : start + values.size] = values
             return _ACK.pack(K_WRITE_ACK, req_id), False
         elif kind == K_GET_REQ:
             _, req_id, name_id, start, count = _GET_REQ.unpack(raw)
-            flat = self._arrays[name_id].reshape(-1)
-            data = flat[start : start + count].tobytes()
+            data = self._flats[name_id][start : start + count].tobytes()
             return _GET_REP.pack(K_GET_REP, req_id) + data, True
         elif kind == K_GET_REP:
             _, req_id = _GET_REP.unpack(raw[: _GET_REP.size])
@@ -352,9 +377,9 @@ class SplitC:
                 self._barrier_go.pop(epoch).succeed()
         elif kind == K_STORE2:
             _, name_id, idx1, v1, idx2, v2 = _STORE2.unpack(raw)
-            array = self._arrays[name_id]
-            array.flat[idx1] = np.frombuffer(v1, dtype=array.dtype)[0]
-            array.flat[idx2] = np.frombuffer(v2, dtype=array.dtype)[0]
+            flat, unpack = self._flats[name_id], self._codecs[name_id].unpack
+            flat[idx1] = unpack(v1)[0]
+            flat[idx2] = unpack(v2)[0]
             return _ACK.pack(K_WRITE_ACK, 0), False
         elif kind == K_BARRIER_GO:
             _, epoch = _BARRIER.unpack(raw)

@@ -18,7 +18,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import AnyOf, Event, Resource, Simulator
 from repro.sim import engine as _engine
-from repro.splitc.machines import MachineSpec
+from repro.splitc.machines import ATM_CLUSTER, MachineSpec
 
 #: message handler: (src_rank, raw_bytes) -> None or (reply_bytes, bulk)
 MessageHandler = Callable[[int, bytes], Optional[Tuple[bytes, bool]]]
@@ -60,6 +60,7 @@ class ModelTransport:
             raise ValueError("need at least one processor")
         self.sim = sim
         self.machine = machine
+        self._wire_us = machine.one_way_wire_us
         self.nprocs = nprocs
         self.cpus = [Resource(sim, 1, name=f"pe{r}.cpu") for r in range(nprocs)]
         #: per-sender NIC: messages waiting behind the one in flight
@@ -139,7 +140,7 @@ class ModelTransport:
         drain; later same-instant messages only join the batch, so the
         drain sees the complete set (registration strictly precedes the
         arrival instant because ``one_way_wire_us`` > 0)."""
-        arrival = self.sim.now + self.machine.one_way_wire_us
+        arrival = self.sim.now + self._wire_us
         self._arrival_seq += 1
         batch = self._arrivals[dst].get(arrival)
         if batch is None:
@@ -185,7 +186,7 @@ class ModelTransport:
     # -- compute charging for the runtime -------------------------------
     def compute(self, rank: int, cm5_us: float):
         """Charge local computation, scaled by the machine's CPU speed."""
-        yield from self.cpus[rank].use(self.machine.compute_us(cm5_us))
+        return self.cpus[rank].use(self.machine.compute_us(cm5_us))
 
 
 class UNetTransport:
@@ -354,7 +355,5 @@ class UNetTransport:
     def compute(self, rank: int, cm5_us: float):
         """Charge local computation on the rank's real host CPU (the ATM
         cluster machines are ~3.2x a CM-5 node)."""
-        from repro.splitc.machines import ATM_CLUSTER
-
         host = self.sessions[rank].host
         yield from host.cpu.compute_raw(cm5_us / ATM_CLUSTER.cpu_factor)

@@ -4,14 +4,16 @@ Every value here was captured from the process-based delivery path that
 the callback chain in ``ModelTransport`` replaced.  A change that moves
 a delivery, a reply or a CPU hold by one ``(when, seq)`` slot shows up
 as a different ``float.hex`` or entry count, long before the Figure 5
-suite would catch it.
+suite would catch it.  The radix sort pins were captured from the apps'
+per-key numpy-scalar loops, before their bookkeeping moved to lists and
+vectorised placement.
 """
 
 import pytest
 
 from repro.sim import Simulator
 from repro.splitc import ATM_CLUSTER, CM5, MEIKO_CS2, ModelTransport
-from repro.splitc.apps import connected_components, sample_sort
+from repro.splitc.apps import connected_components, radix_sort, sample_sort
 from repro.splitc.harness import run_on_machine, run_on_unet_cluster
 
 
@@ -84,12 +86,27 @@ MODEL_PINS = [
      ("0x1.bb13333333334p+13", "0x1.5388cccccd0b8p+9", "0x1.2ba74cccccc51p+12")),
     (connected_components, {"n_per_proc": 256}, MEIKO_CS2,
      ("0x1.69573333332ebp+14", "0x1.aa766666662dep+9", "0x1.6d43fffffff50p+12")),
+    (radix_sort, {"n_per_proc": 512}, CM5,
+     ("0x1.94c0ccccccc9cp+13", "0x1.00791eb851e42p+12", "0x1.15263d70a3d7bp+13")),
+    (radix_sort, {"n_per_proc": 512}, ATM_CLUSTER,
+     ("0x1.70fd57c57c53ap+14", "0x1.58d1999999804p+12", "0x1.1bb1715f15f3ap+14")),
+    (radix_sort, {"n_per_proc": 512}, MEIKO_CS2,
+     ("0x1.34e1d20d20d0bp+15", "0x1.70cd111111079p+13", "0x1.b2439b91b91dap+14")),
+    (radix_sort, {"n_per_proc": 512, "bulk": True}, CM5,
+     ("0x1.0c3fae147ae15p+12", "0x1.0a3d70a3d70a7p+9", "0x1.d878000000000p+11")),
+    (radix_sort, {"n_per_proc": 512, "bulk": True}, ATM_CLUSTER,
+     ("0x1.0552f8af8af8ap+12", "0x1.4cccccccccccep+7", "0x1.fd1d249249248p+11")),
+    (radix_sort, {"n_per_proc": 512, "bulk": True}, MEIKO_CS2,
+     ("0x1.56bdc8dc8dc8ep+11", "0x1.bbbbbbbbbbbb6p+7", "0x1.42360d20d20d2p+11")),
 ]
 
 
 @pytest.mark.parametrize(
     "app, params, machine, expected", MODEL_PINS,
-    ids=[f"{a.__name__}-{m.name}" for a, _, m, _ in MODEL_PINS],
+    ids=[
+        f"{a.__name__}{'-bulk' if p.get('bulk') else ''}-{m.name}"
+        for a, p, m, _ in MODEL_PINS
+    ],
 )
 def test_model_runs_are_bit_identical(app, params, machine, expected):
     assert _hex(run_on_machine(machine, app, nprocs=4, **params)) == expected

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.splitc import CM5, ModelTransport, SplitC
+from repro.splitc import runtime as rt
 
 
 def build(nprocs=4):
@@ -206,6 +207,75 @@ class TestHandler:
         sim.process(bogus())
         with pytest.raises(ValueError, match="rank 1: unknown .* kind 238 from rank 0"):
             sim.run()
+
+
+INT64_VALUES = [0, -1, 2**63 - 1, -(2**63), np.int64(-5), True]
+FLOAT64_VALUES = [-0.0, float("nan"), float("inf"), -float("inf"), 1.5,
+                  np.float64(2.0 / 3.0), 7]
+CODEC_CASES = [(np.int64, v) for v in INT64_VALUES] + [
+    (np.float64, v) for v in FLOAT64_VALUES
+] + [(np.int32, -7), (np.float32, 0.1), (np.uint8, 200)]
+
+
+def _numpy_field(dtype, value):
+    """The 8-byte value field as the numpy round trip packed it."""
+    return np.asarray(value, dtype=dtype).tobytes().ljust(8, b"\0")
+
+
+def _numpy_decoded(dtype, field):
+    out = np.zeros(1, dtype=dtype)
+    out[0] = np.frombuffer(field, dtype=dtype)[0]
+    return out.tobytes()
+
+
+class TestScalarCodec:
+    """The struct codec puts the same bytes on the wire as
+    ``np.asarray(v, dtype).tobytes()``, and every message kind that
+    carries a value writes the same array contents as ``np.frombuffer``."""
+
+    @pytest.mark.parametrize("dtype, value", CODEC_CASES)
+    def test_pack_equals_numpy_bytes(self, dtype, value):
+        assert rt._scalar_codec(dtype).pack(value) == _numpy_field(dtype, value)
+
+    @pytest.mark.parametrize("dtype, value", CODEC_CASES)
+    def test_every_value_message_decodes_like_numpy(self, dtype, value):
+        sim, tp, scs = build(2)
+        sc = scs[1]
+        array = sc.alloc("a", 4, dtype=dtype)
+        field = _numpy_field(dtype, value)
+        expected = _numpy_decoded(dtype, field)
+
+        sc._on_message(0, rt._WRITE_REQ.pack(rt.K_WRITE_REQ, 1, 0, 2, field))
+        assert array[2:3].tobytes() == expected
+        sc._on_message(0, rt._STORE2.pack(rt.K_STORE2, 0, 0, field, 3, field))
+        assert array[0:1].tobytes() == expected
+        assert array[3:4].tobytes() == expected
+
+        req_id, future = sc._new_future()
+        sc._on_message(0, rt._READ_REP.pack(rt.K_READ_REP, req_id, field))
+        wait = sc.read_wait(future, "a")
+        assert next(wait) is future
+        with pytest.raises(StopIteration) as stop:
+            wait.send(future.value)
+        array[1] = stop.value.value
+        assert array[1:2].tobytes() == expected
+
+    def test_read_reply_carries_numpy_bytes(self):
+        sim, tp, scs = build(2)
+        array = scs[1].alloc("a", (2, 2))
+        array[1, 0] = -0.0
+        reply, bulk = scs[1]._on_message(
+            0, rt._READ_REQ.pack(rt.K_READ_REQ, 9, 0, 2)
+        )
+        assert not bulk
+        assert reply == rt._READ_REP.pack(
+            rt.K_READ_REP, 9, np.asarray(-0.0).tobytes()
+        )
+
+    def test_dtype_without_an_8_byte_scalar_is_rejected(self):
+        sim, tp, scs = build(1)
+        with pytest.raises(ValueError, match="complex128"):
+            scs[0].alloc("z", 4, dtype=np.complex128)
 
 
 class TestAllocation:
