@@ -219,8 +219,7 @@ class UAM:
             progressed = True
             yield from self.host.compute(self.session.host_recv_cost_us)
             raw = self.session.peek_payload(desc)
-            if not desc.is_inline:
-                yield from self.session.repost_free(desc)
+            yield from self.session.repost_free(desc)
             try:
                 msg = wire.decode(raw)
             except ValueError:

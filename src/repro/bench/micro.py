@@ -117,8 +117,7 @@ def raw_rtt(
                 _o.annotate(_sp, i=i, bytes=size)
                 _o.end(_sp, sim.now)
             assert sa.peek_payload(desc) == payload
-            if not desc.is_inline:
-                yield from sa.repost_free(desc)
+            yield from sa.repost_free(desc)
 
     def ponger():
         yield from sb.provide_receive_buffers(8)
@@ -190,8 +189,7 @@ def raw_bandwidth(
             while credits == 0:
                 desc = yield from sa.recv()
                 credits += grant
-                if not desc.is_inline:
-                    yield from sa.repost_free(desc)
+                yield from sa.repost_free(desc)
             yield from sa.send(make())
             credits -= 1
             # Drain any credit that arrived while sending.
@@ -200,8 +198,7 @@ def raw_bandwidth(
                 if desc is None:
                     break
                 credits += grant
-                if not desc.is_inline:
-                    yield from sa.repost_free(desc)
+                yield from sa.repost_free(desc)
 
     def receiver():
         n_buffers = min(120, window * bufs_per_msg + 8)
@@ -211,8 +208,7 @@ def raw_bandwidth(
             desc = yield from sb.recv()
             assert desc.length == size
             received += 1
-            if not desc.is_inline:
-                yield from sb.repost_free(desc)
+            yield from sb.repost_free(desc)
             if received % grant == 0 and received < n:
                 credit = SendDescriptor(channel=ch_b.ident, inline=b"crdt")
                 yield from sb.send(credit)

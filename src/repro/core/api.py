@@ -15,7 +15,7 @@ Every method that advances simulated time is a generator meant to be
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.core.descriptors import (
@@ -217,24 +217,14 @@ class UNetSession:
             yield self.endpoint.wait_recv(self.caller)
 
     def recv_payload(self, descriptor: RecvDescriptor):
-        """Copy a received message out into application memory."""
-        if descriptor.is_inline:
-            # Data sits in the descriptor itself; reading it is free of
-            # buffer management but still a (tiny) copy.
-            yield from self.host.copy(len(descriptor.inline))
-            return descriptor.inline
-        parts: List[bytes] = []
-        for offset, used in descriptor.bufs:
-            parts.append(self.endpoint.segment.read(offset, used))
-        yield from self.host.copy(descriptor.length)
-        return b"".join(parts)
+        """Copy a received message out into application memory (an
+        inline message is free of buffer management but still a tiny
+        copy)."""
+        data = self.endpoint.gather(descriptor)
+        yield from self.host.copy(len(data))
+        return data
 
     def peek_payload(self, descriptor: RecvDescriptor) -> bytes:
         """Read a received message in place (no copy charged) -- §3.4's
         true zero copy for data that needs no long-term storage."""
-        if descriptor.is_inline:
-            return descriptor.inline
-        return b"".join(
-            self.endpoint.segment.read(offset, used)
-            for offset, used in descriptor.bufs
-        )
+        return self.endpoint.gather(descriptor)

@@ -12,7 +12,7 @@ real segment).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.descriptors import (
     SINGLE_CELL_MAX,
@@ -109,25 +109,17 @@ class EmulatedUNet:
     # -- kernel send path ------------------------------------------------------
     def _send_service(self, emu: Endpoint):
         host = self.host
-        while not emu.destroyed:
-            yield emu.send_queue.wait_nonempty()
-            if emu.destroyed:
-                return
-            desc = emu.send_queue.pop()
+        while True:
+            desc = yield from emu.take_send()
             if desc is None:
-                continue
+                return
             real_ch = self._emu_to_real.get(desc.channel)
             if real_ch is None or not real_ch.open:
                 self.unmatched += 1
                 continue
             # System call into the kernel, then copy user -> kernel.
             yield from host.syscall()
-            if desc.inline is not None:
-                payload = desc.inline
-            else:
-                payload = b"".join(
-                    emu.segment.read(off, ln) for off, ln in desc.bufs
-                )
+            payload = emu.gather(desc)
             if len(payload) <= SINGLE_CELL_MAX:
                 fwd = SendDescriptor(channel=real_ch.ident, inline=payload)
                 yield from self._post_real(fwd)
@@ -147,10 +139,7 @@ class EmulatedUNet:
                     self.real.segment.free(offset, len(payload))
                     raise
                 self.real.segment.free(offset, len(payload))
-            desc.injected = True
-            if desc.completion is not None and not desc.completion.triggered:
-                desc.completion.succeed()
-            emu.messages_sent += 1
+            emu.complete_send(desc)
             self.forwarded_out += 1
 
     def _post_real(self, descriptor: SendDescriptor):
@@ -173,12 +162,7 @@ class EmulatedUNet:
             emu, emu_ch = target
             # Kernel -> user crossing and copy into the user's segment.
             yield from host.syscall()
-            if desc.is_inline:
-                payload = desc.inline
-            else:
-                payload = b"".join(
-                    self.real.segment.read(off, used) for off, used in desc.bufs
-                )
+            payload = self.real.gather(desc)
             if len(payload) <= SINGLE_CELL_MAX:
                 emu.deliver(
                     RecvDescriptor(
@@ -187,32 +171,9 @@ class EmulatedUNet:
                 )
             else:
                 yield from host.copy(len(payload))
-                self._deliver_buffered(emu, emu_ch, payload)
+                emu.deliver_scattered(emu_ch.ident, payload)
             self._recycle(desc)
             self.forwarded_in += 1
-
-    def _deliver_buffered(self, emu: Endpoint, emu_ch: Channel, payload: bytes):
-        remaining, cursor, used, popped = len(payload), 0, [], []
-        while remaining > 0:
-            free = emu.free_queue.pop()
-            if free is None:
-                emu.no_buffer_drops += 1
-                for fd in popped:
-                    emu.free_queue.push(fd)
-                return
-            popped.append(free)
-            take = min(free.length, remaining)
-            emu.segment.write(free.offset, payload[cursor : cursor + take])
-            # The scatter list itself is the product of this helper.
-            used.append((free.offset, take))
-            cursor += take
-            remaining -= take
-        ok = emu.deliver(
-            RecvDescriptor(channel=emu_ch.ident, length=len(payload), bufs=tuple(used))
-        )
-        if not ok:
-            for fd in popped:
-                emu.free_queue.push(fd)
 
     def _recycle(self, desc: RecvDescriptor) -> None:
         if not desc.is_inline:

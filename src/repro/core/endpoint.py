@@ -4,18 +4,28 @@ An endpoint bundles a communication segment with send, receive, and
 free descriptor rings.  All application-facing operations verify the
 caller's identity against the owning process -- endpoints, segments and
 queues "are only accessible by the owning process" (§3.2).
+
+The endpoint also holds the one copy of the NI side of the descriptor
+protocol: taking a send descriptor, gathering its bytes, marking it
+injected, and scattering a received message into free-queue buffers.
+Every NI model and the kernel emulation (§3.5) call these steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from repro.core.descriptors import FreeDescriptor, RecvDescriptor, SendDescriptor
 from repro.core.errors import ProtectionError, UNetError
 from repro.core.queues import DescriptorRing
 from repro.core.segment import CommSegment
 from repro.sim import Event, Simulator
+
+#: Outcomes of :meth:`Endpoint.deliver_scattered`.
+DELIVERED = "delivered"
+NO_BUFFER = "no_buffer"
+RING_FULL = "ring_full"
 
 
 @dataclass
@@ -42,7 +52,13 @@ class Channel:
 
 
 class Endpoint:
-    """Communication segment + send/recv/free rings + upcall hooks."""
+    """Communication segment + send/recv/free rings + upcall hooks.
+
+    The application side (``post_send``, ``post_free``, ``recv_poll``
+    ...) checks the caller's identity; the NI side (``take_send``,
+    ``gather``, ``complete_send``, ``deliver``, ``deliver_scattered``)
+    is the descriptor protocol every NI implementation serves.
+    """
 
     def __init__(
         self,
@@ -85,6 +101,12 @@ class Endpoint:
     def check_alive(self) -> None:
         if self.destroyed:
             raise UNetError(f"endpoint {self.name!r} has been destroyed")
+
+    def destroy(self) -> None:
+        """Mark the endpoint destroyed and wake the NI-side send service
+        blocked on the send ring, so it sees the flag and ends."""
+        self.destroyed = True
+        self.send_queue.wake_waiters()
 
     # -- application-side operations -------------------------------------
     def post_send(self, descriptor: SendDescriptor, caller: str) -> bool:
@@ -139,6 +161,18 @@ class Endpoint:
             descriptor.completion.succeed()
         return descriptor.completion
 
+    def on_send_complete(
+        self, descriptor: SendDescriptor, fn: Callable, *args
+    ) -> None:
+        """Call ``fn(*args)`` once the NI marks ``descriptor`` injected,
+        in the entry that fires its completion event: the point where
+        the send buffers may be reused (§3.1)."""
+        callbacks = self.wait_send_complete(descriptor).callbacks
+        if callbacks is None:  # the completion has already fired
+            fn(*args)
+        else:
+            callbacks.append(lambda _event: fn(*args))
+
     # -- upcall critical sections (§3.1) ----------------------------------
     def disable_upcalls(self, caller: str) -> None:
         self.check_owner(caller)
@@ -159,7 +193,72 @@ class Endpoint:
             self._enable_waiters.append(event)
         return event
 
-    # -- NI-side delivery --------------------------------------------------
+    # -- NI side of the descriptor protocol --------------------------------
+    def take_send(self):
+        """Generator: wait for and pop the next send descriptor; returns
+        None once the endpoint is destroyed."""
+        ring = self.send_queue
+        while not self.destroyed:
+            yield ring.wait_nonempty()
+            if self.destroyed:
+                return None
+            desc = ring.pop()
+            if desc is not None:
+                return desc
+        return None
+
+    def gather(self, descriptor: Union[SendDescriptor, RecvDescriptor]) -> bytes:
+        """A descriptor's message bytes: the inline payload, or its
+        segment buffers read in order."""
+        if descriptor.inline is not None:
+            return descriptor.inline
+        read = self.segment.read
+        return b"".join([read(offset, length) for offset, length in descriptor.bufs])
+
+    def complete_send(self, descriptor: SendDescriptor) -> None:
+        """Mark ``descriptor`` injected and fire its completion event."""
+        descriptor.injected = True
+        completion = descriptor.completion
+        if completion is not None and not completion.triggered:
+            completion.succeed()
+        self.messages_sent += 1
+
+    def deliver_scattered(self, channel: int, payload: bytes) -> str:
+        """Scatter ``payload`` into buffers popped off the free queue and
+        queue its receive descriptor (§3.4).
+
+        Returns DELIVERED, NO_BUFFER or RING_FULL.  On failure the whole
+        message is dropped and every popped buffer goes back on the free
+        queue.
+        """
+        free_queue = self.free_queue
+        remaining = len(payload)
+        cursor = 0
+        used = []
+        popped = []
+        while remaining > 0:
+            free = free_queue.pop()
+            if free is None:
+                self.no_buffer_drops += 1
+                outcome = NO_BUFFER
+                break
+            popped.append(free)
+            take = min(free.length, remaining)
+            self.segment.write(free.offset, payload[cursor : cursor + take])
+            used.append((free.offset, take))
+            cursor += take
+            remaining -= take
+        else:
+            desc = RecvDescriptor(
+                channel=channel, length=len(payload), bufs=tuple(used)
+            )
+            if self.deliver(desc):
+                return DELIVERED
+            outcome = RING_FULL
+        for fd in popped:
+            free_queue.push(fd)
+        return outcome
+
     def deliver(self, descriptor: RecvDescriptor) -> bool:
         """Used by the NI/mux to push a received message descriptor."""
         self.check_alive()

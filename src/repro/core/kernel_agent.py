@@ -138,7 +138,7 @@ class KernelAgent:
         for channel in list(endpoint.channels.values()):
             if channel.open:
                 self._close_channel_local(channel)
-        endpoint.destroyed = True
+        endpoint.destroy()
         if endpoint.emulated:
             self.emulation.emulated.remove(endpoint)
             self.endpoints.remove(endpoint)

@@ -5,21 +5,25 @@ from __future__ import annotations
 from typing import List
 
 from repro import obs
+from repro.atm.aal5 import Reassembler
 from repro.atm.cell import Cell
 from repro.atm.network import NetworkPort
-from repro.core.endpoint import Endpoint
+from repro.core.descriptors import RecvDescriptor
+from repro.core.endpoint import DELIVERED, NO_BUFFER, Endpoint
 from repro.core.mux import Mux
 from repro.host import Workstation
-from repro.sim import Event, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 class NetworkInterface:
     """Base NI: owns the mux, the attached endpoints, and the port.
 
-    Subclasses implement the transmit/receive firmware loops.  The U-Net
-    architecture is deliberately independent of the NI hardware (§1);
-    everything above this class (endpoints, channels, UAM, TCP/UDP)
-    works unchanged across the three implementations.
+    Subclasses implement the transmit/receive firmware loops; the
+    descriptor-protocol steps they run (send take, gather, completion,
+    scatter) live once on :class:`~repro.core.endpoint.Endpoint`.  The
+    U-Net architecture is deliberately independent of the NI hardware
+    (§1); everything above this class (endpoints, channels, UAM,
+    TCP/UDP) works unchanged across the three implementations.
     """
 
     __slots__ = (
@@ -29,9 +33,15 @@ class NetworkInterface:
         "name",
         "mux",
         "endpoints",
-        "_attach_event",
         "input_fifo",
         "input_fifo_drops",
+        "reassembler",
+        "send_errors",
+        "pdus_sent",
+        "pdus_received",
+        "_k_tx_badchannel",
+        "_k_rx_bad_pdu",
+        "_k_rx_unmatched",
         "_k_rxfifo_drop",
         "_k_rxfifo_depth",
         "_k_rx_ring_full",
@@ -53,13 +63,19 @@ class NetworkInterface:
         self.name = f"{host.name}.ni"
         self.mux = Mux(name=f"{self.name}.mux")
         self.endpoints: List[Endpoint] = []
-        self._attach_event: Event = self.sim.event()
         # Cell input FIFO between the fiber and the (modelled) firmware.
         self.input_fifo = Store(self.sim, capacity=input_fifo_cells, name=f"{self.name}.rxfifo")
         self.input_fifo_drops = 0
+        self.reassembler = Reassembler()
+        self.send_errors = 0
+        self.pdus_sent = 0
+        self.pdus_received = 0
         # Counter/sample keys for the per-cell and per-PDU paths, built
-        # once: _rx_sink and the delivery helpers run on the event hot
+        # once: _rx_sink and the firmware loops run on the event hot
         # path and must not re-format strings.
+        self._k_tx_badchannel = f"{self.name}.tx_badchannel"
+        self._k_rx_bad_pdu = f"{self.name}.rx_bad_pdu"
+        self._k_rx_unmatched = f"{self.name}.rx_unmatched"
         self._k_rxfifo_drop = f"{self.name}.rxfifo_drop"
         self._k_rxfifo_depth = f"{self.name}.rxfifo_depth"
         self._k_rx_ring_full = f"{self.name}.rx_ring_full"
@@ -73,9 +89,6 @@ class NetworkInterface:
     # -- endpoint management (called by the kernel agent) ----------------
     def attach_endpoint(self, endpoint: Endpoint) -> None:
         self.endpoints.append(endpoint)
-        if not self._attach_event.triggered:
-            self._attach_event.succeed()
-        self._attach_event = self.sim.event()
         self._on_attach(endpoint)
 
     def detach_endpoint(self, endpoint: Endpoint) -> None:
@@ -100,11 +113,21 @@ class NetworkInterface:
             if not accepted:
                 _o.count(self._k_rxfifo_drop)
 
-    # -- delivery helpers shared by all NI models --------------------------
+    # -- descriptor helpers shared by all NI models ------------------------
+    def _tx_channel(self, endpoint: Endpoint, desc):
+        """The open channel a send descriptor names; None (a counted
+        send error) when it is unknown or closed."""
+        channel = endpoint.channels.get(desc.channel)
+        if channel is None or not channel.open:
+            self.send_errors += 1
+            _o = obs.active
+            if _o is not None:
+                _o.count(self._k_tx_badchannel)
+            return None
+        return channel
+
     def _deliver_inline(self, channel, payload: bytes) -> bool:
         """Single-cell fast path: the message rides in the descriptor."""
-        from repro.core.descriptors import RecvDescriptor
-
         desc = RecvDescriptor(
             channel=channel.ident, length=len(payload), inline=payload
         )
@@ -118,47 +141,17 @@ class NetworkInterface:
 
     def _deliver_buffered(self, channel, payload: bytes) -> bool:
         """Scatter a message into free-queue buffers and deliver it."""
-        from repro.core.descriptors import RecvDescriptor
-
-        endpoint = channel.endpoint
-        remaining = len(payload)
-        cursor = 0
-        used = []
-        popped = []
-        while remaining > 0:
-            free = endpoint.free_queue.pop()
-            if free is None:
-                # Out of receive buffers: the whole message is dropped and
-                # any buffers already popped go back to the free queue.
-                endpoint.no_buffer_drops += 1
-                _o = obs.active
-                if _o is not None:
-                    _o.count(self._k_rx_nobuf)
-                for fd in popped:
-                    endpoint.free_queue.push(fd)
-                return False
-            popped.append(free)
-            take = min(free.length, remaining)
-            endpoint.segment.write(free.offset, payload[cursor : cursor + take])
-            # The scatter list itself is the product of this helper.
-            used.append((free.offset, take))
-            cursor += take
-            remaining -= take
-        desc = RecvDescriptor(
-            channel=channel.ident, length=len(payload), bufs=tuple(used)
-        )
-        delivered = endpoint.deliver(desc)
+        outcome = channel.endpoint.deliver_scattered(channel.ident, payload)
         _o = obs.active
-        if delivered:
-            if _o is not None:
+        if _o is not None:
+            if outcome == DELIVERED:
                 _o.count(self._k_rx_buffered_pdus)
                 _o.count(self._k_rx_buffered_bytes, len(payload))
-            return True
-        for fd in popped:
-            endpoint.free_queue.push(fd)
-        if _o is not None:
-            _o.count(self._k_rx_ring_full)
-        return False
+            elif outcome == NO_BUFFER:
+                _o.count(self._k_rx_nobuf)
+            else:
+                _o.count(self._k_rx_ring_full)
+        return outcome == DELIVERED
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} endpoints={len(self.endpoints)}>"

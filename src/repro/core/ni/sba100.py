@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import obs
-from repro.atm.aal5 import Reassembler, cells_for_pdu, segment_pdu
+from repro.atm.aal5 import cells_for_pdu, segment_pdu
 from repro.atm.network import NetworkPort
-from repro.core.descriptors import SINGLE_CELL_MAX, SendDescriptor
+from repro.core.descriptors import SINGLE_CELL_MAX
 from repro.core.endpoint import Endpoint
 from repro.core.ni.base import NetworkInterface
 from repro.core.ni.costs import Sba100Costs
@@ -27,16 +27,7 @@ from repro.host import Workstation
 class Sba100UNet(NetworkInterface):
     """Kernel-trap U-Net over the PIO-only SBA-100."""
 
-    __slots__ = (
-        "costs",
-        "reassembler",
-        "send_errors",
-        "pdus_sent",
-        "pdus_received",
-        "_k_tx_badchannel",
-        "_k_rx_bad_pdu",
-        "_k_rx_unmatched",
-    )
+    __slots__ = ("costs",)
 
     def __init__(
         self,
@@ -46,17 +37,8 @@ class Sba100UNet(NetworkInterface):
     ):
         self.costs = costs if costs is not None else Sba100Costs()
         super().__init__(host, port, input_fifo_cells=self.costs.input_fifo_cells)
-        self.reassembler = Reassembler()
         # The 36-cell output FIFO: the PIO loop blocks when it is full.
         self.port.tx_link.set_queue_capacity(self.costs.output_fifo_cells)
-        self.send_errors = 0
-        self.pdus_sent = 0
-        self.pdus_received = 0
-        # Per-packet counter keys, built once (the kernel loops run per
-        # cell/PDU and must not re-format strings).
-        self._k_tx_badchannel = f"{self.name}.tx_badchannel"
-        self._k_rx_bad_pdu = f"{self.name}.rx_bad_pdu"
-        self._k_rx_unmatched = f"{self.name}.rx_unmatched"
         self.sim.process(self._rx_kernel(), name=f"{self.name}.rx")
 
     def _per_cell_send_us(self) -> float:
@@ -74,26 +56,14 @@ class Sba100UNet(NetworkInterface):
         """Kernel send path: one fast trap per packet, then a PIO loop
         pushing cells into the 36-deep output FIFO with software SAR+CRC."""
         costs = self.costs
-        while not endpoint.destroyed:
-            yield endpoint.send_queue.wait_nonempty()
-            if endpoint.destroyed:
-                return
-            desc = endpoint.send_queue.pop()
+        while True:
+            desc = yield from endpoint.take_send()
             if desc is None:
+                return
+            channel = self._tx_channel(endpoint, desc)
+            if channel is None:
                 continue
-            channel = endpoint.channels.get(desc.channel)
-            if channel is None or not channel.open:
-                self.send_errors += 1
-                _o = obs.active
-                if _o is not None:
-                    _o.count(self._k_tx_badchannel)
-                continue
-            if desc.inline is not None:
-                payload = desc.inline
-            else:
-                payload = b"".join(
-                    endpoint.segment.read(off, length) for off, length in desc.bufs
-                )
+            payload = endpoint.gather(desc)
             _o = obs.active
             _sp = (
                 _o.begin(self.sim.now, "trap_tx", "ni_tx", host=self.host.name)
@@ -107,10 +77,7 @@ class Sba100UNet(NetworkInterface):
             if _sp is not None:
                 _o.annotate(_sp, bytes=len(payload))
                 _o.end(_sp, self.sim.now)
-            desc.injected = True
-            if desc.completion is not None and not desc.completion.triggered:
-                desc.completion.succeed()
-            endpoint.messages_sent += 1
+            endpoint.complete_send(desc)
             self.pdus_sent += 1
 
     def _rx_kernel(self):

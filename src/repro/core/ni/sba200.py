@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import obs
-from repro.atm.aal5 import Reassembler, cells_for_pdu, segment_pdu
+from repro.atm.aal5 import cells_for_pdu, segment_pdu
 from repro.atm.cell import Cell
 from repro.atm.network import NetworkPort
 from repro.core.descriptors import SINGLE_CELL_MAX, SendDescriptor
@@ -44,13 +44,6 @@ class Sba200UNet(NetworkInterface):
         "costs",
         "i960",
         "single_cell_optimization",
-        "reassembler",
-        "send_errors",
-        "pdus_sent",
-        "pdus_received",
-        "_k_tx_badchannel",
-        "_k_rx_bad_pdu",
-        "_k_rx_unmatched",
         "_rx_busy",
     )
 
@@ -66,16 +59,7 @@ class Sba200UNet(NetworkInterface):
         #: The single on-board processor; TX and RX firmware share it.
         self.i960 = Resource(self.sim, capacity=1, name=f"{self.name}.i960")
         self.single_cell_optimization = single_cell_optimization
-        self.reassembler = Reassembler()
         self.port.tx_link.set_queue_capacity(self.costs.tx_queue_cells)
-        self.send_errors = 0
-        self.pdus_sent = 0
-        self.pdus_received = 0
-        # Per-packet counter keys, built once (the firmware loops run per
-        # cell/PDU and must not re-format strings).
-        self._k_tx_badchannel = f"{self.name}.tx_badchannel"
-        self._k_rx_bad_pdu = f"{self.name}.rx_bad_pdu"
-        self._k_rx_unmatched = f"{self.name}.rx_unmatched"
         #: True from the moment a cell reaches the receive firmware until
         #: the FIFO is found empty after it.
         self._rx_busy = False
@@ -87,28 +71,19 @@ class Sba200UNet(NetworkInterface):
         )
 
     def _gather(self, endpoint: Endpoint, desc: SendDescriptor) -> bytes:
-        if desc.inline is not None:
-            return desc.inline
-        parts = [endpoint.segment.read(off, length) for off, length in desc.bufs]
-        return b"".join(parts)
+        """The bytes put on the wire (direct access adds framing)."""
+        return endpoint.gather(desc)
 
     def _tx_firmware(self, endpoint: Endpoint):
         """Service one endpoint's send queue (the i960 polls these
         i960-resident queues without DMA, §4.2.2)."""
         costs = self.costs
-        while not endpoint.destroyed:
-            yield endpoint.send_queue.wait_nonempty()
-            if endpoint.destroyed:
-                return
-            desc = endpoint.send_queue.pop()
+        while True:
+            desc = yield from endpoint.take_send()
             if desc is None:
-                continue
-            channel = endpoint.channels.get(desc.channel)
-            if channel is None or not channel.open:
-                self.send_errors += 1
-                _o = obs.active
-                if _o is not None:
-                    _o.count(self._k_tx_badchannel)
+                return
+            channel = self._tx_channel(endpoint, desc)
+            if channel is None:
                 continue
             payload = self._gather(endpoint, desc)
             n_cells = cells_for_pdu(len(payload))
@@ -151,10 +126,7 @@ class Sba200UNet(NetworkInterface):
                     firmware=self.obs_firmware,
                 )
                 _o.end(_sp, self.sim.now)
-            desc.injected = True
-            if desc.completion is not None and not desc.completion.triggered:
-                desc.completion.succeed()
-            endpoint.messages_sent += 1
+            endpoint.complete_send(desc)
             self.pdus_sent += 1
 
     # -- receive ------------------------------------------------------------

@@ -139,6 +139,13 @@ class DescriptorRing:
             self._nonempty_waiters.append(event)
         return event
 
+    def wake_waiters(self) -> None:
+        """Fire every pending :meth:`wait_nonempty` event, empty or not,
+        so a consumer can notice its endpoint was destroyed."""
+        waiters, self._nonempty_waiters = self._nonempty_waiters, []
+        for event in waiters:
+            event.succeed()
+
     def wait_almost_full(self) -> Event:
         """One-shot event for the §3.1 'receive queue is almost full'
         upcall condition."""

@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core import SendDescriptor, UNetSession
+from repro.core.errors import UNetError
 from repro.host import Workstation
 from repro.ip.ethernet import ETHERNET_MTU, EthernetPort
 from repro.ip.headers import (
@@ -145,12 +146,10 @@ class AtmKernelDevice:
                 _o.end(_sp, self.sim.now)
             # The driver moves on once the descriptor is queued; the
             # buffer is reclaimed when the firmware marks it injected.
-            self.sim.process(self._reclaim(desc, offset, len(raw)))
+            self.session.endpoint.on_send_complete(
+                desc, self.session.free, offset, len(raw)
+            )
             self.packets_sent += 1
-
-    def _reclaim(self, desc, offset, length):
-        yield self.session.endpoint.wait_send_complete(desc)
-        self.session.free(offset, length)
 
     def _rx_proc(self):
         while True:
@@ -163,8 +162,7 @@ class AtmKernelDevice:
             )
             try:
                 raw = self.session.peek_payload(desc)
-                if not desc.is_inline:
-                    yield from self.session.repost_free(desc)
+                yield from self.session.repost_free(desc)
                 yield from self.host.cpu.compute(
                     self.costs.fore_rx_us, priority=SPLNET
                 )
@@ -377,8 +375,9 @@ class KernelStack:
     # ------------------------------------------------------------- sockets
     def udp_socket(self, port: Optional[int] = None) -> "KernelUdpSocket":
         if port is None:
-            port = self._next_port
-            self._next_port += 1
+            port = self._alloc_port()
+        if port in self._udp_sockets:
+            raise UNetError(f"UDP port {port} already bound")
         sock = KernelUdpSocket(self, port)
         self._udp_sockets[port] = sock
         return sock

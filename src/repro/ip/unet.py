@@ -109,8 +109,7 @@ class UnetIpStack:
     # ------------------------------------------------------------ UDP API
     def udp_socket(self, port: Optional[int] = None) -> "UnetUdpSocket":
         if port is None:
-            port = self._next_port
-            self._next_port += 1
+            port = self._alloc_port()
         if port in self._udp_sockets:
             raise UNetError(f"UDP port {port} already bound")
         sock = UnetUdpSocket(self, port)
@@ -199,11 +198,9 @@ class UnetIpStack:
             _o.annotate(_sp, bytes=len(raw), proto=proto)
             _o.end(_sp, self.sim.now)
         self.packets_out += 1
-        self.sim.process(self._reclaim(desc, offset, len(raw)))
-
-    def _reclaim(self, desc, offset, length):
-        yield self.session.endpoint.wait_send_complete(desc)
-        self.session.free(offset, length)
+        self.session.endpoint.on_send_complete(
+            desc, self.session.free, offset, len(raw)
+        )
 
     def send_gathered(self, peer_addr: int, bufs, channel_id: Optional[int] = None):
         """Send an IP packet already composed in the segment as a
@@ -229,8 +226,7 @@ class UnetIpStack:
             )
             try:
                 raw = self.session.peek_payload(desc)
-                if not desc.is_inline:
-                    yield from self.session.repost_free(desc)
+                yield from self.session.repost_free(desc)
                 self.packets_in += 1
                 yield from self.host.compute(self.costs.ip_in_us)
                 try:
@@ -464,12 +460,9 @@ class _UnetTcpEnv:
             [(header_buf.offset, header_len), (data_buf.offset, data_buf.length)],
             channel_id=self.channel_id,
         )
-        self.sim.process(self._after_injection(desc, header_buf, data_buf))
-
-    def _after_injection(self, desc, header_buf, data_buf):
-        yield self.stack.session.endpoint.wait_send_complete(desc)
-        header_buf.decref()
-        data_buf.decref()
+        endpoint = self.stack.session.endpoint
+        endpoint.on_send_complete(desc, header_buf.decref)
+        endpoint.on_send_complete(desc, data_buf.decref)
 
     def on_acked(self, snd_una: int) -> None:
         """Engine hook: drop the retransmission-queue references of

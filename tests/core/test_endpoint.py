@@ -9,7 +9,13 @@ from repro.core import (
     SendDescriptor,
     UNetError,
 )
-from repro.core.endpoint import Channel, Endpoint
+from repro.core.endpoint import (
+    DELIVERED,
+    NO_BUFFER,
+    RING_FULL,
+    Channel,
+    Endpoint,
+)
 from repro.sim import Simulator
 
 
@@ -112,6 +118,44 @@ class TestReceive:
         assert ev.triggered
 
 
+class TestScatter:
+    """The one free-queue scatter step every NI model and the kernel
+    emulation deliver buffered messages through (§3.4)."""
+
+    def stocked(self, buffers, **kwargs):
+        ep = make_endpoint(segment_size=8192, **kwargs)
+        for i in range(buffers):
+            ep.post_free(FreeDescriptor(i * 1024, 1024), "me")
+        return ep
+
+    def test_spreads_a_message_over_buffers(self):
+        ep = self.stocked(3)
+        payload = bytes(range(256)) * 8  # 2048 bytes
+        assert ep.deliver_scattered(1, payload) == DELIVERED
+        desc = ep.recv_poll("me")
+        assert desc.bufs == ((0, 1024), (1024, 1024))
+        assert ep.gather(desc) == payload
+        assert len(ep.free_queue) == 1
+
+    def test_out_of_buffers_returns_the_popped_ones(self):
+        ep = self.stocked(2)
+        assert ep.deliver_scattered(1, bytes(3000)) == NO_BUFFER
+        assert ep.no_buffer_drops == 1
+        assert [(f.offset, f.length) for f in ep.free_queue._items] == [
+            (0, 1024),
+            (1024, 1024),
+        ]
+        assert ep.recv_poll("me") is None
+
+    def test_full_receive_ring_returns_the_buffers(self):
+        ep = self.stocked(2, recv_ring=1)
+        ep.deliver(RecvDescriptor(channel=1, length=1, inline=b"a"))
+        assert ep.deliver_scattered(1, bytes(1500)) == RING_FULL
+        assert ep.receive_drops == 1
+        assert ep.no_buffer_drops == 0
+        assert len(ep.free_queue) == 2
+
+
 class TestUpcallSections:
     def test_disable_enable(self):
         ep = make_endpoint()
@@ -144,6 +188,34 @@ class TestSendCompletion:
         desc.injected = True
         desc.completion.succeed()
         assert ev.triggered
+
+    def test_on_send_complete_runs_in_the_completion_entry(self):
+        sim = Simulator()
+        ep = make_endpoint(sim)
+        desc = SendDescriptor(channel=1, inline=b"x")
+        calls = []
+        ep.on_send_complete(desc, calls.append, "first")
+        ep.on_send_complete(desc, calls.append, "second")
+        sim.run()
+        assert calls == []
+        before = sim.stats()["schedules"]
+        ep.complete_send(desc)
+        assert desc.injected and ep.messages_sent == 1
+        sim.run()
+        # one entry, the completion event, runs both callbacks in order
+        assert sim.stats()["schedules"] - before == 1
+        assert calls == ["first", "second"]
+
+    def test_on_send_complete_after_the_completion_fired(self):
+        sim = Simulator()
+        ep = make_endpoint(sim)
+        desc = SendDescriptor(channel=1, inline=b"x")
+        ep.complete_send(desc)
+        ep.wait_send_complete(desc)
+        sim.run()
+        calls = []
+        ep.on_send_complete(desc, calls.append, "late")
+        assert calls == ["late"]
 
     def test_completion_event_already_injected(self):
         sim = Simulator()

@@ -76,6 +76,36 @@ class TestEndpointDestroy:
         cluster.agent("alice").destroy_endpoint(sa.endpoint, "procA")
         assert ch_a.rx_vci not in mux
 
+    @pytest.mark.parametrize(
+        "ni_kind, emulated",
+        [("sba200", False), ("sba100", False), ("sba200", True)],
+    )
+    def test_destroy_ends_the_transmit_service(self, monkeypatch, ni_kind, emulated):
+        sim = Simulator()
+        cluster = UNetCluster.pair(sim, ni_kind=ni_kind)
+        started = []
+        spawn = Simulator.process
+
+        def record(self, generator, name=""):
+            proc = spawn(self, generator, name)
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(Simulator, "process", record)
+        session = cluster.open_session("alice", "pa", emulated=emulated)
+        monkeypatch.undo()
+        # The send service of this endpoint: the NI's transmit loop, or
+        # the kernel's forwarding loop for an emulated endpoint.
+        tx_name = (
+            "alice.kemu.tx" if emulated else f"alice.ni.tx.{session.endpoint.name}"
+        )
+        (tx,) = [p for p in started if p.name == tx_name]
+        sim.run(until=1e3)
+        assert tx.is_alive
+        cluster.agent("alice").destroy_endpoint(session.endpoint, "pa")
+        sim.run(until=1e6)
+        assert not tx.is_alive
+
 
 class TestDirectoryServiceLifecycle:
     def test_withdrawn_service_rejects_connect(self, sim):

@@ -130,41 +130,52 @@ class TestOrdering:
 
 
 class TestResourceExhaustion:
-    def test_no_free_buffers_drops_large_message(self, pair, sim):
-        cluster, sa, sb, ch_a, ch_b = pair
+    # Each exhaustion test runs on a regular endpoint (the NI scatters
+    # and delivers) and on an emulated one (the kernel does, §3.5).
+    @staticmethod
+    def pairs(**receiver_rings):
+        for emulated in (False, True):
+            sim = Simulator()
+            cluster = UNetCluster.pair(sim)
+            sa = cluster.open_session("alice", "pa", emulated=emulated)
+            sb = cluster.open_session(
+                "bob", "pb", emulated=emulated, **receiver_rings
+            )
+            ch_a, _ch_b = cluster.connect_sessions(sa, sb)
+            yield sim, sa, sb, ch_a
 
-        def sender():
-            yield from sa.send_copy(ch_a.ident, bytes(1000))  # needs a buffer
-            yield from sa.send(SendDescriptor(channel=ch_a.ident, inline=b"ok"))
+    def test_no_free_buffers_drops_large_message(self):
+        for sim, sa, sb, ch_a in self.pairs():
 
-        out = {}
+            def sender():
+                yield from sa.send_copy(ch_a.ident, bytes(1000))  # needs a buffer
+                yield from sa.send(SendDescriptor(channel=ch_a.ident, inline=b"ok"))
 
-        def receiver():
-            # no free buffers provided: the 1000-byte message must drop,
-            # the inline message still arrives
-            desc = yield from sb.recv()
-            out["desc"] = desc
+            out = {}
 
-        run(sim, sender(), receiver())
-        assert out["desc"].inline == b"ok"
-        assert sb.endpoint.no_buffer_drops == 1
+            def receiver():
+                # no free buffers provided: the 1000-byte message must drop,
+                # the inline message still arrives
+                desc = yield from sb.recv()
+                out["desc"] = desc
 
-    def test_recv_ring_overflow_drops(self, sim):
-        cluster = UNetCluster.pair(sim)
-        sa = cluster.open_session("alice", "pa")
-        sb = cluster.open_session("bob", "pb", recv_ring=2)
-        ch_a, ch_b = cluster.connect_sessions(sa, sb)
+            run(sim, sender(), receiver())
+            assert out["desc"].inline == b"ok"
+            assert sb.endpoint.no_buffer_drops == 1
 
-        def sender():
-            for i in range(6):
-                yield from sa.send(
-                    SendDescriptor(channel=ch_a.ident, inline=bytes([i]))
-                )
+    def test_recv_ring_overflow_drops(self):
+        for sim, sa, sb, ch_a in self.pairs(recv_ring=2):
 
-        run(sim, sender())
-        sim.run(until=1e9)
-        # receiver never drained: ring holds 2, rest dropped
-        assert sb.endpoint.receive_drops == 4
+            def sender():
+                for i in range(6):
+                    yield from sa.send(
+                        SendDescriptor(channel=ch_a.ident, inline=bytes([i]))
+                    )
+
+            run(sim, sender())
+            sim.run(until=1e9)
+            # receiver never drained: ring holds 2, rest dropped
+            assert sb.endpoint.receive_drops == 4
 
     def test_injected_flag_set(self, pair, sim):
         cluster, sa, sb, ch_a, ch_b = pair
