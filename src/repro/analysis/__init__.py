@@ -3,15 +3,13 @@
 Three sub-systems:
 
 * **static analysis** -- one pass, ``python -m repro.analysis PATHS``
-  (:func:`repro.analysis.flow.analyze_paths`).  Every file is parsed
-  once; the simlint rules (:mod:`repro.analysis.linter`,
-  :mod:`repro.analysis.rules`) check each file: simulated time only,
-  seeded randomness, no ``x or Default()`` collaborator fallbacks,
-  deterministic iteration, no shared mutable defaults or zero-delay
-  shared-state callbacks, ``__slots__`` on hot paths, no silent
-  exception drops, no ``print()`` or private ``heapq`` in model code.
-  The simflow typestate check (:mod:`repro.analysis.flow`) then proves
-  the U-Net API protocols on every path of every function.
+  (:func:`repro.analysis.linter.analyze_paths`).  Every file is parsed
+  once and the simlint rules (:mod:`repro.analysis.rules`) check it:
+  simulated time only, seeded randomness, no ``x or Default()``
+  collaborator fallbacks, deterministic iteration, no shared mutable
+  defaults or zero-delay shared-state callbacks, ``__slots__`` on hot
+  paths, no silent exception drops, no ``print()`` or private
+  ``heapq`` in model code.
 * **sanitizers** (:mod:`repro.analysis.sanitize`) -- runtime ownership
   and queue-invariant checking for communication segments and
   descriptor rings, armed by ``sanitize.enable()`` or inside
@@ -38,7 +36,7 @@ _LAZY = {
     "Violation": "repro.analysis.linter",
     "iter_python_files": "repro.analysis.linter",
     "lint_file": "repro.analysis.linter",
-    "analyze_paths": "repro.analysis.flow",
+    "analyze_paths": "repro.analysis.linter",
     "Rule": "repro.analysis.rules",
     "all_rules": "repro.analysis.rules",
     "get_rules": "repro.analysis.rules",

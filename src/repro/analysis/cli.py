@@ -1,9 +1,8 @@
 """``python -m repro.analysis``: the one static-analysis pass (every
-simlint rule plus the simflow typestate check), or the tie-break race
-check.
+simlint rule), or the tie-break race check.
 
 Exit codes: 0 clean, 1 violations (or a CONFIRMED race), 2 usage or
-infrastructure errors (unknown check, unreadable path, syntax error).
+infrastructure errors (unknown rule, unreadable path, syntax error).
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "repo-specific static analysis for the U-Net simulator "
-            "(simlint rules + simflow typestate), plus the "
-            "tie-break race check"
+            "(the simlint rules), plus the tie-break race check"
         ),
     )
     parser.add_argument(
@@ -46,16 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--select",
-        metavar="CHECKS",
-        help=(
-            "comma-separated rule names and/or the flow check typestate "
-            "to run (default: all)"
-        ),
+        metavar="RULES",
+        help="comma-separated rule names to run (default: all)",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list the rules and flow checks and exit",
+        help="list the rules and exit",
     )
     parser.add_argument(
         "--race-check",
@@ -119,20 +114,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.race_check:
         return _run_race_check(args)
 
-    from repro.analysis.flow import CHECKS, analyze_paths, check_names
+    from repro.analysis.linter import analyze_paths
     from repro.analysis.rules import all_rules
 
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.name:>21}  {rule.description}")
-        for name, description in CHECKS.items():
-            print(f"{name:>21}  {description}")
         return 0
 
     names = (
         [name.strip() for name in args.select.split(",") if name.strip()]
         if args.select
-        else check_names()
+        else [rule.name for rule in all_rules()]
     )
     try:
         violations = analyze_paths(args.paths, names)

@@ -6,16 +6,16 @@ seeded randomness, deterministic ordering, one event queue).
 Rules live in :mod:`repro.analysis.rules`; this module supplies the
 shared machinery:
 
-* :class:`FileContext` -- one parsed file plus the import table and the
-  ``# simlint: disable=...`` map, handed to every rule and to the
-  simflow index built on top of it.
-* :class:`Violation` -- the one record type every check reports, with
-  a precise ``file:line:col`` position and, for the flow checks, the
-  enclosing function and a witness path.
-* :func:`lint_file` -- run a rule set over one file.  The whole-tree
-  pass (rules plus flow checks) is :func:`repro.analysis.flow.analyze_paths`.
+* :class:`FileContext` -- one parsed file plus the import table, the
+  ``# simlint: disable=...`` map and the file's lexical scope index,
+  handed to every rule.
+* :class:`Violation` -- the one record type every rule reports, with
+  a precise ``file:line:col`` position.
+* :func:`lint_file` -- run a rule set over one file;
+  :func:`analyze_paths` -- the whole-tree pass behind ``python -m
+  repro.analysis``.
 
-Escape hatches (the same grammar for rules and flow checks)::
+Escape hatches::
 
     x = frob()  # simlint: disable=wall-clock        (this line, this rule)
     y = nrob()  # simlint: disable                   (this line, all rules)
@@ -29,7 +29,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 _DISABLE_RE = re.compile(
     r"#\s*simlint:\s*(disable-file|disable)"
@@ -39,27 +39,16 @@ _DISABLE_RE = re.compile(
 
 @dataclass(frozen=True)
 class Violation:
-    """One breach at a precise source position.
-
-    Flow findings also name the enclosing ``function`` and carry a
-    ``witness`` path: the source events (allocation, transitions, the
-    may-raise statement, the call chain) that prove the breach,
-    rendered indented under the ``file:line:col`` headline."""
+    """One breach at a precise source position."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-    function: str = ""
-    witness: Tuple[str, ...] = ()
 
     def format(self) -> str:
-        head = f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-        if not self.witness:
-            return head
-        steps = "\n".join(f"    {i + 1}. {s}" for i, s in enumerate(self.witness))
-        return f"{head}\n  witness path:\n{steps}"
+        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
     def to_dict(self) -> dict:
         return {
@@ -68,8 +57,6 @@ class Violation:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "function": self.function,
-            "witness": list(self.witness),
         }
 
 
@@ -101,10 +88,10 @@ class FileContext:
 
     @property
     def index(self):
-        """This file's simflow :class:`~repro.analysis.flow.callgraph.ModuleIndex`,
-        built on first use and shared by the rules and the flow checks."""
+        """This file's :class:`~repro.analysis.scope.ModuleIndex`, built
+        on first use."""
         if self._index is None:
-            from repro.analysis.flow.callgraph import ModuleIndex
+            from repro.analysis.scope import ModuleIndex
 
             self._index = ModuleIndex(self)
         return self._index
@@ -211,12 +198,33 @@ def check_context(ctx: FileContext, rules: Sequence) -> List[Violation]:
     ]
 
 
+def _by_position(found: List[Violation]) -> List[Violation]:
+    found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return found
+
+
 def lint_file(path: str, rules: Sequence, source: Optional[str] = None) -> List[Violation]:
     """Run ``rules`` over one file, sorted by position."""
     ctx = read_context(path) if source is None else FileContext(path, source)
-    found = check_context(ctx, rules)
-    found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return found
+    return _by_position(check_context(ctx, rules))
+
+
+def analyze_paths(
+    paths: Iterable[str], names: Optional[Sequence[str]] = None
+) -> List[Violation]:
+    """Run the rules ``names`` (default: all) over every python file
+    under ``paths``, sorted by position.  Unknown names raise KeyError
+    before any file is parsed."""
+    from repro.analysis.rules import all_rules, get_rules
+
+    rules = get_rules(names) if names else all_rules()
+    return _by_position(
+        [
+            violation
+            for path in iter_python_files(paths)
+            for violation in check_context(read_context(path), rules)
+        ]
+    )
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:

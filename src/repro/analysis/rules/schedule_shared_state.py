@@ -11,10 +11,10 @@ schedule-order race.
 
 This is the static side of the dynamic detector in
 :mod:`repro.analysis.race`: callback targets are resolved through the
-file's simflow :class:`~repro.analysis.flow.callgraph.ModuleIndex`
-(``ctx.index``, shared with the flow checks), which knows module
-functions, ``self`` methods through in-repo base classes, lexically
-enclosing nested functions, lambdas and single-assignment aliases; the
+file's :class:`~repro.analysis.scope.ModuleIndex` (``ctx.index``),
+which knows module functions, ``self`` methods through base classes
+in the same file, lexically enclosing nested functions, lambdas and
+single-assignment aliases; the
 *callee's* body is inspected for mutations of module-level or
 closure-shared names.  Sites it flags are exactly the candidates worth
 running under ``python -m repro.analysis --race-check``.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow.callgraph import assigned_names, own_nodes
+from repro.analysis.scope import assigned_names, own_nodes
 from repro.analysis.linter import FileContext, Violation
 from repro.analysis.rules import Rule, register
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from repro.analysis.flow.callgraph import own_nodes
+from repro.analysis.scope import own_nodes
 from repro.analysis.linter import FileContext, Violation
 from repro.analysis.rules import Rule, register
 

@@ -15,7 +15,7 @@ Every method that advances simulated time is a generator meant to be
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.descriptors import (
@@ -41,7 +41,8 @@ class UNetSession:
         self._post_send_us = getattr(ni_costs, "host_post_send_us", 1.0)
         self._recv_us = getattr(ni_costs, "host_recv_us", 1.5)
         self._post_free_us = getattr(ni_costs, "host_post_free_us", 0.8)
-        self._free_buffer_size = 4160
+        #: offset -> size of every receive buffer this session provided
+        self._buffer_sizes: Dict[int, int] = {}
 
     @property
     def host_recv_cost_us(self) -> float:
@@ -160,7 +161,6 @@ class UNetSession:
     def provide_receive_buffers(self, count: int, size: int = 4160):
         """Allocate ``count`` buffers of ``size`` bytes and post them on the
         free queue (the UAM layer uses 4160-byte buffers, §5.2)."""
-        self._free_buffer_size = size
         offsets = []
         for _ in range(count):
             offset = self.alloc(size)
@@ -168,6 +168,7 @@ class UNetSession:
             if not self.endpoint.post_free(FreeDescriptor(offset, size), self.caller):
                 self.free(offset, size)
                 raise QueueFullError("free queue is full")
+            self._buffer_sizes[offset] = size
             offsets.append(offset)
         return offsets
 
@@ -183,17 +184,11 @@ class UNetSession:
         )
         for offset, _used in descriptor.bufs:
             yield from self.host.compute(self._post_free_us)
-            # Buffers keep their allocated size; we re-post the original
-            # fixed size used when providing them.
             self.endpoint.post_free(
-                FreeDescriptor(offset, self._buffer_size_of(descriptor)), self.caller
+                FreeDescriptor(offset, self._buffer_sizes[offset]), self.caller
             )
         if _sp is not None:
             _o.end(_sp, self.host.sim.now)
-
-    def _buffer_size_of(self, descriptor: RecvDescriptor) -> int:
-        # All free buffers a session provides share one size; remember it.
-        return self._free_buffer_size
 
     def recv_poll(self) -> Optional[RecvDescriptor]:
         """Non-blocking receive-queue check (the polling model)."""

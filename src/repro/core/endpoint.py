@@ -103,10 +103,12 @@ class Endpoint:
             raise UNetError(f"endpoint {self.name!r} has been destroyed")
 
     def destroy(self) -> None:
-        """Mark the endpoint destroyed and wake the NI-side send service
-        blocked on the send ring, so it sees the flag and ends."""
+        """Mark the endpoint destroyed and wake whoever waits on its
+        rings: the NI-side send service sees the flag and ends, and a
+        blocked receiver's next ``recv_poll`` raises UNetError."""
         self.destroyed = True
         self.send_queue.wake_waiters()
+        self.recv_queue.wake_waiters()
 
     # -- application-side operations -------------------------------------
     def post_send(self, descriptor: SendDescriptor, caller: str) -> bool:

@@ -153,7 +153,10 @@ class AtmKernelDevice:
 
     def _rx_proc(self):
         while True:
-            desc = yield from self.session.recv()
+            try:
+                desc = yield from self.session.recv()
+            except UNetError:
+                return  # the endpoint was destroyed
             _o = obs.active
             _sp = (
                 _o.begin(self.sim.now, "k_dev_rx", "kernel", host=self.host.name)

@@ -217,7 +217,10 @@ class UnetIpStack:
     # ------------------------------------------------------------- input
     def _pump(self):
         while True:
-            desc = yield from self.session.recv()
+            try:
+                desc = yield from self.session.recv()
+            except UNetError:
+                return  # the endpoint was destroyed
             _o = obs.active
             _sp = (
                 _o.begin(self.sim.now, "ip_in", "ip", host=self.host.name)

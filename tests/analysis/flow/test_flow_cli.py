@@ -1,5 +1,9 @@
-"""Acceptance tests for the simflow ``typestate`` check as run by the
-one ``python -m repro.analysis`` pass."""
+"""CLI tests for the names and output fields the removed simflow
+``typestate`` check used to add to ``python -m repro.analysis``.
+
+The check is gone: ``typestate`` is no longer a known check, and JSON
+violations carry only the simlint fields (no ``function``/``witness``).
+"""
 
 import json
 import os
@@ -9,9 +13,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src"
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-BAD = FIXTURES / "typestate_bad.py"
-FLOW_CHECKS = "typestate"
+FIXTURE = REPO_ROOT / "tests" / "analysis" / "fixtures" / "bad_example.py"
 
 
 def run_cli(*args):
@@ -29,19 +31,19 @@ def run_cli(*args):
 
 class TestFlowCli:
     def test_json_format(self):
-        result = run_cli("--select", FLOW_CHECKS, "--format", "json", str(BAD))
+        result = run_cli("--select", "wall-clock", "--format", "json", str(FIXTURE))
         assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert payload["count"] == len(payload["violations"]) > 0
-        assert payload["checks"] == ["typestate"]
+        assert payload["checks"] == ["wall-clock"]
         for violation in payload["violations"]:
-            assert violation["rule"].startswith("flow-")
-            assert {"path", "line", "col", "rule", "message", "function", "witness"} \
-                <= set(violation)
-            assert violation["function"] and violation["witness"]
+            assert violation["rule"] == "wall-clock"
+            assert set(violation) == {"path", "line", "col", "rule", "message"}
 
     def test_unknown_check_is_usage_error(self):
-        result = run_cli("--select", "typestate,bogus", "src")
+        result = run_cli("--select", "wall-clock,bogus", "src")
         assert result.returncode == 2
         assert "bogus" in result.stderr
-        assert "typestate" in result.stderr
+        known = result.stderr.split("known:", 1)[1]
+        assert "wall-clock" in known
+        assert "typestate" not in known

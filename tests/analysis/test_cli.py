@@ -1,5 +1,5 @@
 """Acceptance tests for ``python -m repro.analysis``: one pass running
-every simlint rule plus the simflow typestate check."""
+every simlint rule."""
 
 import json
 import os
@@ -14,14 +14,8 @@ FIXTURE = HERE / "fixtures" / "bad_example.py"
 #: data-path-print only fires in data-path module paths, so its
 #: violation lives in a fixture under repro/core/.
 FIXTURE_HOT = HERE / "fixtures" / "repro" / "core" / "bad_data_path.py"
-FLOW_FIXTURES = HERE / "flow" / "fixtures"
-#: every seeded fixture: one site per rule and the typestate protocol
-#: breaches.
-SEEDED = (
-    str(FIXTURE),
-    str(FIXTURE_HOT),
-    str(FLOW_FIXTURES / "typestate_bad.py"),
-)
+#: every seeded fixture: one site per rule.
+SEEDED = (str(FIXTURE), str(FIXTURE_HOT))
 
 ALL_RULES = {
     "wall-clock",
@@ -34,13 +28,6 @@ ALL_RULES = {
     "schedule-shared-state",
     "data-path-print",
     "direct-heapq",
-}
-FLOW_CHECKS = ("typestate",)
-TYPESTATE_RULES = {
-    "flow-segment-leak",
-    "flow-use-after-free",
-    "flow-descriptor-reuse",
-    "flow-endpoint-use",
 }
 
 
@@ -58,11 +45,9 @@ def run_cli(*args):
 
 
 def reported_rules(stdout):
-    """Rule names of the headline lines (witness steps are indented)."""
+    """Rule names of the reported lines."""
     rules = []
     for line in stdout.splitlines():
-        if not line.strip() or line.startswith(" "):
-            continue
         # file:line:col: rule: message
         path, lineno, col, rule, _message = line.split(":", 4)
         assert int(lineno) > 0 and int(col) > 0, line
@@ -76,7 +61,7 @@ def test_src_tree_is_clean():
 
 
 def test_fixture_reports_every_rule_once():
-    result = run_cli(str(FIXTURE), str(FIXTURE_HOT))
+    result = run_cli(*SEEDED)
     assert result.returncode == 1
     rules = reported_rules(result.stdout)
     assert sorted(rules) == sorted(ALL_RULES)
@@ -85,11 +70,9 @@ def test_fixture_reports_every_rule_once():
 def test_seeded_fixtures_report_every_check():
     result = run_cli(*SEEDED)
     assert result.returncode == 1
-    rules = set(reported_rules(result.stdout))
-    assert ALL_RULES <= rules
-    assert rules & TYPESTATE_RULES
-    assert "witness path:" in result.stdout
-    assert "violation(s)" in result.stderr
+    rules = reported_rules(result.stdout)
+    assert set(rules) == ALL_RULES
+    assert f"simlint: {len(rules)} violation(s)" in result.stderr
 
 
 def test_json_output():
@@ -97,14 +80,11 @@ def test_json_output():
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["count"] == len(payload["violations"])
-    assert payload["checks"] == sorted(ALL_RULES) + list(FLOW_CHECKS)
-    rules = {v["rule"] for v in payload["violations"]}
-    assert ALL_RULES <= rules
+    assert payload["checks"] == sorted(ALL_RULES)
+    assert {v["rule"] for v in payload["violations"]} == ALL_RULES
     for violation in payload["violations"]:
         assert violation["line"] > 0
-        assert {"path", "col", "message", "function", "witness"} <= set(violation)
-    flow = [v for v in payload["violations"] if v["rule"].startswith("flow-")]
-    assert flow and all(v["function"] and v["witness"] for v in flow)
+        assert set(violation) == {"path", "line", "col", "rule", "message"}
 
 
 def test_select_single_rule():
@@ -113,17 +93,18 @@ def test_select_single_rule():
     assert reported_rules(result.stdout) == ["wall-clock"]
 
 
-def test_select_typestate_narrows_to_typestate_findings():
-    result = run_cli("--select", "typestate", *SEEDED)
-    assert result.returncode == 1
-    rules = set(reported_rules(result.stdout))
-    assert rules and rules <= TYPESTATE_RULES
-
-
 def test_select_unknown_rule_is_usage_error():
-    result = run_cli("--select", "no-such-rule", str(FIXTURE))
+    result = run_cli("--select", "wall-clock,no-such-rule", str(FIXTURE))
     assert result.returncode == 2
     assert "no-such-rule" in result.stderr
+    assert "wall-clock" in result.stderr  # the known rules are listed
+
+
+def test_select_typestate_is_usage_error():
+    """The typestate check was removed; selecting it is an unknown
+    check like any other."""
+    result = run_cli("--select", "typestate", "src")
+    assert result.returncode == 2
     assert "typestate" in result.stderr
 
 
@@ -151,4 +132,4 @@ def test_list_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0
     listed = {line.split()[0] for line in result.stdout.splitlines()}
-    assert listed == ALL_RULES | set(FLOW_CHECKS)
+    assert listed == ALL_RULES

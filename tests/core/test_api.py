@@ -115,6 +115,31 @@ class TestBufferProvisioning:
             sa.make_descriptor(ch_a.ident, data=bytes(41))
 
 
+class TestRepostFree:
+    def test_each_buffer_goes_back_at_its_own_size(self, pair, sim):
+        """Buffers provided at two sizes are reposted at their own
+        sizes, not at the size of the last provide call."""
+        cluster, sa, sb, ch_a, ch_b = pair
+        out = {}
+
+        def flow():
+            (small,) = yield from sb.provide_receive_buffers(1, size=1024)
+            (large,) = yield from sb.provide_receive_buffers(1, size=4160)
+            out["buffers"] = small, large
+            yield from sa.send_copy(ch_a.ident, bytes(1000))
+            desc = yield from sb.recv()
+            assert desc.bufs == ((small, 1000),)
+            yield from sb.repost_free(desc)
+
+        run(sim, flow())
+        small, large = out["buffers"]
+        free = sb.endpoint.free_queue.drain()
+        assert [(fd.offset, fd.length) for fd in free] == [
+            (large, 4160),
+            (small, 1024),
+        ]
+
+
 class TestSessionOwnership:
     def test_session_constructor_checks_owner(self, pair, sim):
         cluster, sa, sb, ch_a, ch_b = pair

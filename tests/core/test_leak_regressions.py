@@ -1,10 +1,11 @@
-"""Error-path segment-buffer leaks (found by simflow, fixed in PR 7).
+"""Error-path segment-buffer leaks in the core send paths.
 
 Each test injects a failure into a send path mid-flight and asserts
 the transient buffer is returned to the segment allocator instead of
-leaking.  The script-level fixes (bench/micro, benchmarks/, examples/)
-are regression-covered statically by
-``tests/analysis/flow/test_typestate.py::test_real_tree_is_clean``.
+leaking.  The descriptor-protocol conformance machine
+(``tests/core/test_stateful.py``) drives the same ``send_copy`` error
+paths, an injected write failure and a send on a closed channel or a
+destroyed endpoint, on every NI kind.
 """
 
 import pytest

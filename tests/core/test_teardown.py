@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ChannelError, ProtectionError, SendDescriptor, UNetCluster
+from repro.core.errors import UNetError
 from repro.sim import Simulator
 
 from tests.core.conftest import run
@@ -105,6 +106,34 @@ class TestEndpointDestroy:
         cluster.agent("alice").destroy_endpoint(session.endpoint, "pa")
         sim.run(until=1e6)
         assert not tx.is_alive
+
+
+    @pytest.mark.parametrize(
+        "ni_kind, emulated",
+        [("sba200", False), ("sba100", False), ("sba200", True)],
+    )
+    def test_destroy_ends_a_blocked_receiver(self, ni_kind, emulated):
+        """A process blocked in ``recv`` when its endpoint is destroyed
+        fails with UNetError, as ``recv_poll`` does, instead of waiting
+        for good."""
+        sim = Simulator()
+        cluster = UNetCluster.pair(sim, ni_kind=ni_kind)
+        session = cluster.open_session("alice", "pa", emulated=emulated)
+        raised = []
+
+        def receiver():
+            try:
+                yield from session.recv()
+            except UNetError:
+                raised.append(True)
+
+        proc = sim.process(receiver())
+        sim.run(until=1e3)
+        assert proc.is_alive
+        cluster.agent("alice").destroy_endpoint(session.endpoint, "pa")
+        sim.run(until=1e6)
+        assert not proc.is_alive
+        assert raised == [True]
 
 
 class TestDirectoryServiceLifecycle:

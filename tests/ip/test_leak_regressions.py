@@ -1,4 +1,4 @@
-"""Error-path buffer leaks in the IP send paths (found by simflow).
+"""Error-path buffer leaks in the IP send paths.
 
 A failure after ``alloc`` but before the firmware takes ownership of
 the descriptor must return the buffer: no completion will ever fire

@@ -13,6 +13,7 @@ import pytest
 from repro.bench.ip import build_kernel_atm_pair, build_unet_pair
 from repro.core.errors import UNetError
 from repro.ip.tcp import TcpConfig
+from repro.sim import Simulator
 
 
 def session_of(stack):
@@ -135,3 +136,31 @@ def test_udp_port_binds_once(builder):
     assert stack_a._udp_sockets[1000] is first
     automatic = {stack_a.udp_socket().port for _ in range(3)}
     assert len(automatic) == 3 and 1000 not in automatic
+
+
+@pytest.mark.parametrize(
+    "build, rx_name",
+    [(build_unet_pair, "ipstack.1.pump"), (build_kernel_atm_pair, "atmdev.rx")],
+    ids=["unet", "kernel"],
+)
+def test_destroy_ends_the_receive_loop(monkeypatch, build, rx_name):
+    """Destroying the stack's endpoint ends its receive loop cleanly:
+    ``sim.run`` does not raise and the loop is not left blocked."""
+    started = []
+    spawn = Simulator.process
+
+    def record(self, generator, name=""):
+        proc = spawn(self, generator, name)
+        started.append(proc)
+        return proc
+
+    monkeypatch.setattr(Simulator, "process", record)
+    sim, cluster, stack_a, _stack_b = build()
+    monkeypatch.undo()
+    # alice's stack boots first, so its loop is the first of that name
+    rx = next(p for p in started if p.name == rx_name)
+    assert rx.is_alive
+    session = session_of(stack_a)
+    cluster.agent("alice").destroy_endpoint(session.endpoint, session.caller)
+    sim.run(until=sim.now + 1e6)
+    assert not rx.is_alive
