@@ -143,5 +143,12 @@ class Reassembler:
             _o.count("aal5.cells_reassembled", len(cells))
         return payload
 
+    def push_run(self, cells: List[Cell]) -> None:
+        """:meth:`push` for a run of cells of one VCI in one step.  The
+        caller guarantees that no cell of the run ends a PDU and that
+        the run fits under ``max_cells``, so every push would only have
+        appended."""
+        self._partial.setdefault(cells[0].vci, []).extend(cells)
+
     def pending_cells(self, vci: int) -> int:
         return len(self._partial.get(vci, ()))

@@ -22,7 +22,7 @@ per-cell schedule and is asserted equal in tests).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.atm.cell import ATM_CELL_SIZE, Cell
@@ -38,19 +38,28 @@ ETHERNET_10_BPS = 10_000_000.0
 class CellTrain:
     """A back-to-back burst of cells with an analytic arrival schedule.
 
-    Cell ``i`` arrives at ``arrivals_us[i]``.  The switch input is the
-    one train-aware sink: it accepts the whole train in one heap entry
-    and forwards it itself.  Every other receiver, the NI receive FIFO
-    included, gets plain per-cell deliveries.  The arrival floats are
-    exactly the ones the per-cell path would schedule, so a train is
-    bit-identical to per-cell simulation.
+    Cell ``i`` arrives at ``arrivals_us[i]``.  Two sinks are
+    train-aware.  The switch input accepts a host's train in one heap
+    entry and forwards it itself.  A switch output whose train was
+    claimed whole hands the admitted cells to the receiving SBA-200 in
+    one entry, and its receive loop runs them analytically.  Every
+    other receiver gets plain per-cell deliveries.  The arrival floats
+    are exactly the ones the per-cell path would schedule, so a train
+    is bit-identical to per-cell simulation.
+
+    ``live`` is the number of leading cells that still stand: a route
+    change that withdraws the tail lowers it.  A sink that holds the
+    train analytically sets ``settle``, which is called with no
+    arguments after ``live`` drops.
     """
 
-    __slots__ = ("cells", "arrivals_us")
+    __slots__ = ("cells", "arrivals_us", "live", "settle")
 
     def __init__(self, cells: List[Cell], arrivals_us: List[float]):
         self.cells = cells
         self.arrivals_us = arrivals_us
+        self.live = len(cells)
+        self.settle: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -134,8 +143,9 @@ class Link:
         """Attach the receiving end; must be called before traffic flows.
 
         ``train_sink``, when given, receives whole :class:`CellTrain`
-        batches from :meth:`put_train` in one event instead of per-cell
-        deliveries."""
+        batches in one event instead of per-cell deliveries: those of
+        :meth:`put_train`, or, on a switch output, the trains the switch
+        claims whole."""
         self._sink = sink
         self._train_sink = train_sink
 
@@ -220,15 +230,13 @@ class Link:
         return True
 
     def send_train_at(
-        self,
-        cells: Sequence[Cell],
-        instants: Sequence[float],
-        deliver: Optional[Callable[[int, Cell], None]] = None,
-    ) -> None:
+        self, cells: Sequence[Cell], instants: Sequence[float]
+    ) -> Tuple[List[int], List[float]]:
         """:meth:`send_at` for ``cells[i]`` as of ``instants[i]``, in one
-        pass on the fast path.  Each admitted cell is delivered by
-        ``deliver(i, cell)`` at its arrival; with ``deliver`` None
-        nothing is scheduled (a replay after :meth:`rewind`).
+        pass on the fast path, scheduling nothing.  Returns the indices
+        of the admitted cells and their arrival floats at the far end;
+        the caller schedules their delivery (or, replaying after
+        :meth:`rewind`, does not).
 
         Claiming ahead is exact only if the instants are in order and
         no other claim on this link falls before the last of them.  The
@@ -238,20 +246,19 @@ class Link:
         capacity = self.capacity
         claim = self._claim
         propagation = self.propagation_us
-        schedule_at = self.sim.schedule_callback_at
-        admitted = 0
+        admitted: List[int] = []
+        arrivals: List[float] = []
         for i, now in enumerate(instants):
             while starts and starts[0] <= now:
                 starts.popleft()
             if len(starts) >= capacity:
                 continue
-            finish = claim(cells[i], now)
-            admitted += 1
-            if deliver is not None:
-                schedule_at(finish + propagation, deliver, i, cells[i])
-        self.cells_sent += admitted
-        self.bytes_sent += ATM_CELL_SIZE * admitted
-        self.cells_dropped += len(instants) - admitted
+            admitted.append(i)
+            arrivals.append(claim(cells[i], now) + propagation)
+        self.cells_sent += len(admitted)
+        self.bytes_sent += ATM_CELL_SIZE * len(admitted)
+        self.cells_dropped += len(instants) - len(admitted)
+        return admitted, arrivals
 
     def claim_state(self) -> tuple:
         """Everything a claim changes, for :meth:`rewind`."""

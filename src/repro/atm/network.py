@@ -10,10 +10,10 @@ kernel agent opens a channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.atm.cell import Cell
-from repro.atm.link import TAXI_140_BPS, Link
+from repro.atm.link import TAXI_140_BPS, CellTrain, Link
 from repro.atm.switch import Switch
 from repro.sim import Simulator
 
@@ -50,8 +50,15 @@ class NetworkPort:
     def send_cell(self, cell: Cell) -> bool:
         return self.tx_link.send(cell)
 
-    def set_rx_sink(self, sink: Callable[[Cell], None]) -> None:
-        self.network.switch.output_links[self.index].connect(sink)
+    def set_rx_sink(
+        self,
+        sink: Callable[[Cell], None],
+        train_sink: Optional[Callable[[CellTrain], None]] = None,
+    ) -> None:
+        """Wire the switch output link into the host; ``train_sink``
+        takes the trains the switch claims whole (see
+        :meth:`Link.connect`)."""
+        self.network.switch.output_links[self.index].connect(sink, train_sink)
 
 
 class AtmNetwork:

@@ -6,7 +6,8 @@ the outgoing VCI, and forwarded after a fixed switching latency to the
 output link of the destination port; the output slot is claimed, as of
 the exit instant, when the cell enters the crossbar.  A cell train from
 the only port routed to its output has every slot claimed when its
-first cell arrives (:meth:`Switch.input_train_sink`).  Output contention
+first cell arrives (:meth:`Switch.input_train_sink`), and reaches a
+train-aware receiver (the SBA-200) as one train.  Output contention
 is absorbed by the (finite) output link queue; overflow drops cells,
 which downstream turns into AAL5 CRC failures -- the paper's §7.8
 cell-loss discussion.
@@ -14,7 +15,7 @@ cell-loss discussion.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -36,9 +37,23 @@ class _TrainClaim:
     kept until a route change may need to withdraw its later cells.
 
     ``live`` is the number of leading cells whose deliveries stand;
-    every delivery entry checks its index against it."""
+    every delivery entry checks its index against it.  When the output
+    link has a train sink, the admitted cells go out as one
+    :class:`CellTrain` (``out_train``; ``admitted`` maps its cells to
+    the claim's indices) and a withdrawal lowers that train's ``live``
+    instead."""
 
-    __slots__ = ("port", "vci", "link", "train", "exits", "link_state", "live")
+    __slots__ = (
+        "port",
+        "vci",
+        "link",
+        "train",
+        "exits",
+        "link_state",
+        "live",
+        "out_train",
+        "admitted",
+    )
 
     def __init__(self, port, vci, link, train, exits, link_state):
         self.port = port
@@ -48,10 +63,25 @@ class _TrainClaim:
         self.exits = exits
         self.link_state = link_state
         self.live = len(exits)
+        self.out_train: Optional[CellTrain] = None
+        self.admitted: List[int] = []
 
     def deliver(self, i: int, cell: Cell) -> None:
         if i < self.live:
             self.link._deliver_cell(cell)
+
+    def deliver_train(self, train: CellTrain) -> None:
+        if train.live:
+            self.link._deliver_train(train)
+
+    def cut(self, kept: int) -> None:
+        """Withdraw every cell from index ``kept`` on."""
+        self.live = kept
+        out = self.out_train
+        if out is not None:
+            out.live = bisect_left(self.admitted, kept)
+            if out.settle is not None:
+                out.settle()
 
 
 class Switch:
@@ -237,7 +267,8 @@ class Switch:
         """Claim every cell's output slot now, as :meth:`_receive` would
         at each arrival.  ``port`` is the link's only feeder and its
         cells arrive in order, so the claims are made in exit order
-        with no other claim between them."""
+        with no other claim between them.  An output link with a train
+        sink gets the admitted cells as one train, in one entry."""
         latency = self.switching_latency_us
         exits = [arrival + latency for arrival in train.arrivals_us]
         claim = _TrainClaim(
@@ -246,9 +277,19 @@ class Switch:
         self._claims[port] = claim
         self.cells_switched += len(exits)
         out_vci = route.out_vci
-        link.send_train_at(
-            [cell.with_vci(out_vci) for cell in train.cells], exits, claim.deliver
-        )
+        cells = [cell.with_vci(out_vci) for cell in train.cells]
+        admitted, arrivals = link.send_train_at(cells, exits)
+        schedule_at = self.sim.schedule_callback_at
+        if link._train_sink is not None and len(admitted) > 1:
+            # The receiving NI takes the admitted cells in one entry too.
+            out = CellTrain([cells[i] for i in admitted], arrivals)
+            claim.out_train = out
+            claim.admitted = admitted
+            schedule_at(arrivals[0], claim.deliver_train, out)
+        else:
+            deliver = claim.deliver
+            for i, arrival in zip(admitted, arrivals):
+                schedule_at(arrival, deliver, i, cells[i])
 
     def _withdraw(self, claim: _TrainClaim) -> None:
         """Take back the claims of the cells that have not arrived yet
@@ -264,7 +305,7 @@ class Switch:
         withdrawn = len(train) - kept
         if not withdrawn:
             return
-        claim.live = kept
+        claim.cut(kept)
         link = claim.link
         link.rewind(claim.link_state)
         link.send_train_at(train.cells[:kept], claim.exits[:kept])

@@ -58,8 +58,7 @@ class UNetCluster:
             port = self.network.attach(name)
             host = Workstation(sim, name, mhz=mhz)
             ni = ni_cls(host, port, costs=ni_costs or default_costs())
-            agent = KernelAgent(host, ni, limits=limits)
-            self.directory.register_agent(agent)
+            agent = KernelAgent(host, ni, self.directory, limits=limits)
             self.hosts[name] = host
             self.agents[name] = agent
 

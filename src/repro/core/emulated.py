@@ -163,14 +163,21 @@ class EmulatedUNet:
             # Kernel -> user crossing and copy into the user's segment.
             yield from host.syscall()
             payload = self.real.gather(desc)
-            if len(payload) <= SINGLE_CELL_MAX:
+            inline = len(payload) <= SINGLE_CELL_MAX
+            if not inline:
+                yield from host.copy(len(payload))
+            if emu.destroyed:
+                # Destroyed during the crossing: nobody left to deliver to.
+                self.unmatched += 1
+                self._recycle(desc)
+                continue
+            if inline:
                 emu.deliver(
                     RecvDescriptor(
                         channel=emu_ch.ident, length=len(payload), inline=payload
                     )
                 )
             else:
-                yield from host.copy(len(payload))
                 emu.deliver_scattered(emu_ch.ident, payload)
             self._recycle(desc)
             self.forwarded_in += 1

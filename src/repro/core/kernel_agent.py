@@ -46,6 +46,7 @@ class KernelAgent:
         self,
         host: Workstation,
         ni,
+        directory: "ClusterDirectory",
         limits: Optional[ResourceLimits] = None,
         auth: AuthCheck = allow_all,
     ):
@@ -58,6 +59,9 @@ class KernelAgent:
         self._next_channel_id = 1
         self.syscalls = 0
         self._emulation = None  # lazy EmulatedUNet (§3.5)
+        #: The cluster directory; it tears down both halves of a channel.
+        self.directory = directory
+        directory.register_agent(self)
 
     @property
     def emulation(self):
@@ -132,12 +136,16 @@ class KernelAgent:
         return endpoint
 
     def destroy_endpoint(self, endpoint: Endpoint, caller: str) -> None:
-        """System call: tear down an endpoint and all its channels."""
+        """System call: tear down an endpoint and all its channels.
+
+        Each channel closes on both sides and its virtual circuit is
+        released, as :meth:`ClusterDirectory.disconnect` does, so the
+        peer's sends are refused instead of vanishing at this host."""
         self.syscalls += 1
         endpoint.check_owner(caller)
         for channel in list(endpoint.channels.values()):
             if channel.open:
-                self._close_channel_local(channel)
+                self.directory.close_channel(channel)
         endpoint.destroy()
         if endpoint.emulated:
             self.emulation.emulated.remove(endpoint)
@@ -260,6 +268,13 @@ class ClusterDirectory:
     def disconnect(self, channel: Channel, caller: str) -> None:
         """Tear down both halves of a full-duplex channel."""
         channel.endpoint.check_owner(caller)
+        if not self.close_channel(channel):
+            raise ChannelError("peer half of the channel was not found")
+
+    def close_channel(self, channel: Channel) -> bool:
+        """Close ``channel``, its peer half and their virtual circuit.
+        Returns False, with only the local half closed, if the peer
+        half is not found."""
         local_host = self._find_host(channel.endpoint)
         peer_agent = self._agents[channel.peer_host]
         self._agents[local_host]._close_channel_local(channel)
@@ -281,5 +296,5 @@ class ClusterDirectory:
                         channel.peer_host,
                         VciPair(tx=channel.tx_vci, rx=channel.rx_vci),
                     )
-                    return
-        raise ChannelError("peer half of the channel was not found")
+                    return True
+        return False

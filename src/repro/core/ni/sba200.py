@@ -19,11 +19,14 @@ Fast paths from the paper:
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left
+from math import inf, nextafter
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.atm.aal5 import cells_for_pdu, segment_pdu
 from repro.atm.cell import Cell
+from repro.atm.link import CellTrain
 from repro.atm.network import NetworkPort
 from repro.core.descriptors import SINGLE_CELL_MAX, SendDescriptor
 from repro.core.endpoint import Endpoint
@@ -45,6 +48,10 @@ class Sba200UNet(NetworkInterface):
         "i960",
         "single_cell_optimization",
         "_rx_busy",
+        "_rx_running",
+        "_rx_first",
+        "_rx_starts",
+        "_rx_pending",
     )
 
     def __init__(
@@ -63,6 +70,14 @@ class Sba200UNet(NetworkInterface):
         #: True from the moment a cell reaches the receive firmware until
         #: the FIFO is found empty after it.
         self._rx_busy = False
+        #: The train being run analytically, the index of its run's
+        #: first cell and the start float of each cell of the run; and
+        #: the (train, first cell) runs waiting behind it.
+        self._rx_running: Optional[CellTrain] = None
+        self._rx_first = 0
+        self._rx_starts: Optional[List[float]] = None
+        self._rx_pending: List[Tuple[CellTrain, int]] = []
+        port.set_rx_sink(self._rx_sink, self._rx_train_sink)
 
     # -- transmit ---------------------------------------------------------
     def _on_attach(self, endpoint: Endpoint) -> None:
@@ -111,6 +126,9 @@ class Sba200UNet(NetworkInterface):
                 if _o is not None
                 else None
             )
+            # Asking for the i960 is the one contact between the two
+            # loops, so the receive trains settle first.
+            self._rx_settle()
             yield from self.i960.use(cost)
             cells = segment_pdu(payload, channel.tx_vci)
             # Paced by the outbound cell queue: back-pressure propagates
@@ -135,7 +153,24 @@ class Sba200UNet(NetworkInterface):
     # stays shared with the generator-based _tx_firmware.  A cell starts
     # its hold in the entry that hands it over (the fiber delivery, or
     # the end of the previous cell's hold), with no zero-delay hop.
+    #
+    # A train the switch claimed whole reaches _rx_train_sink in one
+    # entry, at its first cell's arrival.  Its per-cell holds are a
+    # Lindley recursion (_rx_start): cell i starts at max(arrival i,
+    # end of cell i-1) and holds for i960_rx_per_cell_us; the run stops
+    # before a cell that would find the FIFO full and after a cell that
+    # ends a PDU.  Only the run's last hold end is an entry
+    # (_rx_train_end): the run enters the reassembler in one step and
+    # the loop goes on from its last cell, through _rx_reassemble as
+    # usual.  A train that arrives while the loop is busy waits in
+    # _rx_pending until the loop finds the FIFO empty.  Whatever else
+    # reaches the receive side first -- the transmit firmware asking
+    # for the i960, a per-cell arrival, or a route change withdrawing
+    # cells -- calls _rx_settle, which hands the trains back to the
+    # per-cell path as of that instant.
     def _rx_sink(self, cell: Cell) -> None:
+        if self._rx_running is not None or self._rx_pending:
+            self._rx_settle(arrival=True)
         if self._rx_busy:
             NetworkInterface._rx_sink(self, cell)
             return
@@ -149,6 +184,176 @@ class Sba200UNet(NetworkInterface):
         if _o is not None:
             _o.sample(self.sim._now, self._k_rxfifo_depth, 0, host=self.host.name)
         self._rx_cell(cell)
+
+    def _rx_train_sink(self, train: CellTrain) -> None:
+        """A claimed train, at its first cell's arrival."""
+        train.settle = self._rx_settle
+        self._rx_take(train, 0)
+
+    def _rx_take(self, train: CellTrain, first: int) -> None:
+        """Cells ``first..`` of ``train``, at the arrival of ``first``:
+        run them now on an idle loop, queue them behind a busy one, or
+        else receive this cell alone and offer the rest at the next
+        arrival."""
+        live = train.live
+        if first >= live:
+            return  # withdrawn by a route change
+        if not self._rx_busy:
+            if not self.i960.in_use and self._rx_fits(train, first):
+                self._rx_busy = True
+                self._rx_start(train, first, self.sim._now)
+                return
+        elif (
+            len(self.input_fifo)
+            + self._rx_backlog(train.arrivals_us[first])
+            + live
+            - first
+            <= self.input_fifo.capacity
+        ):
+            # No cell of it can find the FIFO full before the loop gets
+            # to it.
+            self._rx_pending.append((train, first))
+            return
+        self._rx_sink(train.cells[first])
+        if first + 1 < live:
+            self.sim.schedule_callback_at(
+                train.arrivals_us[first + 1], self._rx_take, train, first + 1
+            )
+
+    def _rx_fits(self, train: CellTrain, first: int) -> bool:
+        """True if reassembling the cells cannot overflow their VCI."""
+        reassembler = self.reassembler
+        return (
+            reassembler.pending_cells(train.cells[first].vci) + train.live - first
+            <= reassembler.max_cells
+        )
+
+    def _rx_backlog(self, at: float) -> int:
+        """Cells of the held trains not started by ``at``."""
+        waiting = sum(train.live - first for train, first in self._rx_pending)
+        starts = self._rx_starts
+        if starts is not None:
+            waiting += len(starts) - bisect_left(starts, at)
+        return waiting
+
+    def _rx_start(self, train: CellTrain, first: int, free: float) -> None:
+        """Run cells ``first..`` of ``train`` through the loop
+        analytically, the i960 free for them from ``free`` on."""
+        cells = train.cells
+        arrivals = train.arrivals_us
+        hold = self.costs.i960_rx_per_cell_us
+        capacity = self.input_fifo.capacity
+        live = train.live
+        starts = []
+        waiting = 0  # first cell of the run that may not have started
+        i = first
+        while i < live:
+            arrival = arrivals[i]
+            queued = len(starts) - waiting
+            if queued >= capacity:
+                # The FIFO holds the cells that arrived and have not
+                # started; one that starts on this float still counts.
+                while queued and starts[waiting] < arrival:
+                    waiting += 1
+                    queued -= 1
+                if queued >= capacity:
+                    break
+            if arrival > free:
+                free = arrival
+            starts.append(free)
+            free += hold
+            i += 1
+            if cells[i - 1].last:
+                break
+        self._rx_running = train
+        self._rx_first = first
+        self._rx_starts = starts
+        self.sim.schedule_callback_at(starts[-1] + hold, self._rx_train_end, starts)
+        if i < live:
+            self.sim.schedule_callback_at(arrivals[i], self._rx_take, train, i)
+
+    def _rx_train_end(self, starts: List[float]) -> None:
+        """The run's last hold ends: the run enters the reassembler and
+        the loop goes on from its last cell."""
+        if starts is not self._rx_starts:
+            return  # settled onto the per-cell path meanwhile
+        train = self._rx_running
+        first = self._rx_first
+        last = first + len(starts) - 1
+        self._rx_running = self._rx_starts = None
+        if last > first:
+            self.reassembler.push_run(train.cells[first:last])
+        self._rx_reassemble(train.cells[last], None, None)
+
+    def _rx_settle(self, arrival: bool = False) -> None:
+        """Hand the held cells back to the per-cell path as of now.
+
+        Cells whose hold has ended enter the reassembler, the cell in
+        its hold gets a real i960 hold ending on its float, cells that
+        have arrived wait in the FIFO, and the rest are offered again
+        at their arrivals.  A hold that ends or starts on this very
+        float counts as done or started, unless the contact is itself
+        a cell ``arrival``: per cell, a delivery was scheduled when the
+        switch claimed it, so it ran before the loop's own step on the
+        same float."""
+        train = self._rx_running
+        pending = self._rx_pending
+        if train is None and not pending:
+            return
+        now = self.sim._now
+        self._rx_pending = []
+        if train is not None:
+            first = self._rx_first
+            starts = self._rx_starts
+            self._rx_running = self._rx_starts = None
+            cells = train.cells
+            hold = self.costs.i960_rx_per_cell_us
+            after = nextafter(now, -inf) if arrival else now
+            stop = min(first + len(starts), train.live)
+            # The run's last hold end is an entry not yet fired, so that
+            # cell is still in its hold even on its end float.
+            last = first + len(starts) - 1
+            i = first
+            while i < stop and i < last and starts[i - first] + hold <= after:
+                i += 1
+            if i > first:
+                self.reassembler.push_run(cells[first:i])
+            self._rx_busy = i < stop and starts[i - first] <= after
+            if self._rx_busy:
+                self.i960.hold_until(
+                    starts[i - first] + hold,
+                    self._rx_reassemble,
+                    cells[i],
+                    None,
+                    None,
+                )
+                i += 1
+            self._rx_release(train, i, stop, now)
+        for train, first in pending:
+            self._rx_release(train, first, train.live, now)
+
+    def _rx_release(self, train: CellTrain, first: int, stop: int, now: float) -> None:
+        """Cells ``first..stop-1``, not started: the ones that have
+        arrived are received now, the rest offered again at their
+        arrivals.  When cells from ``stop`` on are the rest of a run that
+        stopped early, they already have their own offer, so these get
+        plain deliveries."""
+        arrivals = train.arrivals_us
+        schedule_at = self.sim.schedule_callback_at
+        for i in range(first, stop):
+            if arrivals[i] <= now:
+                self._rx_sink(train.cells[i])
+            elif stop < train.live:
+                for j in range(i, stop):
+                    schedule_at(arrivals[j], self._rx_train_cell, train, j)
+                return
+            else:
+                schedule_at(arrivals[i], self._rx_take, train, i)
+                return
+
+    def _rx_train_cell(self, train: CellTrain, i: int) -> None:
+        if i < train.live:
+            self._rx_sink(train.cells[i])
 
     def _rx_cell(self, cell: Cell) -> None:
         """Start one cell: the fixed per-cell i960 cost."""
@@ -192,14 +397,19 @@ class Sba200UNet(NetworkInterface):
 
     def _rx_dispatch(self, channel, pdu: bytes, single: bool) -> tuple:
         """Choose the i960 cost and the delivery call for a reassembled
-        PDU: ``(cost_us, deliver, args)``, where ``deliver(*args)``
-        returns True once the message is queued for the endpoint."""
+        PDU: ``(cost_us, deliver, args)``, where ``args[0]`` is
+        ``channel`` and ``deliver(*args)`` returns True once the message
+        is queued for the endpoint."""
         if single:
             return self.costs.i960_rx_single_us, self._deliver_inline, (channel, pdu)
         return self.costs.i960_rx_packet_us, self._deliver_buffered, (channel, pdu)
 
     def _rx_deliver(self, deliver, args: tuple, _o, _sp) -> None:
-        if deliver(*args):
+        if args[0].endpoint.destroyed:
+            # Destroyed during the completion hold: nobody to deliver to.
+            if _o is not None:
+                _o.count(self._k_rx_unmatched)
+        elif deliver(*args):
             self.pdus_received += 1
         self._rx_next(_o, _sp)
 
@@ -208,6 +418,17 @@ class Sba200UNet(NetworkInterface):
         if _sp is not None:
             _o.end(_sp, self.sim._now)
         cell = self.input_fifo.try_get()
+        if cell is None and self._rx_pending:
+            # The waiting train's cells come next.  The i960 is free
+            # unless the transmit firmware was already waiting for it
+            # when the train was queued.
+            train, first = self._rx_pending[0]
+            if not self.i960.in_use and self._rx_fits(train, first):
+                del self._rx_pending[0]
+                self._rx_start(train, first, self.sim._now)
+                return
+            self._rx_settle()
+            cell = self.input_fifo.try_get()
         if cell is None:
             self._rx_busy = False
         else:

@@ -192,6 +192,18 @@ class Resource:
             self._queue, (0, self._seq, _HoldGrant(self, fn, args), duration)
         )
 
+    def hold_until(self, end: float, fn, *args: Any) -> None:
+        """:meth:`hold` of a free resource up to the instant ``end``,
+        for a hold that began earlier on a clock the holder kept itself:
+        ``hold(end - now)`` would end at ``now + (end - now)``, which
+        need not round to ``end``."""
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(self), f"res:{self.name}", "w")
+        if self._in_use >= self.capacity or self._queue:
+            raise SimulationError(f"resource {self.name!r} is not free")
+        self.sim.schedule_callback_at(end, self._end_hold, fn, args)
+        self._in_use += 1
+
     def _end_hold(self, fn, args: tuple) -> None:
         self._release_held()
         fn(*args)

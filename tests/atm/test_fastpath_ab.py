@@ -4,19 +4,25 @@ The analytic fast path in :mod:`repro.atm.link` must be *bit-identical*
 to the per-cell path it replaces — same delivery timestamps, same cell
 ordering, same sender completion times — or every figure in the paper
 reproduction silently shifts.  These tests pin that equivalence at the
-link level, through the switch, and end-to-end through the benchmark
-harness.
+link level, through the switch, into the receiving NI's i960 loop, and
+end-to-end through the benchmark harness.
 """
+
+import random
+from math import inf, nextafter
 
 import pytest
 
 import repro.atm.link as linkmod
-from repro.atm.aal5 import cells_for_pdu, segment_pdu
+from repro.atm.aal5 import Reassembler, cells_for_pdu, segment_pdu
 from repro.atm.cell import Cell
 from repro.atm.link import TAXI_140_BPS, Link
 from repro.atm.network import AtmNetwork
 from repro.atm.switch import Switch
-from repro.core import UNetCluster
+from repro.core import SendDescriptor, UNetCluster
+from repro.core.errors import UNetError
+from repro.core.ni.costs import ForeCosts, Sba200Costs
+from repro.core.ni.sba200 import Sba200UNet
 from repro.sim import Simulator
 
 
@@ -346,6 +352,35 @@ class TestEntryCounts:
         assert n_claimed == n_per_cell == n_cells
         assert per_cell - claimed == n_cells - 1
 
+    def test_one_pdu_to_an_idle_sba200(self):
+        """One 4000-byte PDU, 84 cells, from alice's send ring into bob's
+        receive queue.  Received cell by cell it took 173 entries: 84
+        deliveries and 84 i960 holds at bob, and 5 more (alice's send
+        ring wake-up, her i960 hold, her train into the switch, its
+        admission to her transmit queue, and bob's PDU hold).  As one
+        train it takes 7: its delivery and its last cell's hold end
+        replace the 168."""
+        sim = Simulator()
+        cluster = UNetCluster.pair(sim)
+        sa = cluster.open_session("alice", "pa")
+        sb = cluster.open_session("bob", "pb")
+        ch_a, _ = cluster.connect_sessions(sa, sb)
+
+        def setup():
+            yield from sb.provide_receive_buffers(1)
+            offset = sa.alloc(4000)
+            yield from sa.write_segment(offset, bytes(4000))
+            return offset
+
+        proc = sim.process(setup())
+        sim.run()
+        before = sim.stats()["schedules"]
+        desc = SendDescriptor(channel=ch_a.ident, bufs=((proc.value, 4000),))
+        assert sa.endpoint.post_send(desc, "pa")
+        sim.run()
+        assert sb.endpoint.messages_received == 1
+        assert sim.stats()["schedules"] - before == 7
+
     def test_idle_sba200_receive_starts_its_hold_at_once(self):
         sim = Simulator()
         cluster = UNetCluster.pair(sim)
@@ -360,3 +395,413 @@ class TestEntryCounts:
         assert sim.peek() == sim.now + ni.costs.i960_rx_per_cell_us
         sim.run()
         assert ni.i960.in_use == 0
+
+
+# -- the receiving NI takes whole trains --------------------------------------
+
+
+@pytest.fixture
+def ni_log(monkeypatch):
+    """Every PDU delivery step of every SBA-200-family NI, the cells
+    of every PDU that reached reassembly, and the trains the receive
+    loop ran analytically or handed back."""
+    log = {"deliveries": [], "pdus": [], "runs": 0, "settles": 0}
+    push = Reassembler.push
+    deliver = Sba200UNet._rx_deliver
+    start = Sba200UNet._rx_start
+    settle = Sba200UNet._rx_settle
+
+    def recording_deliver(self, *args):
+        before = self.pdus_received
+        deliver(self, *args)
+        log["deliveries"].append(
+            (self.name, self.sim.now.hex(), self.pdus_received - before)
+        )
+
+    def counting_start(self, *args):
+        log["runs"] += 1
+        start(self, *args)
+
+    def counting_settle(self, **kwargs):
+        if self._rx_running is not None or self._rx_pending:
+            log["settles"] += 1
+        settle(self, **kwargs)
+
+    def recording_push(self, cell):
+        if cell.last:
+            cells = self._partial.get(cell.vci, [])
+            log["pdus"].append([c.seq for c in cells] + [cell.seq])
+        return push(self, cell)
+
+    monkeypatch.setattr(Reassembler, "push", recording_push)
+    monkeypatch.setattr(Sba200UNet, "_rx_deliver", recording_deliver)
+    monkeypatch.setattr(Sba200UNet, "_rx_start", counting_start)
+    monkeypatch.setattr(Sba200UNet, "_rx_settle", counting_settle)
+    return log
+
+
+class _NiRig:
+    """alice sends 4000-byte frames to bob through one switch whose
+    output links are on or off their fast path."""
+
+    def __init__(self, fast_output, kind="sba200", costs=None, hosts=("alice", "bob")):
+        self.sim = sim = Simulator()
+        self.cluster = cluster = UNetCluster(
+            sim, [(name, 60.0) for name in hosts], ni_kind=kind, ni_costs=costs
+        )
+        for link in cluster.network.switch.output_links:
+            link.fast_path = fast_output
+        self.sa = cluster.open_session("alice", "pa")
+        self.sb = cluster.open_session("bob", "pb")
+        self.ch_a, self.ch_b = cluster.connect_sessions(self.sa, self.sb)
+
+        def provide():
+            yield from self.sa.provide_receive_buffers(8)
+            yield from self.sb.provide_receive_buffers(8)
+
+        sim.process(provide())
+        sim.run()
+
+    def send(self, frames=1, nbytes=4000):
+        def sender():
+            for _ in range(frames):
+                yield from self.sa.send_copy(self.ch_a.ident, bytes(nbytes))
+
+        self.sim.process(sender())
+
+    # Actions taken between two runs, at an exact instant.
+    def bob_sends(self):
+        """bob's transmit firmware asks for the i960 at this instant:
+        the descriptor goes straight onto the send ring."""
+        desc = SendDescriptor(channel=self.ch_b.ident, inline=b"ack")
+        assert self.sb.endpoint.post_send(desc, "pb")
+
+    def remove_route(self):
+        port = self.cluster.network.port("alice").index
+        self.cluster.network.switch.remove_route(port, self.ch_a.tx_vci)
+
+    def disconnect(self):
+        self.cluster.directory.disconnect(self.ch_a, "pa")
+
+    def destroy(self):
+        """Destroying bob's endpoint closes alice's half and the circuit."""
+        self.cluster.agent("bob").destroy_endpoint(self.sb.endpoint, "pb")
+
+    def record(self):
+        nis = []
+        for name in ("alice", "bob"):
+            ni = self.cluster.host(name).ni
+            asm = ni.reassembler
+            nis.append(
+                (
+                    ni.pdus_received,
+                    ni.input_fifo_drops,
+                    asm.completed_pdus,
+                    asm.crc_errors,
+                    sorted(asm._partial.items()),
+                    ni.i960.in_use,
+                    ni.i960.queued,
+                )
+            )
+        switch = self.cluster.network.switch
+        return nis, switch.cells_switched, switch.cells_unrouted
+
+
+def _bob_timeline(kind="sba200", costs=None, frames=1):
+    """bob's per-cell arrival and hold-end floats, from a run with the
+    output links off their fast path."""
+    arrivals, hold_ends = [], []
+    rig = _NiRig(False, kind, costs)
+    ni = rig.cluster.host("bob").ni
+    sink = ni._rx_sink
+    rig.cluster.network.port("bob").set_rx_sink(
+        lambda cell: (arrivals.append(rig.sim.now), sink(cell))
+    )
+    reassemble = Sba200UNet._rx_reassemble
+
+    def timed(self, *args):
+        if self is ni:
+            hold_ends.append(self.sim.now)
+        reassemble(self, *args)
+
+    Sba200UNet._rx_reassemble = timed
+    try:
+        rig.send(frames)
+        rig.sim.run()
+    finally:
+        Sba200UNet._rx_reassemble = reassemble
+    return arrivals, hold_ends
+
+
+class TestNiTrains:
+    """bob's SBA-200 running claimed trains analytically (output links
+    on the fast path) against per-cell reception (off it)."""
+
+    def _ab(self, ni_log, scenario, settled=False, ran=True):
+        results = []
+        for fast in (True, False):
+            ni_log.update(deliveries=[], pdus=[], runs=0, settles=0)
+            record = scenario(fast)
+            results.append((ni_log["deliveries"], ni_log["pdus"], record))
+            if fast:
+                assert bool(ni_log["runs"]) == ran
+                assert bool(ni_log["settles"]) == settled
+            else:
+                assert not ni_log["runs"] and not ni_log["settles"]
+        fast, slow = results
+        assert fast == slow
+        deliveries, _, record = fast
+        return deliveries, record
+
+    @pytest.mark.parametrize(
+        "kind, costs",
+        [
+            ("sba200", None),
+            ("fore", None),
+            ("direct", None),
+            ("fore", ForeCosts(input_fifo_cells=8)),
+        ],
+        ids=["sba200", "fore", "direct", "fore-small-fifo"],
+    )
+    def test_back_to_back_frames(self, ni_log, kind, costs):
+        def scenario(fast):
+            rig = _NiRig(fast, kind, costs)
+            rig.send(frames=3)
+            rig.sim.run()
+            return rig.record(), rig.sim.now.hex()
+
+        # A cell that would find the small FIFO full ends the run and
+        # hands the train back.
+        deliveries, ((nis, *_), _) = self._ab(
+            ni_log, scenario, settled=costs is not None
+        )
+        (_, bob) = nis
+        if costs is None:
+            assert len(deliveries) == bob[0] == 3
+        else:
+            # The 8-cell FIFO overflows mid-train: every frame loses cells.
+            assert bob[1] > 0 and bob[0] == 0 and bob[3] == 3
+
+    @pytest.mark.parametrize("kind", ["sba200", "fore"])
+    @pytest.mark.parametrize("when", ["mid", "on_arrival", "on_hold_end"])
+    def test_receiver_sends_mid_train(self, ni_log, kind, when):
+        arrivals, hold_ends = _bob_timeline(kind)
+        k = len(arrivals) // 2
+        at = {
+            "mid": (arrivals[k] + arrivals[k + 1]) / 2,
+            "on_arrival": arrivals[k],
+            "on_hold_end": hold_ends[k],
+        }[when]
+
+        def scenario(fast):
+            rig = _NiRig(fast, kind)
+            rig.send()
+            rig.sim.run(until=at)
+            rig.bob_sends()
+            rig.sim.run()
+            return rig.record(), rig.sim.now.hex()
+
+        deliveries, ((nis, *_), _) = self._ab(ni_log, scenario, settled=True)
+        assert sorted(n for n, _, _ in deliveries) == ["alice.ni", "bob.ni"]
+        assert nis[0][0] == nis[1][0] == 1
+
+    def test_receiver_sends_before_a_predicted_drop(self, ni_log):
+        """A 4 us/cell i960 behind a 10-cell FIFO: the run stops before
+        the first cell that would find the FIFO full, and bob sends
+        before that cell arrives.  The settled run's cells and the
+        rest of the train, which has its own offer, are each received
+        once."""
+        costs = Sba200Costs(input_fifo_cells=10, i960_rx_per_cell_us=4.0)
+        arrivals, _ = _bob_timeline(costs=costs)
+        at = (arrivals[12] + arrivals[13]) / 2
+
+        def scenario(fast):
+            rig = _NiRig(fast, costs=costs)
+            rig.send(frames=2)
+            rig.sim.run(until=at)
+            rig.bob_sends()
+            rig.sim.run()
+            return rig.record(), rig.sim.now.hex()
+
+        deliveries, ((nis, *_), _) = self._ab(ni_log, scenario, settled=True)
+        (_, bob) = nis
+        # FIFO drops cost the first frame its last cell, so both frames
+        # fail reassembly as one runaway PDU.
+        assert bob[1] > 0 and bob[3] == 1 and not bob[0]
+
+    @pytest.mark.parametrize("when", ["before", "mid", "on_arrival"])
+    @pytest.mark.parametrize("action", ["remove_route", "disconnect", "destroy"])
+    def test_circuit_closed_mid_train(self, ni_log, when, action):
+        arrivals, _ = _bob_timeline()
+        k = len(arrivals) // 2
+        at = {
+            # The first cell is on the wire but not yet at the switch
+            # (2 us switching plus 3.3 us to bob).
+            "before": arrivals[0] - 6.0,
+            "mid": (arrivals[k] + arrivals[k + 1]) / 2,
+            "on_arrival": arrivals[k],
+        }[when]
+
+        def scenario(fast):
+            rig = _NiRig(fast)
+            rig.send()
+            rig.sim.run(until=at)
+            getattr(rig, action)()
+            rig.sim.run()
+            # No final sim.now: the settled run's last-hold entry still
+            # fires, after the last cell that stood.
+            return rig.record()
+
+        deliveries, (nis, switched, unrouted) = self._ab(
+            ni_log, scenario, settled=when != "before", ran=when != "before"
+        )
+        assert not deliveries and nis[1][0] == 0
+        assert unrouted > 0
+
+    def test_lone_cell_on_a_hold_end(self, ni_log):
+        """bob's i960 is backlogged behind a train (3.59 us/cell) and
+        its FIFO is just deep enough for it.  A lone cell from carol's
+        port reaches bob exactly when the cell in its hold at the
+        train's last arrival ends that hold, with the FIFO full.  Per
+        cell, the switch scheduled that delivery at its crossbar claim,
+        before the hold began, so it runs first and is dropped: the
+        settle on that arrival must count the cell as still in its hold.
+
+        The reference is bob's NI taking every cell one by one from the
+        same fast-path links.  Off the fast path the delivery entry is
+        made at the serialization end, after the hold began, so that
+        per-cell run drops no cell here."""
+        hold = 3.59
+        arrivals, hold_ends = _bob_timeline(
+            costs=Sba200Costs(i960_rx_per_cell_us=hold)
+        )
+        held = max(i for i, end in enumerate(hold_ends) if end - hold <= arrivals[-1])
+        depth = len(arrivals) - 1 - held
+        target = hold_ends[held]
+        costs = Sba200Costs(i960_rx_per_cell_us=hold, input_fifo_cells=depth)
+
+        def scenario(trains):
+            rig = _NiRig(True, costs=costs, hosts=("alice", "bob", "carol"))
+            net = rig.cluster.network
+            switch = net.switch
+            bob, carol = net.port("bob"), net.port("carol").index
+            link = switch.output_links[bob.index]
+            ni = rig.cluster.host("bob").ni
+            vci = net.allocate_vci()
+            lone = []
+
+            def sink(cell):
+                if cell.vci == vci:
+                    lone.append(rig.sim.now)
+                ni._rx_sink(cell)
+
+            bob.set_rx_sink(sink, ni._rx_train_sink if trains else None)
+            def lands(at):
+                """Arrival at bob of a cell entering the switch at ``at``
+                onto an idle output: crossbar, serialization, flight."""
+                return (
+                    at + switch.switching_latency_us + link._cell_us
+                ) + link.propagation_us
+
+            at = target - lands(0.0)
+            for _ in range(4):
+                at = nextafter(at, -inf)
+            while lands(at) < target:
+                at = nextafter(at, inf)
+
+            def carol_sends():
+                # alice's train has reached the switch whole, so the new
+                # feeder withdraws none of its claims.
+                switch.add_route(carol, vci, bob.index, vci)
+                switch.input_sink(carol)(segment_pdu(b"x", vci)[0])
+
+            rig.send()
+            rig.sim.schedule_callback_at(at, carol_sends)
+            rig.sim.run()
+            assert lone == [target]
+            return rig.record(), rig.sim.now.hex()
+
+        _, ((nis, *_), _) = self._ab(ni_log, scenario, settled=True)
+        (_, bob) = nis
+        assert bob[0] == 1 and bob[1] == 1
+
+    def test_run_stops_mid_train_and_resumes(self, ni_log):
+        arrivals, hold_ends = _bob_timeline("fore", frames=2)
+        stops = [arrivals[5], hold_ends[9], (arrivals[-3] + arrivals[-2]) / 2]
+
+        def scenario(fast):
+            rig = _NiRig(fast, "fore")
+            rig.send(frames=2)
+            bob = rig.cluster.host("bob").ni
+            seen = []
+            for at in stops:
+                rig.sim.run(until=at)
+                seen.append((bob.pdus_received, rig.sb.endpoint.messages_received))
+            rig.sim.run()
+            return seen, rig.record(), rig.sim.now.hex()
+
+        deliveries, (seen, *_) = self._ab(ni_log, scenario)
+        assert len(deliveries) == 2
+        assert seen == [(0, 0), (0, 0), (1, 1)]
+
+
+def _random_traffic(seed, fast_output):
+    """One seeded mix on a random SBA-200-family pair: frames of random
+    sizes both ways, bob's inline sends straight onto his ring at
+    random instants, and maybe one route removal, disconnect or
+    destroy."""
+    rnd = random.Random(seed)
+    kind = rnd.choice(["sba200", "fore", "direct"])
+    if kind == "fore":
+        costs = ForeCosts(input_fifo_cells=rnd.choice([8, 20, 60, 292]))
+    else:
+        costs = Sba200Costs(
+            input_fifo_cells=rnd.choice([10, 40, 292]),
+            i960_rx_per_cell_us=rnd.choice([0.5, 2.9, 3.1, 4.0]),
+        )
+    rig = _NiRig(fast_output, kind, costs)
+    sim = rig.sim
+
+    def sender(session, channel, sizes, gaps):
+        for size, gap in zip(sizes, gaps):
+            yield sim.timeout(gap)
+            try:
+                yield from session.send_copy(channel.ident, bytes(size))
+            except UNetError:
+                return  # the channel closed or the endpoint went
+
+    n = rnd.randint(1, 6)
+    sizes = [rnd.randint(1, 6000) for _ in range(n)]
+    gaps = [rnd.choice([0.0, 0.0, rnd.uniform(0, 300)]) for _ in range(n)]
+    sim.process(sender(rig.sa, rig.ch_a, sizes, gaps))
+    m = rnd.randint(0, 4)
+    sizes = [rnd.randint(1, 3000) for _ in range(m)]
+    gaps = [rnd.uniform(0, 400) for _ in range(m)]
+    sim.process(sender(rig.sb, rig.ch_b, sizes, gaps))
+    sends = sorted(rnd.uniform(0, 2000) for _ in range(rnd.randint(0, 4)))
+    action = rnd.choice([None, None, "remove_route", "disconnect", "destroy"])
+    at = rnd.uniform(0, 2000)
+    for when, step in sorted([(t, "bob_sends") for t in sends] + [(at, action)]):
+        sim.run(until=max(when, sim.now))
+        if step == "bob_sends":
+            if rig.ch_b.open:
+                rig.bob_sends()
+        elif step is not None:
+            getattr(rig, step)()
+    sim.run(until=sim.now + 1e5)
+    return rig.record(), [
+        session.endpoint.messages_received for session in (rig.sa, rig.sb)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_traffic(ni_log, seed):
+    """Seeded mixes with the switch's output links on and off their
+    fast path: every delivery float, every PDU's cells and every
+    counter must agree."""
+    results = []
+    for fast in (True, False):
+        ni_log.update(deliveries=[], pdus=[])
+        record = _random_traffic(seed, fast)
+        results.append((ni_log["deliveries"], ni_log["pdus"], record))
+    assert results[0] == results[1]

@@ -129,3 +129,52 @@ class TestEmulatedLifecycle:
         assert ch_a.rx_vci not in mux_a
         assert not ch_a.open
         assert not ch_b.open
+
+    def test_destroy_during_the_kernel_crossing(self):
+        """bob's endpoint is destroyed after the kernel popped a message
+        for it and before the copy into its segment finished: the
+        message counts as unmatched, its kernel buffer goes back on the
+        free queue, and the receive service goes on serving bob's other
+        emulated endpoints."""
+        sim, cluster, sa, sb, ch_a, ch_b = build()
+        kernel = cluster.agent("bob").emulation
+        stocked = len(kernel.real.free_queue)
+
+        def provide():
+            yield from sb.provide_receive_buffers(4)
+
+        sim.process(provide())
+        sim.run()
+
+        def send(session, channel, size):
+            def sender():
+                yield from session.send_copy(channel, bytes(size))
+
+            sim.process(sender())
+
+        send(sa, ch_a.ident, 1000)
+        sim.run(until=182.5)
+        # Popped by the kernel, not yet copied into bob's segment.
+        assert cluster.host("bob").ni.pdus_received == 1
+        assert len(kernel.real.recv_queue) == 0 and kernel.forwarded_in == 0
+        cluster.agent("bob").destroy_endpoint(sb.endpoint, "pb")
+        sim.run(until=sim.now + 1e4)
+        assert kernel.unmatched == 1 and kernel.forwarded_in == 0
+        assert len(kernel.real.free_queue) == stocked
+
+        sa2 = cluster.open_session("alice", "pa2", emulated=True)
+        sb2 = cluster.open_session("bob", "pb2", emulated=True)
+        ch_a2, _ = cluster.connect_sessions(sa2, sb2)
+        got = {}
+
+        def receiver():
+            yield from sb2.provide_receive_buffers(4)
+            desc = yield from sb2.recv()
+            got["data"] = yield from sb2.recv_payload(desc)
+
+        proc = sim.process(receiver())
+        sim.run(until=sim.now + 100.0)
+        send(sa2, ch_a2.ident, 1000)
+        sim.run(until=sim.now + 1e4)
+        assert not proc.is_alive
+        assert got["data"] == bytes(1000)

@@ -129,7 +129,8 @@ class DescriptorProtocolMachine(RuleBasedStateMachine):
     that pops every arrival and holds its descriptor until a ``repost``
     rule gives the buffers back.  Closing the channel and destroying an
     endpoint are followed by a fresh channel or session, so the data
-    path never ends.  The sanitizers are armed: an overlapping free
+    path never ends; the survivor of a destroy sends on its old channel
+    first.  The sanitizers are armed: an overlapping free
     buffer, a double free or a write into freed memory raises in the
     step that does it.
 
@@ -378,10 +379,13 @@ class DescriptorProtocolMachine(RuleBasedStateMachine):
 
     @rule(side=st.sampled_from(SIDES), size=st.integers(1, 6000))
     def destroy_endpoint(self, side, size):
-        """Destroy one endpoint; a send from it raises.  The application
-        frees its buffers, then opens a fresh session and channel."""
+        """Destroy one endpoint; a send from it raises, and so does one
+        from the survivor, whose half of the channel closed with it.
+        The application frees its buffers, then opens a fresh session
+        and channel."""
         session = self._destroy(side)
         self._refused(side, size, UNetError)
+        self._refused(self._peer(side), size, ProtectionError)
         self._release(session, self.owned[side])
         self._open(side)
         self._connect()

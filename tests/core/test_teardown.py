@@ -136,6 +136,61 @@ class TestEndpointDestroy:
         assert raised == [True]
 
 
+    @pytest.mark.parametrize(
+        "ni_kind, emulated",
+        [("sba200", False), ("sba100", False), ("sba200", True)],
+    )
+    def test_destroy_closes_the_peer_half_and_the_circuit(self, ni_kind, emulated):
+        """Destroying bob's endpoint closes alice's half of their
+        channel and releases the circuit, so alice's next send is
+        refused instead of vanishing at bob."""
+        sim = Simulator()
+        cluster = UNetCluster.pair(sim, ni_kind=ni_kind)
+        sa = cluster.open_session("alice", "pa", emulated=emulated)
+        sb = cluster.open_session("bob", "pb", emulated=emulated)
+        ch_a, ch_b = cluster.connect_sessions(sa, sb)
+        switch = cluster.network.switch
+        port_a = cluster.network.port("alice").index
+        port_b = cluster.network.port("bob").index
+        assert switch.has_route(port_a, ch_a.tx_vci)
+        cluster.agent("bob").destroy_endpoint(sb.endpoint, "pb")
+        assert not ch_b.open and not ch_a.open
+        assert not switch.has_route(port_a, ch_a.tx_vci)
+        assert not switch.has_route(port_b, ch_b.tx_vci)
+        with pytest.raises(ProtectionError):
+            sa.endpoint.post_send(
+                SendDescriptor(channel=ch_a.ident, inline=b"lost"), "pa"
+            )
+        # alice can still tear down her own endpoint afterwards.
+        cluster.agent("alice").destroy_endpoint(sa.endpoint, "pa")
+        assert sa.endpoint.destroyed
+
+
+    @pytest.mark.parametrize("ni_kind", ["sba200", "fore", "direct"])
+    def test_destroy_during_the_receive_completion(self, ni_kind):
+        """bob's endpoint is destroyed while his i960 holds a reassembled
+        PDU for it: the PDU is dropped, not delivered into a destroyed
+        endpoint, and the simulation goes on."""
+        sim = Simulator()
+        cluster = UNetCluster.pair(sim, ni_kind=ni_kind)
+        sa = cluster.open_session("alice", "pa")
+        sb = cluster.open_session("bob", "pb")
+        ch_a, _ = cluster.connect_sessions(sa, sb)
+        ni = cluster.host("bob").ni
+
+        def setup():
+            yield from sb.provide_receive_buffers(4)
+            yield from sa.send_copy(ch_a.ident, bytes(4000))
+
+        sim.process(setup())
+        while not ni.reassembler.completed_pdus:
+            sim.run(until=sim.now + 0.25)
+        assert ni.i960.in_use and not ni.pdus_received
+        cluster.agent("bob").destroy_endpoint(sb.endpoint, "pb")
+        sim.run(until=sim.now + 1e4)
+        assert ni.pdus_received == 0 and not ni.i960.in_use
+
+
 class TestDirectoryServiceLifecycle:
     def test_withdrawn_service_rejects_connect(self, sim):
         cluster = UNetCluster.pair(sim)

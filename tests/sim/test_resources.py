@@ -368,3 +368,29 @@ class TestHold:
         with pytest.raises(ValueError):
             res.hold(-1.0, lambda: None)
         assert (res.in_use, res.queued) == (1, 0)
+
+    def test_hold_until_ends_on_the_given_instant(self):
+        """``hold`` for ``end - now`` can miss ``end`` by an ulp."""
+        sim = Simulator()
+        res = Resource(sim)
+        sim.run(until=2.279202706331992)
+        end = 6.797895239530507
+        assert sim.now + (end - sim.now) != end
+        done = []
+        res.hold_until(end, done.append, "x")
+        assert (res.in_use, res.queued) == (1, 0)
+        sim.run()
+        assert done == ["x"]
+        assert sim.now == end
+        assert (res.in_use, res.queued) == (0, 0)
+
+    def test_hold_until_needs_a_free_resource(self):
+        sim = Simulator()
+        res = Resource(sim)
+        res.hold(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            res.hold_until(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            res.hold_until(0.5, lambda: None)
+        assert (res.in_use, res.queued) == (0, 0)
