@@ -13,8 +13,11 @@ wakes up once per cell, admission and serialization times are computed
 in closed form when a cell is claimed, and only the externally visible
 occurrences (serialization end when a loss function needs to see it,
 delivery at the far end) are scheduled — as bare callbacks, not events.
-A whole AAL5 cell train submitted via :meth:`put_train` costs a single
-heap entry when the receiving end is train-aware.  The timestamps are
+Every claim, one cell's or a whole PDU's, runs through one loop
+(:meth:`Link._claim_at`).  An AAL5 PDU submitted via :meth:`put_train`
+costs a single heap entry when the receiving end is train-aware, and
+travels as its CPCS bytes (:class:`CellTrain`): a :class:`Cell` is
+built only for a cell delivered on its own.  The timestamps are
 identical to per-cell simulation (``fast_path=False`` forces the
 per-cell schedule and is asserted equal in tests).
 """
@@ -22,10 +25,12 @@ per-cell schedule and is asserted equal in tests).
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.atm.cell import ATM_CELL_SIZE, Cell
+from repro.atm.aal5 import cpcs_cell
+from repro.atm.cell import ATM_CELL_SIZE, ATM_PAYLOAD_SIZE, MAX_VCI, Cell
 from repro.sim import Event, Simulator
 from repro.sim import engine as _engine
 
@@ -36,16 +41,24 @@ ETHERNET_10_BPS = 10_000_000.0
 
 
 class CellTrain:
-    """A back-to-back burst of cells with an analytic arrival schedule.
+    """One AAL5 PDU in flight as a back-to-back burst of cells.
 
-    Cell ``i`` arrives at ``arrivals_us[i]``.  Two sinks are
-    train-aware.  The switch input accepts a host's train in one heap
-    entry and forwards it itself.  A switch output whose train was
-    claimed whole hands the admitted cells to the receiving SBA-200 in
-    one entry, and its receive loop runs them analytically.  Every
-    other receiver gets plain per-cell deliveries.  The arrival floats
-    are exactly the ones the per-cell path would schedule, so a train
-    is bit-identical to per-cell simulation.
+    The train carries the PDU's VCI and its CPCS bytes (payload,
+    padding, trailer and CRC, built once per PDU), the indices of the
+    cells it still carries (``indices``; a switch output queue may have
+    dropped some) and their arrival floats: the cell at position ``i``
+    is cell ``indices[i]`` of the PDU and arrives at ``arrivals_us[i]``.
+    A :class:`Cell` is built (:meth:`cell`) only for a cell that goes
+    down a per-cell path.
+
+    Two sinks are train-aware.  The switch input accepts a host's train
+    in one heap entry and forwards it itself.  A switch output whose
+    train was claimed whole hands the admitted cells to the receiving
+    SBA-200 in one entry, and its receive loop runs them analytically,
+    taking runs of cells into reassembly as byte slices (:meth:`chunk`).
+    Every other receiver gets plain per-cell deliveries.  The arrival
+    floats are exactly the ones the per-cell path would schedule, so a
+    train is bit-identical to per-cell simulation.
 
     ``live`` is the number of leading cells that still stand: a route
     change that withdraws the tail lowers it.  A sink that holds the
@@ -53,16 +66,43 @@ class CellTrain:
     arguments after ``live`` drops.
     """
 
-    __slots__ = ("cells", "arrivals_us", "live", "settle")
+    __slots__ = ("vci", "cpcs", "indices", "arrivals_us", "live", "settle")
 
-    def __init__(self, cells: List[Cell], arrivals_us: List[float]):
-        self.cells = cells
+    def __init__(
+        self, vci: int, cpcs: bytes, indices: Sequence[int], arrivals_us: List[float]
+    ):
+        self.vci = vci
+        self.cpcs = cpcs
+        self.indices = indices
         self.arrivals_us = arrivals_us
-        self.live = len(cells)
+        self.live = len(indices)
         self.settle: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.indices)
+
+    def cell(self, i: int) -> Cell:
+        """The cell at position ``i``, as segmentation built it."""
+        return cpcs_cell(self.cpcs, self.vci, self.indices[i])
+
+    def chunk(self, first: int, stop: int) -> bytes:
+        """The payloads of the cells at positions ``first..stop-1``,
+        joined: one slice of the CPCS unless a cell between them was
+        dropped."""
+        indices = self.indices
+        lo = indices[first]
+        hi = indices[stop - 1] + 1
+        cpcs = self.cpcs
+        if hi - lo == stop - first:
+            return cpcs[lo * ATM_PAYLOAD_SIZE : hi * ATM_PAYLOAD_SIZE]
+        return b"".join(
+            cpcs[j * ATM_PAYLOAD_SIZE : (j + 1) * ATM_PAYLOAD_SIZE]
+            for j in indices[first:stop]
+        )
+
+    def ends_pdu(self, stop: int) -> bool:
+        """True if the cell at position ``stop - 1`` ends the PDU."""
+        return (self.indices[stop - 1] + 1) * ATM_PAYLOAD_SIZE == len(self.cpcs)
 
 
 class Link:
@@ -127,7 +167,7 @@ class Link:
         self._cell_us = ATM_CELL_SIZE * 8 / bandwidth_bps * 1e6
         self._busy_until = 0.0
         self._starts: deque = deque()
-        # Metric keys are built once here: _claim()/send()/_finish_cell()
+        # Metric keys are built once here: _claim_at()/_finish_cell()
         # run per cell on the event hot path and must not re-format
         # strings.  Queue overflow and injected loss are separate causes.
         self._k_txq = f"link.{name}.txq_depth"
@@ -156,34 +196,84 @@ class Link:
         self.capacity = cells
 
     # -- admission ------------------------------------------------------
-    def _claim(self, cell: Cell, now: float) -> float:
-        """Claim the next serialization slot; returns the finish time.
+    def _claim_at(
+        self, instants: Sequence[float], capacity: float
+    ) -> Tuple[Sequence[int], List[float]]:
+        """Claim the next serialization slot as of each of ``instants``
+        in turn; a cell that finds ``capacity`` cells queued is dropped.
+        Returns the positions of the admitted cells and their
+        serialization finish floats.
 
-        The caller has already pruned ``_starts`` of every cell whose
-        serialization began at or before ``now``."""
-        if _engine.access_hook is not None:
-            _engine.access_hook(id(self), f"link:{self.name}", "w")
-        start = self._busy_until
-        if start < now:
-            start = now
-        finish = start + self._cell_us
-        self._busy_until = finish
-        starts = self._starts
-        starts.append(start)
+        Every claim runs here, so the access hook and obs see each one.
+        A cell whose serialization began at or before its instant is in
+        service, not queued, exactly like the old pump's Store; the
+        cells of one put share an instant and are queued together."""
+        hook = _engine.access_hook
         _o = obs.active
-        if _o is not None:
-            # The link is analytic, so wire occupancy is known in closed
-            # form at claim time: serialization plus propagation.  (On
-            # lossy links a claimed cell may still be dropped at the
-            # serialization end; the span then overstates by one flight.)
-            _o.add_complete(
-                start, finish + self.propagation_us, "cell", "wire", host=self.name
+        starts = self._starts
+        popleft = starts.popleft
+        queue = starts.append
+        cell_us = self._cell_us
+        busy = self._busy_until
+        finishes: List[float] = []
+        finish = finishes.append
+        dropped: List[int] = []
+        queued = len(starts)
+        pruned = None
+        for now in instants:
+            if now != pruned:
+                while queued and starts[0] <= now:
+                    popleft()
+                    queued -= 1
+                pruned = now
+            if queued >= capacity:
+                if hook is not None:
+                    hook(id(self), f"link:{self.name}", "r")
+                dropped.append(len(finishes) + len(dropped))
+                if _o is not None:
+                    _o.count(self._k_txq_drop)
+                continue
+            if hook is not None:
+                hook(id(self), f"link:{self.name}", "w")
+            if busy < now:
+                busy = now
+            queue(busy)
+            queued += 1
+            if _o is not None:
+                # The link is analytic, so wire occupancy is known in
+                # closed form at claim time: serialization plus
+                # propagation.  (On lossy links a claimed cell may still
+                # be dropped at the serialization end; the span then
+                # overstates by one flight.)
+                end = busy + cell_us
+                _o.add_complete(
+                    busy, end + self.propagation_us, "cell", "wire", host=self.name
+                )
+                # busy_us accumulates serialization time; dividing by
+                # the span of the run gives link utilization.
+                _o.observe(self._k_txq, queued)
+                _o.count(self._k_busy, end - busy)
+            busy += cell_us
+            finish(busy)
+        self._busy_until = busy
+        if not dropped:
+            return range(len(finishes)), finishes
+        self.cells_dropped += len(dropped)
+        lost = set(dropped)
+        return [i for i in range(len(instants)) if i not in lost], finishes
+
+    def _schedule_cell(self, cell: Cell, finish: float) -> None:
+        """Schedule a claimed cell that travels on its own."""
+        if self.loss_fn is not None or not self.fast_path:
+            # Per-cell path: the serialization end is observable (loss
+            # decision, counters) and must fire at the right sim time.
+            self.sim.schedule_callback_at(finish, self._finish_cell, cell)
+        else:
+            self.cells_sent += 1
+            self.bytes_sent += ATM_CELL_SIZE
+            self.sim.schedule_callback_at(
+                finish + self.propagation_us, self._deliver_cell, cell
             )
-            # busy_us accumulates serialization time; dividing by the
-            # span of the run gives link utilization in the report.
-            _o.observe(self._k_txq, len(starts))
-            _o.count(self._k_busy, finish - start)
-        return finish
 
     # -- producer API ---------------------------------------------------
     def send(self, cell: Cell) -> bool:
@@ -200,65 +290,32 @@ class Link:
         The link state is a function of the claims in order, so a
         producer whose claims are made in the order of their instants
         (the switch, which claims at crossbar entry for the exit
-        instant) may claim ahead of time.  This is the per-cell path of
-        every switch output, so the prune and the schedule are inlined
-        around the shared claim.
+        instant) may claim ahead of time.
         """
-        sim = self.sim
-        starts = self._starts
-        while starts and starts[0] <= now:
-            starts.popleft()
-        if len(starts) >= self.capacity:
-            if _engine.access_hook is not None:
-                _engine.access_hook(id(self), f"link:{self.name}", "r")
-            self.cells_dropped += 1
-            _o = obs.active
-            if _o is not None:
-                _o.count(self._k_txq_drop)
+        admitted, finishes = self._claim_at((now,), self.capacity)
+        if not admitted:
             return False
-        finish = self._claim(cell, now)
-        if self.loss_fn is not None or not self.fast_path:
-            # Per-cell path: the serialization end is observable (loss
-            # decision, counters) and must fire at the right sim time.
-            sim.schedule_callback_at(finish, self._finish_cell, cell)
-        else:
-            self.cells_sent += 1
-            self.bytes_sent += ATM_CELL_SIZE
-            sim.schedule_callback_at(
-                finish + self.propagation_us, self._deliver_cell, cell
-            )
+        self._schedule_cell(cell, finishes[0])
         return True
 
     def send_train_at(
-        self, cells: Sequence[Cell], instants: Sequence[float]
-    ) -> Tuple[List[int], List[float]]:
-        """:meth:`send_at` for ``cells[i]`` as of ``instants[i]``, in one
-        pass on the fast path, scheduling nothing.  Returns the indices
-        of the admitted cells and their arrival floats at the far end;
-        the caller schedules their delivery (or, replaying after
-        :meth:`rewind`, does not).
+        self, instants: Sequence[float]
+    ) -> Tuple[Sequence[int], List[float]]:
+        """:meth:`send_at` for one cell as of each of ``instants``, in
+        one pass on the fast path, scheduling nothing.  Returns the
+        positions of the admitted cells and their arrival floats at the
+        far end; the caller schedules their delivery (or, replaying
+        after :meth:`rewind`, does not).
 
         Claiming ahead is exact only if the instants are in order and
         no other claim on this link falls before the last of them.  The
         link must be on its fast path with no loss function.
         """
-        starts = self._starts
-        capacity = self.capacity
-        claim = self._claim
-        propagation = self.propagation_us
-        admitted: List[int] = []
-        arrivals: List[float] = []
-        for i, now in enumerate(instants):
-            while starts and starts[0] <= now:
-                starts.popleft()
-            if len(starts) >= capacity:
-                continue
-            admitted.append(i)
-            arrivals.append(claim(cells[i], now) + propagation)
+        admitted, finishes = self._claim_at(instants, self.capacity)
         self.cells_sent += len(admitted)
         self.bytes_sent += ATM_CELL_SIZE * len(admitted)
-        self.cells_dropped += len(instants) - len(admitted)
-        return admitted, arrivals
+        propagation = self.propagation_us
+        return admitted, [finish + propagation for finish in finishes]
 
     def claim_state(self) -> tuple:
         """Everything a claim changes, for :meth:`rewind`."""
@@ -286,56 +343,62 @@ class Link:
         """Blocking enqueue: returns an event that triggers once the cell
         fits in the transmit queue.  Used by NI models that pace
         themselves to the wire instead of dropping."""
-        return self.put_train((cell,))
+        now = self.sim._now
+        _, finishes = self._claim_at((now,), inf)
+        self._schedule_cell(cell, finishes[0])
+        return self._admitted(now)
 
-    def put_train(self, cells: Sequence[Cell]) -> Event:
-        """Enqueue a back-to-back burst; triggers when the last cell has
-        been admitted to the transmit queue (identical pacing to calling
-        :meth:`put` per cell, computed in one pass).
+    def put_train(self, vci: int, cpcs: bytes) -> Event:
+        """:meth:`put` for every cell of the AAL5 PDU whose CPCS bytes
+        are ``cpcs``, tagged with ``vci``: triggers when the last cell
+        has been admitted to the transmit queue (identical pacing to
+        calling :meth:`put` per cell, computed in one pass).
 
         When the fast path is on, no loss function is attached, and the
-        receiver is train-aware, the whole burst costs one heap entry.
+        receiver is train-aware, the whole PDU costs one heap entry and
+        no :class:`Cell` is built.
         """
-        sim = self.sim
-        event = Event(sim)
-        if not cells:
-            return event.succeed()
-        now = sim._now
+        if not 0 <= vci <= MAX_VCI:
+            raise ValueError(f"VCI out of range: {vci}")
+        n = len(cpcs) // ATM_PAYLOAD_SIZE
+        now = self.sim._now
+        _, finishes = self._claim_at([now] * n, inf)
+        if (
+            n > 1
+            and self._train_sink is not None
+            and self.loss_fn is None
+            and self.fast_path
+        ):
+            # One heap entry for the whole burst, carrying the exact
+            # per-cell arrival floats the per-cell path would use.
+            self.cells_sent += n
+            self.bytes_sent += ATM_CELL_SIZE * n
+            self.trains_sent += 1
+            propagation = self.propagation_us
+            arrivals = [finish + propagation for finish in finishes]
+            train = CellTrain(vci, cpcs, range(n), arrivals)
+            self.sim.schedule_callback_at(arrivals[0], self._deliver_train, train)
+        else:
+            for i, finish in enumerate(finishes):
+                self._schedule_cell(cpcs_cell(cpcs, vci, i), finish)
+        return self._admitted(now)
+
+    def _admitted(self, now: float) -> Event:
+        """The event of a put made at ``now``, just claimed.
+
+        A cell is admitted the instant the head-of-queue cell ahead of
+        it starts serializing and frees a queue slot.  Start times only
+        grow, so the last cell's admission is the latest: triggered at
+        that exact analytic float, not now + delta."""
         starts = self._starts
-        while starts and starts[0] <= now:
-            starts.popleft()
-        claim = self._claim
-        finishes = [claim(cell, now) for cell in cells]
-        # A cell is admitted the instant the head-of-queue cell ahead of
-        # it starts serializing and frees a queue slot.  Start times only
-        # grow, so the last cell's admission is the latest: triggered at
-        # that exact analytic float, not now + delta.
         last_queued = len(starts) - 1
         capacity = self.capacity
         last_admit = (
             starts[last_queued - int(capacity)] if last_queued >= capacity else now
         )
-        if self.loss_fn is not None or not self.fast_path:
-            for cell, finish in zip(cells, finishes):
-                sim.schedule_callback_at(finish, self._finish_cell, cell)
-        else:
-            self.cells_sent += len(cells)
-            self.bytes_sent += ATM_CELL_SIZE * len(cells)
-            propagation = self.propagation_us
-            if self._train_sink is not None and len(cells) > 1:
-                # One heap entry for the whole burst, carrying the exact
-                # per-cell arrival floats the per-cell path would use.
-                self.trains_sent += 1
-                arrivals = [finish + propagation for finish in finishes]
-                train = CellTrain(list(cells), arrivals)
-                sim.schedule_callback_at(arrivals[0], self._deliver_train, train)
-            else:
-                for cell, finish in zip(cells, finishes):
-                    sim.schedule_callback_at(
-                        finish + propagation, self._deliver_cell, cell
-                    )
+        event = Event(self.sim)
         event._ok = True
-        sim._schedule_event_at(event, last_admit)
+        self.sim._schedule_event_at(event, last_admit)
         return event
 
     # -- scheduled occurrences -----------------------------------------

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.atm.cell import Cell
+from repro.atm.aal5 import cpcs_cell
+from repro.atm.cell import MAX_VCI, Cell
 from repro.atm.link import TAXI_140_BPS, CellTrain, Link
 from repro.sim import Simulator
 from repro.sim import engine as _engine
@@ -231,9 +232,7 @@ class Switch:
     def _receive_train(self, port: int, train: CellTrain) -> None:
         # Fires at the first cell's arrival time; later cells are still
         # on the wire.
-        cells = train.cells
-        vci = cells[0].vci
-        route = self._routes.get((port, vci))
+        route = self._routes.get((port, train.vci))
         if (
             route is not None
             and _engine.access_hook is None
@@ -241,25 +240,20 @@ class Switch:
             and len(self._feeders[route.out_port]) == 1
         ):
             link = self.output_links[route.out_port]
-            if (
-                link.fast_path
-                and link.loss_fn is None
-                and len({cell.vci for cell in cells}) == 1
-            ):
+            if link.fast_path and link.loss_fn is None:
                 self._claim_train(port, route, link, train)
                 return
-        self._receive(port, cells[0])
+        self._receive(port, train.cell(0))
         self._expand(port, train, 1)
 
     def _expand(self, port: int, train: CellTrain, first: int) -> None:
         """Receive cells ``first..`` of ``train`` each at its arrival,
         where the route is looked up: circuits torn down mid-train drop
         the tail cells."""
-        cells = train.cells
         arrivals = train.arrivals_us
         schedule_at = self.sim.schedule_callback_at
-        for i in range(first, len(cells)):
-            schedule_at(arrivals[i], self._receive, port, cells[i])
+        for i in range(first, len(train)):
+            schedule_at(arrivals[i], self._receive, port, train.cell(i))
 
     def _claim_train(
         self, port: int, route: SwitchRoute, link: Link, train: CellTrain
@@ -268,28 +262,32 @@ class Switch:
         at each arrival.  ``port`` is the link's only feeder and its
         cells arrive in order, so the claims are made in exit order
         with no other claim between them.  An output link with a train
-        sink gets the admitted cells as one train, in one entry."""
+        sink gets the admitted cells as one train relabelled with the
+        outgoing VCI, sharing the CPCS bytes, in one entry."""
         latency = self.switching_latency_us
         exits = [arrival + latency for arrival in train.arrivals_us]
-        claim = _TrainClaim(
-            port, train.cells[0].vci, link, train, exits, link.claim_state()
-        )
+        claim = _TrainClaim(port, train.vci, link, train, exits, link.claim_state())
         self._claims[port] = claim
         self.cells_switched += len(exits)
         out_vci = route.out_vci
-        cells = [cell.with_vci(out_vci) for cell in train.cells]
-        admitted, arrivals = link.send_train_at(cells, exits)
+        if not 0 <= out_vci <= MAX_VCI:
+            raise ValueError(f"VCI out of range: {out_vci}")
+        admitted, arrivals = link.send_train_at(exits)
+        indices = train.indices
+        if len(admitted) < len(exits):
+            indices = [indices[i] for i in admitted]
         schedule_at = self.sim.schedule_callback_at
         if link._train_sink is not None and len(admitted) > 1:
             # The receiving NI takes the admitted cells in one entry too.
-            out = CellTrain([cells[i] for i in admitted], arrivals)
+            out = CellTrain(out_vci, train.cpcs, indices, arrivals)
             claim.out_train = out
             claim.admitted = admitted
             schedule_at(arrivals[0], claim.deliver_train, out)
         else:
             deliver = claim.deliver
-            for i, arrival in zip(admitted, arrivals):
-                schedule_at(arrival, deliver, i, cells[i])
+            cpcs = train.cpcs
+            for i, j, arrival in zip(admitted, indices, arrivals):
+                schedule_at(arrival, deliver, i, cpcs_cell(cpcs, out_vci, j))
 
     def _withdraw(self, claim: _TrainClaim) -> None:
         """Take back the claims of the cells that have not arrived yet
@@ -308,7 +306,7 @@ class Switch:
         claim.cut(kept)
         link = claim.link
         link.rewind(claim.link_state)
-        link.send_train_at(train.cells[:kept], claim.exits[:kept])
+        link.send_train_at(claim.exits[:kept])
         self.cells_switched -= withdrawn
         self._expand(claim.port, train, kept)
 

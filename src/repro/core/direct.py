@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import obs
-from repro.atm.aal5 import cells_for_pdu, segment_pdu
 from repro.core.descriptors import RecvDescriptor, SendDescriptor
 from repro.core.endpoint import Endpoint
 from repro.core.ni.sba200 import Sba200UNet

@@ -24,7 +24,7 @@ from math import inf, nextafter
 from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.atm.aal5 import cells_for_pdu, segment_pdu
+from repro.atm.aal5 import cells_for_pdu, cpcs_encode
 from repro.atm.cell import Cell
 from repro.atm.link import CellTrain
 from repro.atm.network import NetworkPort
@@ -130,12 +130,13 @@ class Sba200UNet(NetworkInterface):
             # loops, so the receive trains settle first.
             self._rx_settle()
             yield from self.i960.use(cost)
-            cells = segment_pdu(payload, channel.tx_vci)
-            # Paced by the outbound cell queue: back-pressure propagates
-            # to the send ring when the fiber is busy.  The whole AAL5
-            # train goes down in one claim; the event fires when the
-            # last cell has been admitted, same pacing as per-cell puts.
-            yield self.port.tx_link.put_train(cells)
+            # Segmentation and the CRC are per-PDU hardware work: the
+            # CPCS bytes go down whole.  Paced by the outbound cell
+            # queue: back-pressure propagates to the send ring when the
+            # fiber is busy.  The whole AAL5 train goes down in one
+            # claim; the event fires when the last cell has been
+            # admitted, same pacing as per-cell puts.
+            yield self.port.tx_link.put_train(channel.tx_vci, cpcs_encode(payload))
             if _sp is not None:
                 _o.annotate(
                     _sp,
@@ -158,12 +159,14 @@ class Sba200UNet(NetworkInterface):
     # entry, at its first cell's arrival.  Its per-cell holds are a
     # Lindley recursion (_rx_start): cell i starts at max(arrival i,
     # end of cell i-1) and holds for i960_rx_per_cell_us; the run stops
-    # before a cell that would find the FIFO full and after a cell that
-    # ends a PDU.  Only the run's last hold end is an entry
-    # (_rx_train_end): the run enters the reassembler in one step and
-    # the loop goes on from its last cell, through _rx_reassemble as
-    # usual.  A train that arrives while the loop is busy waits in
-    # _rx_pending until the loop finds the FIFO empty.  Whatever else
+    # before a cell that would find the FIFO full.  A train is one PDU,
+    # so only its last cell can end one.  Only the run's last hold end
+    # is an entry (_rx_train_end): the run enters the reassembler as
+    # one slice of the train's CPCS bytes and the loop goes on from its
+    # last cell, through _rx_pdu as usual.  No Cell is built unless a
+    # cell goes back onto the per-cell path.  A train that arrives
+    # while the loop is busy waits in _rx_pending until the loop finds
+    # the FIFO empty.  Whatever else
     # reaches the receive side first -- the transmit firmware asking
     # for the i960, a per-cell arrival, or a route change withdrawing
     # cells -- calls _rx_settle, which hands the trains back to the
@@ -214,7 +217,7 @@ class Sba200UNet(NetworkInterface):
             # to it.
             self._rx_pending.append((train, first))
             return
-        self._rx_sink(train.cells[first])
+        self._rx_sink(train.cell(first))
         if first + 1 < live:
             self.sim.schedule_callback_at(
                 train.arrivals_us[first + 1], self._rx_take, train, first + 1
@@ -224,7 +227,7 @@ class Sba200UNet(NetworkInterface):
         """True if reassembling the cells cannot overflow their VCI."""
         reassembler = self.reassembler
         return (
-            reassembler.pending_cells(train.cells[first].vci) + train.live - first
+            reassembler.pending_cells(train.vci) + train.live - first
             <= reassembler.max_cells
         )
 
@@ -239,7 +242,6 @@ class Sba200UNet(NetworkInterface):
     def _rx_start(self, train: CellTrain, first: int, free: float) -> None:
         """Run cells ``first..`` of ``train`` through the loop
         analytically, the i960 free for them from ``free`` on."""
-        cells = train.cells
         arrivals = train.arrivals_us
         hold = self.costs.i960_rx_per_cell_us
         capacity = self.input_fifo.capacity
@@ -263,8 +265,6 @@ class Sba200UNet(NetworkInterface):
             starts.append(free)
             free += hold
             i += 1
-            if cells[i - 1].last:
-                break
         self._rx_running = train
         self._rx_first = first
         self._rx_starts = starts
@@ -278,12 +278,19 @@ class Sba200UNet(NetworkInterface):
         if starts is not self._rx_starts:
             return  # settled onto the per-cell path meanwhile
         train = self._rx_running
-        first = self._rx_first
-        last = first + len(starts) - 1
+        stop = self._rx_first + len(starts)
         self._rx_running = self._rx_starts = None
-        if last > first:
-            self.reassembler.push_run(train.cells[first:last])
-        self._rx_reassemble(train.cells[last], None, None)
+        pdu = self._rx_push_run(train, self._rx_first, stop)
+        self._rx_pdu(train.vci, pdu, train.ends_pdu(stop), None, None)
+
+    def _rx_push_run(
+        self, train: CellTrain, first: int, stop: int
+    ) -> Optional[bytes]:
+        """Cells ``first..stop-1`` of ``train`` enter the reassembler as
+        one byte slice."""
+        return self.reassembler.push_run(
+            train.vci, train.chunk(first, stop), train.ends_pdu(stop)
+        )
 
     def _rx_settle(self, arrival: bool = False) -> None:
         """Hand the held cells back to the per-cell path as of now.
@@ -306,7 +313,6 @@ class Sba200UNet(NetworkInterface):
             first = self._rx_first
             starts = self._rx_starts
             self._rx_running = self._rx_starts = None
-            cells = train.cells
             hold = self.costs.i960_rx_per_cell_us
             after = nextafter(now, -inf) if arrival else now
             stop = min(first + len(starts), train.live)
@@ -317,13 +323,13 @@ class Sba200UNet(NetworkInterface):
             while i < stop and i < last and starts[i - first] + hold <= after:
                 i += 1
             if i > first:
-                self.reassembler.push_run(cells[first:i])
+                self._rx_push_run(train, first, i)
             self._rx_busy = i < stop and starts[i - first] <= after
             if self._rx_busy:
                 self.i960.hold_until(
                     starts[i - first] + hold,
                     self._rx_reassemble,
-                    cells[i],
+                    train.cell(i),
                     None,
                     None,
                 )
@@ -342,7 +348,7 @@ class Sba200UNet(NetworkInterface):
         schedule_at = self.sim.schedule_callback_at
         for i in range(first, stop):
             if arrivals[i] <= now:
-                self._rx_sink(train.cells[i])
+                self._rx_sink(train.cell(i))
             elif stop < train.live:
                 for j in range(i, stop):
                     schedule_at(arrivals[j], self._rx_train_cell, train, j)
@@ -353,7 +359,7 @@ class Sba200UNet(NetworkInterface):
 
     def _rx_train_cell(self, train: CellTrain, i: int) -> None:
         if i < train.live:
-            self._rx_sink(train.cells[i])
+            self._rx_sink(train.cell(i))
 
     def _rx_cell(self, cell: Cell) -> None:
         """Start one cell: the fixed per-cell i960 cost."""
@@ -368,22 +374,22 @@ class Sba200UNet(NetworkInterface):
         )
 
     def _rx_reassemble(self, cell: Cell, _o, _sp) -> None:
-        """Push the cell into AAL5 reassembly; a completed PDU gets a
-        second i960 hold and is then delivered."""
-        first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
-        pdu = self.reassembler.push(cell)
+        """Push the cell into AAL5 reassembly."""
+        self._rx_pdu(cell.vci, self.reassembler.push(cell), cell.last, _o, _sp)
+
+    def _rx_pdu(self, vci: int, pdu: Optional[bytes], last: bool, _o, _sp) -> None:
+        """After a push that ``last`` says ended a PDU on ``vci``: a
+        completed PDU gets a second i960 hold and is then delivered."""
         if pdu is None:
-            if cell.last and _o is not None:
+            if last and _o is not None:
                 _o.count(self._k_rx_bad_pdu)
             self._rx_next(_o, _sp)
             return
-        single = (
-            self.single_cell_optimization
-            and first_of_pdu
-            and cell.last
-            and len(pdu) <= SINGLE_CELL_MAX
-        )
-        channel = self.mux.demux(cell.vci)
+        # A PDU of at most SINGLE_CELL_MAX bytes passes reassembly only
+        # as a single cell (more cells fail the cell-count check), so
+        # it is a single-cell receive.
+        single = self.single_cell_optimization and len(pdu) <= SINGLE_CELL_MAX
+        channel = self.mux.demux(vci)
         if channel is None:
             if _o is not None:
                 _o.count(self._k_rx_unmatched)

@@ -46,6 +46,18 @@ def _serial_components(n_total: int, edges) -> np.ndarray:
     return np.array([find(x) for x in range(n_total)])
 
 
+def _run_graph(sc, n_total: int, degree: int, seed: int):
+    """The run's graph and its serial component labels, built by the
+    first rank to ask and shared through the run's transport: every
+    rank uses the same graph."""
+    key = ("components", n_total, degree, seed)
+    shared = sc.transport.shared
+    if key not in shared:
+        edges = _build_graph(n_total, degree, seed)
+        shared[key] = (edges, _serial_components(n_total, edges))
+    return shared[key]
+
+
 def _local_sweeps(lab: list, pairs: list) -> int:
     """Propagate the minimum label across ``pairs`` (local vertex
     indices) in place until a sweep changes nothing; returns the number
@@ -72,7 +84,7 @@ def connected_components(
 ):
     nprocs, rank = sc.nprocs, sc.rank
     n_total = n_per_proc * nprocs
-    edges = _build_graph(n_total, degree, seed)  # same graph everywhere
+    edges, expected = _run_graph(sc, n_total, degree, seed)
     labels = sc.alloc("labels", n_per_proc, dtype=np.int64)
     changed_flags = sc.alloc("changed", nprocs + 1, dtype=np.int64)
     labels[:] = rank * n_per_proc + np.arange(n_per_proc)
@@ -137,7 +149,6 @@ def connected_components(
     yield from sc.barrier()
 
     # verification against serial union-find
-    expected = _serial_components(n_total, edges)
     verified = bool(np.array_equal(labels[:], expected[lo:hi]))
     return {"verified": verified, "rounds": rounds}
 

@@ -76,6 +76,8 @@ class ModelTransport:
         self._arrival_seq = 0
         self.messages = 0
         self.bulk_bytes = 0
+        #: per-run state the ranks' app bodies share
+        self.shared: Dict = {}
 
     def attach(self, rank: int, handler: MessageHandler) -> None:
         _check_handler(handler)
@@ -237,6 +239,8 @@ class UNetTransport:
         for rank in range(nprocs):
             self._install_handlers(rank)
         self.started = False
+        #: per-run state the ranks' app bodies share
+        self.shared: Dict = {}
 
     def _connect_all(self) -> None:
         for a in range(self.nprocs):

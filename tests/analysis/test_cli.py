@@ -91,6 +91,11 @@ def test_select_single_rule():
     result = run_cli("--select", "wall-clock", str(FIXTURE))
     assert result.returncode == 1
     assert reported_rules(result.stdout) == ["wall-clock"]
+    result = run_cli("--select", "wall-clock", "--format", "json", str(FIXTURE))
+    assert result.returncode == 1
+    payload = json.loads(result.stdout)
+    assert payload["checks"] == ["wall-clock"]
+    assert {v["rule"] for v in payload["violations"]} == {"wall-clock"}
 
 
 def test_select_unknown_rule_is_usage_error():
@@ -106,6 +111,9 @@ def test_select_typestate_is_usage_error():
     result = run_cli("--select", "typestate", "src")
     assert result.returncode == 2
     assert "typestate" in result.stderr
+    known = result.stderr.split("known:", 1)[1]
+    assert "wall-clock" in known
+    assert "typestate" not in known
 
 
 def test_select_determinism_is_usage_error():

@@ -6,21 +6,33 @@ ordering, same sender completion times — or every figure in the paper
 reproduction silently shifts.  These tests pin that equivalence at the
 link level, through the switch, into the receiving NI's i960 loop, and
 end-to-end through the benchmark harness.
+
+One known exception: a switch output on its fast path gives a cell's
+delivery entry its seq at the crossbar claim, one off it at the
+serialization end.  An NI step scheduled in between for exactly the
+arrival float therefore runs after the delivery on the fast path and
+before it off the fast path; with a full input FIFO that changes which
+cell is dropped (``test_fifo_full_tie_off_the_fast_path``).  For such
+ties the reference is per-cell reception from fast-path links.
 """
 
 import random
+import weakref
 from math import inf, nextafter
 
 import pytest
 
+import repro.atm.aal5 as aal5mod
 import repro.atm.link as linkmod
-from repro.atm.aal5 import Reassembler, cells_for_pdu, segment_pdu
+import repro.atm.switch as switchmod
+from repro.atm.aal5 import Reassembler, cells_for_pdu, cpcs_encode, segment_pdu
 from repro.atm.cell import Cell
 from repro.atm.link import TAXI_140_BPS, Link
 from repro.atm.network import AtmNetwork
 from repro.atm.switch import Switch
 from repro.core import SendDescriptor, UNetCluster
 from repro.core.errors import UNetError
+from repro.core.ni.base import NetworkInterface
 from repro.core.ni.costs import ForeCosts, Sba200Costs
 from repro.core.ni.sba200 import Sba200UNet
 from repro.sim import Simulator
@@ -39,7 +51,7 @@ def _run_frame(fast_path, payload=bytes(4000)):
     pb.set_rx_sink(lambda cell: got.append((sim.now, cell.vci, cell.seq)))
 
     def producer():
-        yield pa.tx_link.put_train(segment_pdu(payload, pair.tx))
+        yield pa.tx_link.put_train(pair.tx, cpcs_encode(payload))
         return sim.now
 
     p = sim.process(producer())
@@ -92,7 +104,7 @@ class TestContendingTrains:
         pc.set_rx_sink(lambda cell: got.append((sim.now, cell.vci, cell.seq)))
 
         def blast(port, vci):
-            yield port.tx_link.put_train(segment_pdu(bytes(2000), vci))
+            yield port.tx_link.put_train(vci, cpcs_encode(bytes(2000)))
 
         sim.process(blast(pa, pair_ac.tx))
         sim.process(blast(pb, pair_bc.tx))
@@ -178,7 +190,7 @@ class _Rig:
     def send(self, port, vci, nbytes=4000, frames=1):
         def producer():
             for _ in range(frames):
-                yield self.tx[port].put_train(segment_pdu(bytes(nbytes), vci))
+                yield self.tx[port].put_train(vci, cpcs_encode(bytes(nbytes)))
 
         self.sim.process(producer())
 
@@ -331,6 +343,59 @@ class TestSwitchedTrains:
         assert len(got) == sent == switched - dropped
 
 
+@pytest.fixture
+def cells_built(monkeypatch):
+    """Counts every Cell built: by its constructor, by ``with_vci``, or
+    from a CPCS by ``cpcs_cell`` (wherever it is imported)."""
+    built = []
+    init = Cell.__init__
+    with_vci = Cell.with_vci
+    cpcs_cell = aal5mod.cpcs_cell
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_with_vci(self, vci):
+        built.append("with_vci")
+        return with_vci(self, vci)
+
+    def counting_cpcs_cell(*args):
+        built.append("cpcs_cell")
+        return cpcs_cell(*args)
+
+    monkeypatch.setattr(Cell, "__init__", counting_init)
+    monkeypatch.setattr(Cell, "with_vci", counting_with_vci)
+    for module in (aal5mod, linkmod, switchmod):
+        monkeypatch.setattr(module, "cpcs_cell", counting_cpcs_cell)
+    return built
+
+
+def _one_pdu(nbytes):
+    """alice sends one PDU to bob's idle SBA-200; returns the number of
+    entries scheduled for it."""
+    sim = Simulator()
+    cluster = UNetCluster.pair(sim)
+    sa = cluster.open_session("alice", "pa")
+    sb = cluster.open_session("bob", "pb")
+    ch_a, _ = cluster.connect_sessions(sa, sb)
+
+    def setup():
+        yield from sb.provide_receive_buffers(1)
+        offset = sa.alloc(nbytes)
+        yield from sa.write_segment(offset, bytes(nbytes))
+        return offset
+
+    proc = sim.process(setup())
+    sim.run()
+    before = sim.stats()["schedules"]
+    desc = SendDescriptor(channel=ch_a.ident, bufs=((proc.value, nbytes),))
+    assert sa.endpoint.post_send(desc, "pa")
+    sim.run()
+    assert sb.endpoint.messages_received == 1
+    return sim.stats()["schedules"] - before
+
+
 class TestEntryCounts:
     def test_claimed_train_saves_one_entry_per_later_cell(self, claims):
         def schedules(second_feeder):
@@ -352,34 +417,23 @@ class TestEntryCounts:
         assert n_claimed == n_per_cell == n_cells
         assert per_cell - claimed == n_cells - 1
 
-    def test_one_pdu_to_an_idle_sba200(self):
+    def test_one_pdu_to_an_idle_sba200(self, cells_built):
         """One 4000-byte PDU, 84 cells, from alice's send ring into bob's
         receive queue.  Received cell by cell it took 173 entries: 84
         deliveries and 84 i960 holds at bob, and 5 more (alice's send
         ring wake-up, her i960 hold, her train into the switch, its
         admission to her transmit queue, and bob's PDU hold).  As one
         train it takes 7: its delivery and its last cell's hold end
-        replace the 168."""
-        sim = Simulator()
-        cluster = UNetCluster.pair(sim)
-        sa = cluster.open_session("alice", "pa")
-        sb = cluster.open_session("bob", "pb")
-        ch_a, _ = cluster.connect_sessions(sa, sb)
+        replace the 168.  The train carries the PDU's CPCS bytes, so no
+        Cell is built on the way."""
+        assert _one_pdu(4000) == 7
+        assert cells_built == []
 
-        def setup():
-            yield from sb.provide_receive_buffers(1)
-            offset = sa.alloc(4000)
-            yield from sa.write_segment(offset, bytes(4000))
-            return offset
-
-        proc = sim.process(setup())
-        sim.run()
-        before = sim.stats()["schedules"]
-        desc = SendDescriptor(channel=ch_a.ident, bufs=((proc.value, 4000),))
-        assert sa.endpoint.post_send(desc, "pa")
-        sim.run()
-        assert sb.endpoint.messages_received == 1
-        assert sim.stats()["schedules"] - before == 7
+    def test_a_one_cell_pdu_builds_its_cell(self, cells_built):
+        """A single-cell frame keeps the per-cell path: its cell is
+        built once on alice's link and relabelled once at the switch."""
+        _one_pdu(32)
+        assert cells_built == ["cpcs_cell", "with_vci"]
 
     def test_idle_sba200_receive_starts_its_hold_at_once(self):
         sim = Simulator()
@@ -403,13 +457,41 @@ class TestEntryCounts:
 @pytest.fixture
 def ni_log(monkeypatch):
     """Every PDU delivery step of every SBA-200-family NI, the cells
-    of every PDU that reached reassembly, and the trains the receive
-    loop ran analytically or handed back."""
+    (by ``seq``) of every PDU that reached reassembly, whether pushed
+    one by one or as a run of a train, and the trains the receive loop
+    ran analytically or handed back."""
     log = {"deliveries": [], "pdus": [], "runs": 0, "settles": 0}
+    # Per reassembler and VCI: the seqs of the cells it holds.
+    held = weakref.WeakKeyDictionary()
     push = Reassembler.push
+    push_run = Sba200UNet._rx_push_run
     deliver = Sba200UNet._rx_deliver
     start = Sba200UNet._rx_start
     settle = Sba200UNet._rx_settle
+
+    def pushing(asm, vci, seqs, last, do_push):
+        by_vci = held.setdefault(asm, {})
+        seqs = by_vci.get(vci, []) + seqs
+        if last:
+            log["pdus"].append(seqs)
+        pdu = do_push()
+        n = asm.pending_cells(vci)
+        by_vci[vci] = seqs[len(seqs) - n :] if n else []
+        return pdu
+
+    def recording_push(self, cell):
+        return pushing(
+            self, cell.vci, [cell.seq], cell.last, lambda: push(self, cell)
+        )
+
+    def recording_push_run(self, train, first, stop):
+        return pushing(
+            self.reassembler,
+            train.vci,
+            list(train.indices[first:stop]),
+            train.ends_pdu(stop),
+            lambda: push_run(self, train, first, stop),
+        )
 
     def recording_deliver(self, *args):
         before = self.pdus_received
@@ -427,13 +509,8 @@ def ni_log(monkeypatch):
             log["settles"] += 1
         settle(self, **kwargs)
 
-    def recording_push(self, cell):
-        if cell.last:
-            cells = self._partial.get(cell.vci, [])
-            log["pdus"].append([c.seq for c in cells] + [cell.seq])
-        return push(self, cell)
-
     monkeypatch.setattr(Reassembler, "push", recording_push)
+    monkeypatch.setattr(Sba200UNet, "_rx_push_run", recording_push_run)
     monkeypatch.setattr(Sba200UNet, "_rx_deliver", recording_deliver)
     monkeypatch.setattr(Sba200UNet, "_rx_start", counting_start)
     monkeypatch.setattr(Sba200UNet, "_rx_settle", counting_settle)
@@ -444,7 +521,14 @@ class _NiRig:
     """alice sends 4000-byte frames to bob through one switch whose
     output links are on or off their fast path."""
 
-    def __init__(self, fast_output, kind="sba200", costs=None, hosts=("alice", "bob")):
+    def __init__(
+        self,
+        fast_output,
+        kind="sba200",
+        costs=None,
+        hosts=("alice", "bob"),
+        together=False,
+    ):
         self.sim = sim = Simulator()
         self.cluster = cluster = UNetCluster(
             sim, [(name, 60.0) for name in hosts], ni_kind=kind, ni_costs=costs
@@ -455,11 +539,15 @@ class _NiRig:
         self.sb = cluster.open_session("bob", "pb")
         self.ch_a, self.ch_b = cluster.connect_sessions(self.sa, self.sb)
 
-        def provide():
-            yield from self.sa.provide_receive_buffers(8)
-            yield from self.sb.provide_receive_buffers(8)
+        def provide(sessions):
+            for session in sessions:
+                yield from session.provide_receive_buffers(8)
 
-        sim.process(provide())
+        # Both sides' buffers one after the other, or (``together``)
+        # at once.
+        groups = [[self.sa], [self.sb]] if together else [[self.sa, self.sb]]
+        for sessions in groups:
+            sim.process(provide(sessions))
         sim.run()
 
     def send(self, frames=1, nbytes=4000):
@@ -498,7 +586,10 @@ class _NiRig:
                     ni.input_fifo_drops,
                     asm.completed_pdus,
                     asm.crc_errors,
-                    sorted(asm._partial.items()),
+                    sorted(
+                        (vci, partial.cells, b"".join(partial.chunks))
+                        for vci, partial in asm._partial.items()
+                    ),
                     ni.i960.in_use,
                     ni.i960.queued,
                 )
@@ -724,6 +815,68 @@ class TestNiTrains:
         _, ((nis, *_), _) = self._ab(ni_log, scenario, settled=True)
         (_, bob) = nis
         assert bob[0] == 1 and bob[1] == 1
+
+    def test_fifo_full_tie_off_the_fast_path(self, ni_log, monkeypatch):
+        """Where ``fast_path=False`` is not an exact oracle.  A Fore
+        pair with an 8-cell input FIFO: alice sends 3,654 and then 5,392
+        bytes from t=290 us while bob posts inline sends.  At
+        596.968 us an i960 hold at bob ends exactly on a cell's arrival
+        float, with the FIFO full.  On a fast-path switch output the
+        delivery entry was made at the crossbar claim, before the hold
+        began, so it runs first and cell 35 is dropped; off the fast
+        path it is made at the serialization end, after the hold began,
+        so the hold end pops the FIFO first and cell 36 is dropped at
+        its own arrival.  The reference for bob's trains is therefore
+        per-cell reception from the same fast-path links, as in
+        :meth:`test_lone_cell_on_a_hold_end`."""
+        drops = []
+        rx_sink = NetworkInterface._rx_sink
+
+        def recording_rx_sink(self, cell):
+            before = self.input_fifo_drops
+            rx_sink(self, cell)
+            if self.input_fifo_drops > before:
+                drops.append((self.name, round(self.sim.now, 3), cell.seq))
+
+        monkeypatch.setattr(NetworkInterface, "_rx_sink", recording_rx_sink)
+
+        def scenario(trains, fast_output=True):
+            drops.clear()
+            rig = _NiRig(
+                fast_output, "fore", ForeCosts(input_fifo_cells=8), together=True
+            )
+            sim = rig.sim
+            ni = rig.cluster.host("bob").ni
+            rig.cluster.network.port("bob").set_rx_sink(
+                ni._rx_sink, ni._rx_train_sink if trains else None
+            )
+
+            def alice():
+                yield sim.timeout(278.0850560645151)
+                yield from rig.sa.send_copy(rig.ch_a.ident, bytes(3654))
+                yield sim.timeout(0.0)
+                yield from rig.sa.send_copy(rig.ch_a.ident, bytes(5392))
+
+            sim.process(alice())
+            for at in (
+                155.24657764819062,
+                502.13581516257676,
+                602.0658379219914,
+                1366.1604808344907,
+            ):
+                sim.run(until=at)
+                rig.bob_sends()
+            sim.run()
+            return list(drops), rig.record(), sim.now.hex()
+
+        _, (fast_drops, *_) = self._ab(ni_log, scenario, settled=True)
+        assert ("bob.ni", 596.968, 35) in fast_drops
+        slow_drops, *_ = scenario(True, fast_output=False)
+        assert ("bob.ni", 596.968, 35) not in slow_drops
+        assert ("bob.ni", 599.997, 36) in slow_drops
+        assert [d for d in fast_drops if d[2] != 35] == [
+            d for d in slow_drops if d[2] != 36
+        ]
 
     def test_run_stops_mid_train_and_resumes(self, ni_log):
         arrivals, hold_ends = _bob_timeline("fore", frames=2)
