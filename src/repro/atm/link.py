@@ -13,8 +13,9 @@ wakes up once per cell, admission and serialization times are computed
 in closed form when a cell is claimed, and only the externally visible
 occurrences (serialization end when a loss function needs to see it,
 delivery at the far end) are scheduled — as bare callbacks, not events.
-Every claim, one cell's or a whole PDU's, runs through one loop
-(:meth:`Link._claim_at`).  An AAL5 PDU submitted via :meth:`put_train`
+Every claim, one cell's or a whole PDU's, runs through one method
+(:meth:`Link._claim_at`); a PDU's claims at one instant are one
+``accumulate`` pass.  An AAL5 PDU submitted via :meth:`put_train`
 costs a single heap entry when the receiving end is train-aware, and
 travels as its CPCS bytes (:class:`CellTrain`): a :class:`Cell` is
 built only for a cell delivered on its own.  The timestamps are
@@ -24,8 +25,10 @@ per-cell schedule and is asserted equal in tests).
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
 from math import inf
+from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -55,7 +58,9 @@ class CellTrain:
     in one heap entry and forwards it itself.  A switch output whose
     train was claimed whole hands the admitted cells to the receiving
     SBA-200 in one entry, and its receive loop runs them analytically,
-    taking runs of cells into reassembly as byte slices (:meth:`chunk`).
+    taking runs of cells into reassembly as byte slices (:meth:`chunk`);
+    a cell its input FIFO drops is missing from the run, as one the
+    switch's output queue drops is missing from ``indices``.
     Every other receiver gets plain per-cell deliveries.  The arrival
     floats are exactly the ones the per-cell path would schedule, so a
     train is bit-identical to per-cell simulation.
@@ -85,20 +90,21 @@ class CellTrain:
         """The cell at position ``i``, as segmentation built it."""
         return cpcs_cell(self.cpcs, self.vci, self.indices[i])
 
-    def chunk(self, first: int, stop: int) -> bytes:
-        """The payloads of the cells at positions ``first..stop-1``,
+    def chunk(self, positions: Sequence[int]) -> bytes:
+        """The payloads of the cells at ``positions`` (increasing),
         joined: one slice of the CPCS unless a cell between them was
         dropped."""
         indices = self.indices
-        lo = indices[first]
-        hi = indices[stop - 1] + 1
+        lo = indices[positions[0]]
+        hi = indices[positions[-1]] + 1
         cpcs = self.cpcs
-        if hi - lo == stop - first:
+        if hi - lo == len(positions):
             return cpcs[lo * ATM_PAYLOAD_SIZE : hi * ATM_PAYLOAD_SIZE]
-        return b"".join(
-            cpcs[j * ATM_PAYLOAD_SIZE : (j + 1) * ATM_PAYLOAD_SIZE]
-            for j in indices[first:stop]
+        offsets = list(
+            map(mul, map(indices.__getitem__, positions), repeat(ATM_PAYLOAD_SIZE))
         )
+        ends = map(add, offsets, repeat(ATM_PAYLOAD_SIZE))
+        return b"".join(map(cpcs.__getitem__, map(slice, offsets, ends)))
 
     def ends_pdu(self, stop: int) -> bool:
         """True if the cell at position ``stop - 1`` ends the PDU."""
@@ -166,7 +172,7 @@ class Link:
         # is a per-link constant.
         self._cell_us = ATM_CELL_SIZE * 8 / bandwidth_bps * 1e6
         self._busy_until = 0.0
-        self._starts: deque = deque()
+        self._starts: List[float] = []
         # Metric keys are built once here: _claim_at()/_finish_cell()
         # run per cell on the event hot path and must not re-format
         # strings.  Queue overflow and injected loss are separate causes.
@@ -197,33 +203,83 @@ class Link:
 
     # -- admission ------------------------------------------------------
     def _claim_at(
-        self, instants: Sequence[float], capacity: float
+        self,
+        instants: Sequence[float],
+        capacity: float,
+        lead: float = 0.0,
+        lag: float = 0.0,
     ) -> Tuple[Sequence[int], List[float]]:
         """Claim the next serialization slot as of each of ``instants``
-        in turn; a cell that finds ``capacity`` cells queued is dropped.
-        Returns the positions of the admitted cells and their
-        serialization finish floats.
+        in turn, each plus ``lead``; a cell that finds ``capacity``
+        cells queued is dropped.  Returns the positions of the admitted
+        cells and their serialization finish floats plus ``lag``.
 
         Every claim runs here, so the access hook and obs see each one.
         A cell whose serialization began at or before its instant is in
         service, not queued, exactly like the old pump's Store; the
-        cells of one put share an instant and are queued together."""
+        cells of one put share an instant and are queued together.
+        Unwatched claims with room for all of them drop nothing, so
+        only their slots are computed, with the same additions in the
+        same order as the loop at the end: claims at one instant (every
+        host link's ``put_train``) in one ``accumulate`` pass, others in
+        a loop with no checks left in it."""
         hook = _engine.access_hook
         _o = obs.active
         starts = self._starts
-        popleft = starts.popleft
-        queue = starts.append
         cell_us = self._cell_us
         busy = self._busy_until
-        finishes: List[float] = []
+        n = len(instants)
+        if n and hook is None and _o is None:
+            first = instants[0] + lead
+            stale = bisect_right(starts, first)
+            if len(starts) - stale + n <= capacity:
+                # Room for every cell, so none is dropped, and nothing
+                # is watching: only the slots are left to compute.
+                del starts[:stale]
+                last = instants[-1] + lead
+                if first == last:
+                    if busy < first:
+                        busy = first
+                    if n == 1:
+                        starts.append(busy)
+                        self._busy_until = busy = busy + cell_us
+                        return range(1), [busy + lag]
+                    slots = list(accumulate(repeat(cell_us, n), initial=busy))
+                    self._busy_until = busy = slots.pop()
+                    starts.extend(slots)
+                    del slots[0]
+                    slots.append(busy)
+                    if lag:
+                        return range(n), [finish + lag for finish in slots]
+                    return range(n), slots
+                # The loop's last prune is at its first claim as of the
+                # last instant.
+                hi = len(starts) + bisect_left(instants, instants[-1])
+                queue = starts.append
+                finishes = []
+                finish = finishes.append
+                for now in instants:
+                    now += lead
+                    if busy < now:
+                        busy = now
+                    queue(busy)
+                    busy += cell_us
+                    finish(busy + lag)
+                del starts[: bisect_right(starts, last, 0, hi)]
+                self._busy_until = busy
+                return range(n), finishes
+        queue = starts.append
+        finishes = []
         finish = finishes.append
         dropped: List[int] = []
         queued = len(starts)
+        head = 0
         pruned = None
         for now in instants:
+            now += lead
             if now != pruned:
-                while queued and starts[0] <= now:
-                    popleft()
+                while queued and starts[head] <= now:
+                    head += 1
                     queued -= 1
                 pruned = now
             if queued >= capacity:
@@ -254,13 +310,14 @@ class Link:
                 _o.observe(self._k_txq, queued)
                 _o.count(self._k_busy, end - busy)
             busy += cell_us
-            finish(busy)
+            finish(busy + lag)
+        del starts[:head]
         self._busy_until = busy
         if not dropped:
             return range(len(finishes)), finishes
         self.cells_dropped += len(dropped)
         lost = set(dropped)
-        return [i for i in range(len(instants)) if i not in lost], finishes
+        return [i for i in range(n) if i not in lost], finishes
 
     def _schedule_cell(self, cell: Cell, finish: float) -> None:
         """Schedule a claimed cell that travels on its own."""
@@ -299,23 +356,24 @@ class Link:
         return True
 
     def send_train_at(
-        self, instants: Sequence[float]
+        self, instants: Sequence[float], lead: float
     ) -> Tuple[Sequence[int], List[float]]:
-        """:meth:`send_at` for one cell as of each of ``instants``, in
-        one pass on the fast path, scheduling nothing.  Returns the
-        positions of the admitted cells and their arrival floats at the
-        far end; the caller schedules their delivery (or, replaying
-        after :meth:`rewind`, does not).
+        """:meth:`send_at` for one cell as of each of ``instants`` plus
+        ``lead``, in one pass on the fast path, scheduling nothing.
+        Returns the positions of the admitted cells and their arrival
+        floats at the far end; the caller schedules their delivery (or,
+        replaying after :meth:`rewind`, does not).
 
         Claiming ahead is exact only if the instants are in order and
         no other claim on this link falls before the last of them.  The
         link must be on its fast path with no loss function.
         """
-        admitted, finishes = self._claim_at(instants, self.capacity)
+        admitted, arrivals = self._claim_at(
+            instants, self.capacity, lead, self.propagation_us
+        )
         self.cells_sent += len(admitted)
         self.bytes_sent += ATM_CELL_SIZE * len(admitted)
-        propagation = self.propagation_us
-        return admitted, [finish + propagation for finish in finishes]
+        return admitted, arrivals
 
     def claim_state(self) -> tuple:
         """Everything a claim changes, for :meth:`rewind`."""
@@ -337,7 +395,7 @@ class Link:
             self.bytes_sent,
             self.cells_dropped,
         ) = state
-        self._starts = deque(starts)
+        self._starts = list(starts)
 
     def put(self, cell: Cell) -> Event:
         """Blocking enqueue: returns an event that triggers once the cell
@@ -362,7 +420,7 @@ class Link:
             raise ValueError(f"VCI out of range: {vci}")
         n = len(cpcs) // ATM_PAYLOAD_SIZE
         now = self.sim._now
-        _, finishes = self._claim_at([now] * n, inf)
+        instants = [now] * n
         if (
             n > 1
             and self._train_sink is not None
@@ -371,14 +429,14 @@ class Link:
         ):
             # One heap entry for the whole burst, carrying the exact
             # per-cell arrival floats the per-cell path would use.
+            _, arrivals = self._claim_at(instants, inf, 0.0, self.propagation_us)
             self.cells_sent += n
             self.bytes_sent += ATM_CELL_SIZE * n
             self.trains_sent += 1
-            propagation = self.propagation_us
-            arrivals = [finish + propagation for finish in finishes]
             train = CellTrain(vci, cpcs, range(n), arrivals)
             self.sim.schedule_callback_at(arrivals[0], self._deliver_train, train)
         else:
+            _, finishes = self._claim_at(instants, inf)
             for i, finish in enumerate(finishes):
                 self._schedule_cell(cpcs_cell(cpcs, vci, i), finish)
         return self._admitted(now)

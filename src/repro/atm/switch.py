@@ -49,21 +49,19 @@ class _TrainClaim:
         "vci",
         "link",
         "train",
-        "exits",
         "link_state",
         "live",
         "out_train",
         "admitted",
     )
 
-    def __init__(self, port, vci, link, train, exits, link_state):
+    def __init__(self, port, vci, link, train, link_state):
         self.port = port
         self.vci = vci
         self.link = link
         self.train = train
-        self.exits = exits
         self.link_state = link_state
-        self.live = len(exits)
+        self.live = len(train)
         self.out_train: Optional[CellTrain] = None
         self.admitted: List[int] = []
 
@@ -264,17 +262,17 @@ class Switch:
         with no other claim between them.  An output link with a train
         sink gets the admitted cells as one train relabelled with the
         outgoing VCI, sharing the CPCS bytes, in one entry."""
-        latency = self.switching_latency_us
-        exits = [arrival + latency for arrival in train.arrivals_us]
-        claim = _TrainClaim(port, train.vci, link, train, exits, link.claim_state())
+        claim = _TrainClaim(port, train.vci, link, train, link.claim_state())
         self._claims[port] = claim
-        self.cells_switched += len(exits)
+        self.cells_switched += len(train)
         out_vci = route.out_vci
         if not 0 <= out_vci <= MAX_VCI:
             raise ValueError(f"VCI out of range: {out_vci}")
-        admitted, arrivals = link.send_train_at(exits)
+        admitted, arrivals = link.send_train_at(
+            train.arrivals_us, self.switching_latency_us
+        )
         indices = train.indices
-        if len(admitted) < len(exits):
+        if len(admitted) < len(train):
             indices = [indices[i] for i in admitted]
         schedule_at = self.sim.schedule_callback_at
         if link._train_sink is not None and len(admitted) > 1:
@@ -306,7 +304,7 @@ class Switch:
         claim.cut(kept)
         link = claim.link
         link.rewind(claim.link_state)
-        link.send_train_at(claim.exits[:kept])
+        link.send_train_at(train.arrivals_us[:kept], self.switching_latency_us)
         self.cells_switched -= withdrawn
         self._expand(claim.port, train, kept)
 

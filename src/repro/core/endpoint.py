@@ -209,6 +209,25 @@ class Endpoint:
                 return desc
         return None
 
+    def take_send_then(self, fn: Callable, *args) -> None:
+        """Callback form of :meth:`take_send`: call ``fn(desc, *args)``
+        with the next send descriptor, in the entry where a process in
+        ``take_send`` would resume; never once the endpoint is
+        destroyed."""
+        if not self.destroyed:
+            self.send_queue.wait_nonempty().callbacks.append(
+                lambda _event: self._took_send(fn, args)
+            )
+
+    def _took_send(self, fn: Callable, args: tuple) -> None:
+        if self.destroyed:
+            return
+        desc = self.send_queue.pop()
+        if desc is None:
+            self.take_send_then(fn, *args)
+        else:
+            fn(desc, *args)
+
     def gather(self, descriptor: Union[SendDescriptor, RecvDescriptor]) -> bytes:
         """A descriptor's message bytes: the inline payload, or its
         segment buffers read in order."""

@@ -53,10 +53,16 @@ def test_train_cells_equal_segmentation(size, seed, vci, data):
         assert _fields(train.cell(i)) == _fields(cells[j])
     first = data.draw(st.integers(0, len(indices) - 1))
     stop = data.draw(st.integers(first + 1, len(indices)))
-    assert train.chunk(first, stop) == b"".join(
+    assert train.chunk(range(first, stop)) == b"".join(
         cells[j].payload for j in indices[first:stop]
     )
     assert train.ends_pdu(stop) == cells[indices[stop - 1]].last
+    # Any increasing positions, as a receive run that dropped cells
+    # pushes them.
+    positions = sorted(data.draw(st.sets(st.integers(0, len(indices) - 1), min_size=1)))
+    assert train.chunk(positions) == b"".join(
+        cells[indices[i]].payload for i in positions
+    )
 
 
 @pytest.mark.parametrize("size", [0, 40, 41, 4000, AAL5_MAX_PDU])
@@ -110,7 +116,9 @@ def _feed(trains, cuts, max_cells, runs):
             for first, stop in zip(bounds, bounds[1:]):
                 out.append(
                     asm.push_run(
-                        train.vci, train.chunk(first, stop), train.ends_pdu(stop)
+                        train.vci,
+                        train.chunk(range(first, stop)),
+                        train.ends_pdu(stop),
                     )
                 )
         else:

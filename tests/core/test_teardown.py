@@ -95,6 +95,16 @@ class TestEndpointDestroy:
         monkeypatch.setattr(Simulator, "process", record)
         session = cluster.open_session("alice", "pa", emulated=emulated)
         monkeypatch.undo()
+        ring = session.endpoint.send_queue
+        if ni_kind == "sba200" and not emulated:
+            # The SBA-200's transmit firmware is a callback state
+            # machine: it waits on the send ring, and stops re-arming.
+            sim.run(until=1e3)
+            assert ring._nonempty_waiters
+            cluster.agent("alice").destroy_endpoint(session.endpoint, "pa")
+            sim.run(until=1e6)
+            assert not ring._nonempty_waiters
+            return
         # The send service of this endpoint: the NI's transmit loop, or
         # the kernel's forwarding loop for an emulated endpoint.
         tx_name = (
